@@ -1,8 +1,20 @@
-"""Dense exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals by sparse incremental elimination.
 
 Used for coordinate extraction, re-expanding Lie brackets in a Hall basis,
-and the endomorphism-pair solver. Everything stays desk scale (tens of rows),
-so plain Gaussian elimination over Fraction is exact and fast enough.
+and the endomorphism-pair solver. The largest systems (the endomorphism-pair
+compatibility system, 940 x 208 at (2,5)) are very sparse: each row
+has a handful of small integer entries. So every function here runs one
+Gauss-Jordan core, `_eliminate`, on rows stored as {column: Fraction} dicts
+holding only the nonzero entries.
+
+The core reduces each input row in turn against a basis of fully reduced,
+normalized rows keyed by pivot column. A row that is still nonzero takes its
+smallest column as its pivot, and that column is then cleared from the basis
+rows already there. Each basis row stays zero left of its pivot and in every
+other pivot column, so the basis sorted by pivot is a reduced row echelon
+form of the rows seen so far. The RREF of a matrix is unique, so the pivots,
+reduced rows, nullspace vectors and inverses returned here are exactly those
+of any other exact elimination order, including dense Gauss-Jordan.
 """
 
 from __future__ import annotations
@@ -12,38 +24,72 @@ from fractions import Fraction
 Matrix = list[list[Fraction]]
 
 
-def clone(rows) -> Matrix:
-    return [[Fraction(x) for x in row] for row in rows]
+def _eliminate(rows) -> tuple[dict[int, dict[int, Fraction]], list[int]]:
+    """Reduce sparse rows ({col: value}, no zero values) in order.
+
+    The row dicts are consumed. Returns (basis, added): basis maps each pivot
+    column to its normalized, fully reduced row, and added lists the indices
+    of the rows that gave a new pivot, in input order.
+    """
+    basis: dict[int, dict[int, Fraction]] = {}
+    added: list[int] = []
+    for index, row in enumerate(rows):
+        # basis rows vanish in every other pivot column, so one pass over the
+        # row's own pivot entries clears them all
+        for p in [c for c in row if c in basis]:
+            _subtract(row, row.pop(p), basis[p], p)
+        if not row:
+            continue
+        pivot = min(row)
+        inv = 1 / row[pivot]
+        row = {c: v * inv for c, v in row.items()}
+        for brow in basis.values():
+            if pivot in brow:
+                _subtract(brow, brow.pop(pivot), row, pivot)
+        basis[pivot] = row
+        added.append(index)
+    return basis, added
+
+
+def _subtract(target: dict, f: Fraction, row: dict, skip: int) -> None:
+    """target -= f * row on every column but skip, dropping entries that vanish."""
+    for c, v in row.items():
+        if c != skip:
+            x = target.get(c, 0) - f * v
+            if x:
+                target[c] = x
+            else:
+                del target[c]
+
+
+def _sparse(rows):
+    return [{c: Fraction(x) for c, x in enumerate(row) if x} for row in rows]
+
+
+def _dense(row: dict, ncols: int) -> list[Fraction]:
+    out = [Fraction(0)] * ncols
+    for c, v in row.items():
+        out[c] = v
+    return out
 
 
 def rref(rows) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form. Returns (reduced rows, pivot column indices)."""
-    m = clone(rows)
-    if not m:
-        return m, []
-    nrows, ncols = len(m), len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        hit = next((i for i in range(r, nrows) if m[i][col]), None)
-        if hit is None:
-            continue
-        m[r], m[hit] = m[hit], m[r]
-        inv = Fraction(1) / m[r][col]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][col]:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
+    """Reduced row echelon form. Returns (reduced rows, pivot column indices).
+
+    The reduced matrix has as many rows as the input; its zero rows come last.
+    """
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    basis, _ = _eliminate(_sparse(rows))
+    pivots = sorted(basis)
+    reduced = [_dense(basis[p], ncols) for p in pivots]
+    reduced.extend([Fraction(0)] * ncols for _ in range(len(rows) - len(pivots)))
+    return reduced, pivots
 
 
 def rank(rows) -> int:
-    return len(rref(rows)[1])
+    return len(_eliminate(_sparse(rows))[0])
 
 
 def nullspace(rows) -> list[list[Fraction]]:
@@ -51,35 +97,31 @@ def nullspace(rows) -> list[list[Fraction]]:
     if not rows:
         return []
     ncols = len(rows[0])
-    red, pivots = rref(rows)
-    pivot_set = set(pivots)
-    basis = []
-    for free_col in range(ncols):
-        if free_col in pivot_set:
-            continue
-        v = [Fraction(0)] * ncols
-        v[free_col] = Fraction(1)
-        for row_i, piv_col in enumerate(pivots):
-            v[piv_col] = -red[row_i][free_col]
-        basis.append(v)
-    return basis
+    basis, _ = _eliminate(_sparse(rows))
+    free = {c: [Fraction(0)] * ncols for c in range(ncols) if c not in basis}
+    for c, v in free.items():
+        v[c] = Fraction(1)
+    for p, row in basis.items():
+        for c, x in row.items():
+            if c != p:
+                free[c][p] = -x
+    return list(free.values())
 
 
 def invert(rows) -> Matrix:
+    """Inverse of a square matrix, by reducing [rows | identity]."""
     n = len(rows)
-    aug = [
-        [Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-        for i, row in enumerate(rows)
-    ]
-    red, pivots = rref(aug)
+    ncols = len(rows[0]) if rows else 0
+    aug = _sparse(rows)
+    for i, row in enumerate(aug):
+        row[ncols + i] = Fraction(1)
+    basis, _ = _eliminate(aug)
+    pivots = sorted(basis)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in red]
+    return [_dense(basis[p], ncols + n)[n:] for p in pivots]
 
 
 def independent_rows(rows) -> list[int]:
     """Indices of a maximal linearly independent subset of rows (first found)."""
-    if not rows:
-        return []
-    transpose = [[rows[i][j] for i in range(len(rows))] for j in range(len(rows[0]))]
-    return rref(transpose)[1]
+    return _eliminate(_sparse(rows))[1]

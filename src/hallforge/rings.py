@@ -249,22 +249,6 @@ class Ring:
     def coerce(self, x):
         raise NotImplementedError
 
-    # checked operations; hot paths use the python operators directly
-    def add(self, a, b):
-        return self.coerce(a) + self.coerce(b)
-
-    def sub(self, a, b):
-        return self.coerce(a) - self.coerce(b)
-
-    def mul(self, a, b):
-        return self.coerce(a) * self.coerce(b)
-
-    def neg(self, a):
-        return -self.coerce(a)
-
-    def eq(self, a, b):
-        return self.coerce(a) == self.coerce(b)
-
     def _div_by_factorial(self, x, k: int):
         raise NotImplementedError
 

@@ -33,7 +33,7 @@ from .deformation import (
     zero_cocycle,
 )
 from .group import FreeNilpotentGroup
-from .errors import NotAHomomorphismError
+from .errors import HallforgeError, NotAHomomorphismError
 from .lie import (
     EndoPair,
     bilinear_from_lie,
@@ -75,9 +75,9 @@ def _all(name, iterable, detail="") -> CheckResult:
 
 def ring_suite(rng: Random, samples: int | None = None) -> list:
     out = []
-    n_spec = samples or 1000
-    n_pascal = samples or 500
-    n_vdm = samples or 200
+    n_spec = 1000 if samples is None else samples
+    n_pascal = 500 if samples is None else samples
+    n_vdm = 200 if samples is None else samples
     rings = [ZZ, QQ, PolyRing(("x",))]
 
     for ring in rings:
@@ -184,7 +184,7 @@ def _random_group_like(rank, nclass, ring, rng) -> TruncatedSeries:
 
 def series_suite(rank, nclass, ring: Ring, rng: Random, samples: int | None = None) -> list:
     out = []
-    n_assoc = samples or 500
+    n_assoc = 500 if samples is None else samples
     one = TruncatedSeries.one(rank, nclass)
 
     out.append(
@@ -269,7 +269,7 @@ def series_suite(rank, nclass, ring: Ring, rng: Random, samples: int | None = No
         CheckResult("series: Hall Lie elements independent per weight", ok)
     )
 
-    n_dep = samples or 200
+    n_dep = 200 if samples is None else samples
     ok = True
     detail = ""
     for t in range(n_dep):
@@ -312,8 +312,8 @@ def group_suite(rank, nclass, ring: Ring, rng: Random, samples: int | None = Non
     out = []
     grp = FreeNilpotentGroup(rank, nclass, ring)
     e = grp.identity()
-    n_triples = samples or 1000
-    n_pow = samples or 500
+    n_triples = 1000 if samples is None else samples
+    n_pow = 500 if samples is None else samples
 
     ok_assoc = ok_id = ok_inv = True
     for _ in range(n_triples):
@@ -391,7 +391,7 @@ def words_suite(rank, nclass, ring: Ring, rng: Random, samples: int | None = Non
     out = []
     grp = FreeNilpotentGroup(rank, nclass, ring)
     collector = Collector(grp, derive_structure_polys(rank, nclass))
-    n_words = samples or 500
+    n_words = 500 if samples is None else samples
 
     out.append(
         CheckResult("words: empty word collects to identity", collector.collect([]) == grp.identity())
@@ -457,7 +457,7 @@ def poly_suite(rank, nclass, rng: Random, samples: int | None = None) -> list:
     cp = derive_hall_polynomials(rank, nclass)
     grp = FreeNilpotentGroup(rank, nclass, ZZ)
     n = grp.dimension
-    n_points = samples or 200
+    n_points = 200 if samples is None else samples
 
     mul_ring = PolyRing(cp.mul_vars)
     ok = all(
@@ -545,7 +545,7 @@ def deformation_suite(rank, nclass, rng: Random, samples: int | None = None) -> 
     out = []
     base = FreeNilpotentGroup(rank, nclass, ZZ)
     n_c = base.basis.counts[-1]
-    n_triples = samples or 1000
+    n_triples = 1000 if samples is None else samples
 
     f_ab = product_cocycle(n_c, 0)
     mix_tables = [{} for _ in range(n_c)]
@@ -636,7 +636,7 @@ def deformation_suite(rank, nclass, rng: Random, samples: int | None = None) -> 
         out.append(CheckResult("deform: splitting isomorphism verified", False, str(exc)))
 
     ext = assemble_extension_cocycle(dgrp)
-    n_coc = samples or 500
+    n_coc = 500 if samples is None else samples
     out.append(
         _all(
             "deform: extension cocycle identity",
@@ -766,7 +766,7 @@ def lie_suite(rank, nclass) -> list:
 
 def centralizer_suite(rank, nclass, ring: Ring, rng: Random, samples: int | None = None) -> list:
     grp = FreeNilpotentGroup(rank, nclass, ring)
-    n = samples or 40
+    n = 40 if samples is None else samples
     out = []
     for j in range(1, rank + 1):
         report = grp.centralizer_structure_check(j, rng, samples=min(n, 40))
@@ -784,6 +784,8 @@ def centralizer_suite(rank, nclass, ring: Ring, rng: Random, samples: int | None
 
 def run_all(rank, nclass, ring: Ring = ZZ, seed: int = 0, samples: int | None = None) -> list:
     """Full verification table for one configuration."""
+    if samples is not None and samples < 1:
+        raise HallforgeError(f"samples must be at least 1, got {samples}")
     rng = Random(seed)
     out = []
     out.extend(ring_suite(rng, samples))

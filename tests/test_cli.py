@@ -131,6 +131,15 @@ def test_verify_small_run_exits_zero(capsys):
     assert "checks passed" in out
 
 
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_verify_rejects_non_positive_samples(capsys, count):
+    code, out, err = run_cli(
+        capsys, "verify", "--rank", "2", "--class", "2", "--samples", count
+    )
+    assert code == 2
+    assert out == "" and "samples" in err
+
+
 def test_verify_json_deterministic(capsys):
     args = (
         "verify", "--rank", "2", "--class", "2",

@@ -1,11 +1,82 @@
-"""Tests for the exact dense linear algebra helpers."""
+"""Tests for the exact linear algebra helpers.
+
+The dense Gauss-Jordan below is the reference: the sparse elimination in
+hallforge.linalg must return exactly what it returns.
+"""
 
 from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hallforge import linalg
+from hallforge.lie import bilinear_from_lie, endomorphism_pair_space, free_nilpotent_lie
+
+
+# -- dense reference ------------------------------------------------------------
+
+
+def _oracle_rref(rows):
+    m = [[Fraction(x) for x in row] for row in rows]
+    if not m:
+        return m, []
+    nrows, ncols = len(m), len(m[0])
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        hit = next((i for i in range(r, nrows) if m[i][col]), None)
+        if hit is None:
+            continue
+        m[r], m[hit] = m[hit], m[r]
+        inv = Fraction(1) / m[r][col]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][col]:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(col)
+        r += 1
+        if r == nrows:
+            break
+    return m, pivots
+
+
+def _oracle_nullspace(rows):
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    red, pivots = _oracle_rref(rows)
+    basis = []
+    for free_col in range(ncols):
+        if free_col in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[free_col] = Fraction(1)
+        for row_i, piv_col in enumerate(pivots):
+            v[piv_col] = -red[row_i][free_col]
+        basis.append(v)
+    return basis
+
+
+def _oracle_invert(rows):
+    n = len(rows)
+    aug = [
+        [Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
+        for i, row in enumerate(rows)
+    ]
+    red, pivots = _oracle_rref(aug)
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in red]
+
+
+def _oracle_independent_rows(rows):
+    if not rows:
+        return []
+    transpose = [[rows[i][j] for i in range(len(rows))] for j in range(len(rows[0]))]
+    return _oracle_rref(transpose)[1]
 
 
 def _frac_rows(rows):
@@ -63,3 +134,58 @@ def test_independent_rows():
     rows = _frac_rows([[1, 0, 0], [2, 0, 0], [0, 1, 0]])
     picked = linalg.independent_rows(rows)
     assert picked == [0, 2]
+
+
+# -- differential tests against the dense reference -----------------------------
+
+
+_ENTRIES = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-3, 3).map(Fraction),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+
+
+@st.composite
+def _matrices(draw):
+    """0-8 rows by 1-8 columns, drawn from a pool that holds a zero row, so
+    that zero, duplicate and all-zero rows all come up."""
+    ncols = draw(st.integers(1, 8))
+    row = st.lists(_ENTRIES, min_size=ncols, max_size=ncols)
+    pool = draw(st.lists(row, min_size=1, max_size=8)) + [[Fraction(0)] * ncols]
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=8))
+    return [list(pool[i]) for i in picks]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_matrices())
+def test_matches_dense_reference(rows):
+    red, pivots = _oracle_rref(rows)
+    assert linalg.rref(rows) == (red, pivots)
+    assert linalg.rank(rows) == len(pivots)
+    assert linalg.nullspace(rows) == _oracle_nullspace(rows)
+    assert linalg.independent_rows(rows) == _oracle_independent_rows(rows)
+    try:
+        want = _oracle_invert(rows)
+    except ValueError:
+        with pytest.raises(ValueError):
+            linalg.invert(rows)
+    else:
+        assert linalg.invert(rows) == want
+
+
+@pytest.mark.parametrize("rank, nclass", [(3, 3), (2, 5)])
+def test_endomorphism_system_nullspace_matches_dense(rank, nclass, monkeypatch):
+    bil = bilinear_from_lie(free_nilpotent_lie(rank, nclass))
+    systems = []
+    solve = linalg.nullspace
+
+    def capture(rows):
+        systems.append(rows)
+        return solve(rows)
+
+    monkeypatch.setattr(linalg, "nullspace", capture)
+    endomorphism_pair_space(bil)
+    [rows] = systems
+    assert len(rows[0]) == bil.domain_dim ** 2 + bil.codomain_dim ** 2
+    assert solve(rows) == _oracle_nullspace(rows)

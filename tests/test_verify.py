@@ -2,6 +2,9 @@
 
 from random import Random
 
+import pytest
+
+from hallforge.errors import HallforgeError
 from hallforge.rings import QQ, ZZ
 from hallforge.verify import (
     CheckResult,
@@ -21,6 +24,11 @@ def test_run_all_passes_small_config():
     assert failing == []
     names = [r.name for r in results]
     assert len(names) == len(set(names))
+
+
+def test_run_all_rejects_non_positive_samples():
+    with pytest.raises(HallforgeError, match="samples"):
+        run_all(2, 2, ZZ, seed=0, samples=0)
 
 
 def test_run_all_rational_ring_skips_integer_only_suites():
