@@ -16,6 +16,7 @@ from random import Random
 
 from .errors import (
     CocycleViolationError,
+    HallforgeError,
     NotAHomomorphismError,
     NotInRingError,
     ShapeMismatchError,
@@ -363,7 +364,9 @@ class SplittingIsomorphism:
         return self.deformed.element(self._shift(g.coords, +1))
 
     def verify(self, rng: Random | None = None, samples: int = 200) -> bool:
-        """Homomorphism and two-sided round trips on random samples."""
+        """Homomorphism and two-sided round trips on random samples (at least 1)."""
+        if samples < 1:
+            raise HallforgeError(f"samples must be at least 1, got {samples}")
         rng = rng or Random(0)
         for _ in range(samples):
             g = self.deformed.random_element(rng)

@@ -13,6 +13,13 @@ The a_ij are solved from an exact linear system that is invertible because
 the weight-i Lie elements are independent; the solved block is stripped and
 the next weight repeats. The final residue must be exactly 1, which makes
 every extraction self-checking.
+
+Construction multiplies the powers u_j^(a_j) of the nonzero coordinates in
+order, with the degree-aware series product; every power comes from the
+augmentation powers cached per basis entry in the engine tables.
+
+The engine refuses configurations whose word count sum_{i <= class} rank^i
+exceeds ENGINE_WORD_LIMIT, before the Hall basis or any table is built.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from random import Random
 
 from . import linalg
 from .basis import HallBasis, hall_basis
-from .errors import NotGroupLikeError, ShapeMismatchError
+from .errors import NotGroupLikeError, ScaleLimitError, ShapeMismatchError
 from .rings import ZZ, Ring
 from .series import (
     TruncatedSeries,
@@ -34,6 +41,11 @@ from .series import (
     group_like_inverse,
     series_pow,
 )
+
+
+# far above every configuration the tests and the benchmark build: (3,4) has
+# 121 words and (3,5) 364; (2,10) has 2047 and is refused
+ENGINE_WORD_LIMIT = 2000
 
 
 @dataclass(frozen=True)
@@ -45,8 +57,28 @@ class _EngineTables:
     solvers: tuple  # per weight: inverse matrix rows (Fractions)
 
 
+def check_engine_scale(rank: int, nclass: int) -> None:
+    """Raise ScaleLimitError when N(rank, class) has more than ENGINE_WORD_LIMIT words.
+
+    Counts the words sum_{i <= class} rank^i arithmetically and stops as soon
+    as the limit is passed, so a huge configuration is refused at once.
+    """
+    if rank < 1:
+        return  # hall_basis reports the bad rank
+    words, layer = 0, 1
+    for _ in range(nclass + 1):
+        words += layer
+        if words > ENGINE_WORD_LIMIT:
+            raise ScaleLimitError(
+                f"N({rank},{nclass}) has more than {ENGINE_WORD_LIMIT} words up to "
+                f"length {nclass}; the series engine is limited to that many"
+            )
+        layer *= rank
+
+
 @lru_cache(maxsize=None)
 def _engine_tables(rank: int, nclass: int, allow_rank_one: bool = False) -> _EngineTables:
+    check_engine_scale(rank, nclass)
     # ring-independent: image coefficients are integers, valid in every ring
     basis = hall_basis(rank, nclass, allow_rank_one)
     images = tuple(basis.embedding_image(e) for e in basis.entries)

@@ -7,6 +7,14 @@ arbitrary ring exponents through the binomial operator, which is the whole
 point: the generator embeddings x_j -> 1 + x_j land in the group of group-like
 series, and R-powers live there too.
 
+The product is degree-aware: it buckets the right operand's words by length
+once and pairs a left word of length d only with the right words of length
+at most cutoff - d, so no pair past the cutoff is ever formed and the inner
+loop has no length test. series_pow adds binom(a, k) u^k straight into one
+dict, and the inverse is the power with exponent -1. Results built inside
+this module are already clean, so they skip the public constructor's
+filtering pass; only zero coefficients are dropped.
+
 Coefficients are plain ring values (int / Fraction / Poly); since the cached
 embedding data is integral, series with int coefficients combine freely with
 any of the supported rings.
@@ -15,7 +23,7 @@ any of the supported rings.
 from __future__ import annotations
 
 from .errors import NotGroupLikeError, ShapeMismatchError
-from .rings import Ring
+from .rings import ZZ, Ring
 
 Word = tuple
 
@@ -31,6 +39,15 @@ class TruncatedSeries:
             if len(w) <= cutoff and c:
                 clean[w] = c
         self.coeffs = clean
+
+    @classmethod
+    def _trusted(cls, rank, cutoff, coeffs):
+        """Wrap coeffs as is: every word fits the cutoff, no coefficient is zero."""
+        s = cls.__new__(cls)
+        s.rank = rank
+        s.cutoff = cutoff
+        s.coeffs = coeffs
+        return s
 
     @classmethod
     def one(cls, rank, cutoff):
@@ -98,22 +115,33 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             if not other:
                 return TruncatedSeries(self.rank, self.cutoff, {})
-            return TruncatedSeries(
-                self.rank, self.cutoff, {w: c * other for w, c in self.coeffs.items()}
+            return TruncatedSeries._trusted(
+                self.rank, self.cutoff, _nonzero({w: c * other for w, c in self.coeffs.items()})
             )
         self._check(other)
         cut = self.cutoff
+        # the right words by length: those of length <= k are flat[:ends[k]]
+        buckets = [[] for _ in range(cut + 1)]
+        for item in other.coeffs.items():
+            buckets[len(item[0])].append(item)
+        flat, ends = [], []
+        for items in buckets:
+            flat.extend(items)
+            ends.append(len(flat))
+        fits = [None] * (cut + 1)  # fits[room] = flat[:ends[room]], sliced once
         out: dict = {}
+        get = out.get
         for w1, c1 in self.coeffs.items():
             room = cut - len(w1)
-            for w2, c2 in other.coeffs.items():
-                if len(w2) > room:
-                    continue
+            pairs = fits[room]
+            if pairs is None:
+                pairs = fits[room] = flat[: ends[room]]
+            for w2, c2 in pairs:
                 w = w1 + w2
                 prod = c1 * c2
-                prev = out.get(w)
+                prev = get(w)
                 out[w] = prod if prev is None else prev + prod
-        return TruncatedSeries(self.rank, cut, out)
+        return TruncatedSeries._trusted(self.rank, cut, _nonzero(out))
 
     def __rmul__(self, other):
         # scalars commute with everything
@@ -136,6 +164,10 @@ class TruncatedSeries:
             mono = "".join(f"x{j}" for j in w) or "1"
             bits.append(f"{self.coeffs[w]}*{mono}")
         return "Series(" + (" + ".join(bits) or "0") + ")"
+
+
+def _nonzero(coeffs: dict) -> dict:
+    return {w: c for w, c in coeffs.items() if c}
 
 
 def augmentation_powers(s: TruncatedSeries) -> list[TruncatedSeries]:
@@ -166,27 +198,22 @@ def series_pow(s: TruncatedSeries, exponent, ring: Ring, aug_powers=None):
     elif not s.is_group_like():
         raise NotGroupLikeError("series has constant coefficient != 1")
     exponent = ring.coerce(exponent)
-    total = TruncatedSeries(s.rank, s.cutoff, dict(aug_powers[0].coeffs))
+    out = dict(aug_powers[0].coeffs)
+    get = out.get
     for k in range(1, len(aug_powers)):
-        total = total + aug_powers[k] * ring.binom(exponent, k)
-    return total
+        b = ring.binom(exponent, k)
+        if not b:
+            continue
+        for w, c in aug_powers[k].coeffs.items():
+            term = c * b
+            prev = get(w)
+            out[w] = term if prev is None else prev + term
+    return TruncatedSeries._trusted(s.rank, s.cutoff, _nonzero(out))
 
 
 def group_like_inverse(s: TruncatedSeries) -> TruncatedSeries:
-    """Inverse of a group-like series via the truncated geometric series."""
-    if not s.is_group_like():
-        raise NotGroupLikeError("series has constant coefficient != 1")
-    u = s - 1
-    total = TruncatedSeries.one(s.rank, s.cutoff)
-    cur = total
-    sign = 1
-    while True:
-        cur = cur * u
-        if not cur.coeffs:
-            break
-        sign = -sign
-        total = total + cur * sign
-    return total
+    """Inverse of a group-like series: the truncated geometric series sum (-u)^k."""
+    return series_pow(s, -1, ZZ)
 
 
 def group_commutator_series(s: TruncatedSeries, t: TruncatedSeries) -> TruncatedSeries:

@@ -70,14 +70,26 @@ def _all(name, iterable, detail="") -> CheckResult:
     return CheckResult(name, all(iterable), detail)
 
 
+def _sample_count(samples: int | None, default: int) -> int:
+    """The per-check sample count: default unless overridden; overrides below 1 are refused.
+
+    Every suite calls this before any work, so no check can pass on zero samples.
+    """
+    if samples is None:
+        return default
+    if samples < 1:
+        raise HallforgeError(f"samples must be at least 1, got {samples}")
+    return samples
+
+
 # -- ring suite ------------------------------------------------------------
 
 
 def ring_suite(rng: Random, samples: int | None = None) -> list:
+    n_spec = _sample_count(samples, 1000)
+    n_pascal = _sample_count(samples, 500)
+    n_vdm = _sample_count(samples, 200)
     out = []
-    n_spec = 1000 if samples is None else samples
-    n_pascal = 500 if samples is None else samples
-    n_vdm = 200 if samples is None else samples
     rings = [ZZ, QQ, PolyRing(("x",))]
 
     for ring in rings:
@@ -184,7 +196,7 @@ def _random_group_like(rank, nclass, ring, rng) -> TruncatedSeries:
 
 def series_suite(rank, nclass, ring: Ring, rng: Random, samples: int | None = None) -> list:
     out = []
-    n_assoc = 500 if samples is None else samples
+    n_assoc = _sample_count(samples, 500)
     one = TruncatedSeries.one(rank, nclass)
 
     out.append(
@@ -269,7 +281,7 @@ def series_suite(rank, nclass, ring: Ring, rng: Random, samples: int | None = No
         CheckResult("series: Hall Lie elements independent per weight", ok)
     )
 
-    n_dep = 200 if samples is None else samples
+    n_dep = _sample_count(samples, 200)
     ok = True
     detail = ""
     for t in range(n_dep):
@@ -309,11 +321,11 @@ def series_suite(rank, nclass, ring: Ring, rng: Random, samples: int | None = No
 
 
 def group_suite(rank, nclass, ring: Ring, rng: Random, samples: int | None = None) -> list:
+    n_triples = _sample_count(samples, 1000)
+    n_pow = _sample_count(samples, 500)
     out = []
     grp = FreeNilpotentGroup(rank, nclass, ring)
     e = grp.identity()
-    n_triples = 1000 if samples is None else samples
-    n_pow = 500 if samples is None else samples
 
     ok_assoc = ok_id = ok_inv = True
     for _ in range(n_triples):
@@ -388,10 +400,10 @@ def _random_word(grp, rng, max_len=6):
 
 
 def words_suite(rank, nclass, ring: Ring, rng: Random, samples: int | None = None) -> list:
+    n_words = _sample_count(samples, 500)
     out = []
     grp = FreeNilpotentGroup(rank, nclass, ring)
     collector = Collector(grp, derive_structure_polys(rank, nclass))
-    n_words = 500 if samples is None else samples
 
     out.append(
         CheckResult("words: empty word collects to identity", collector.collect([]) == grp.identity())
@@ -453,11 +465,11 @@ def words_suite(rank, nclass, ring: Ring, rng: Random, samples: int | None = Non
 
 
 def poly_suite(rank, nclass, rng: Random, samples: int | None = None) -> list:
+    n_points = _sample_count(samples, 200)
     out = []
     cp = derive_hall_polynomials(rank, nclass)
     grp = FreeNilpotentGroup(rank, nclass, ZZ)
     n = grp.dimension
-    n_points = 200 if samples is None else samples
 
     mul_ring = PolyRing(cp.mul_vars)
     ok = all(
@@ -542,10 +554,10 @@ def poly_suite(rank, nclass, rng: Random, samples: int | None = None) -> list:
 
 
 def deformation_suite(rank, nclass, rng: Random, samples: int | None = None) -> list:
+    n_triples = _sample_count(samples, 1000)
     out = []
     base = FreeNilpotentGroup(rank, nclass, ZZ)
     n_c = base.basis.counts[-1]
-    n_triples = 1000 if samples is None else samples
 
     f_ab = product_cocycle(n_c, 0)
     mix_tables = [{} for _ in range(n_c)]
@@ -636,7 +648,7 @@ def deformation_suite(rank, nclass, rng: Random, samples: int | None = None) -> 
         out.append(CheckResult("deform: splitting isomorphism verified", False, str(exc)))
 
     ext = assemble_extension_cocycle(dgrp)
-    n_coc = 500 if samples is None else samples
+    n_coc = _sample_count(samples, 500)
     out.append(
         _all(
             "deform: extension cocycle identity",
@@ -765,8 +777,8 @@ def lie_suite(rank, nclass) -> list:
 
 
 def centralizer_suite(rank, nclass, ring: Ring, rng: Random, samples: int | None = None) -> list:
+    n = _sample_count(samples, 40)
     grp = FreeNilpotentGroup(rank, nclass, ring)
-    n = 40 if samples is None else samples
     out = []
     for j in range(1, rank + 1):
         report = grp.centralizer_structure_check(j, rng, samples=min(n, 40))
@@ -784,8 +796,7 @@ def centralizer_suite(rank, nclass, ring: Ring, rng: Random, samples: int | None
 
 def run_all(rank, nclass, ring: Ring = ZZ, seed: int = 0, samples: int | None = None) -> list:
     """Full verification table for one configuration."""
-    if samples is not None and samples < 1:
-        raise HallforgeError(f"samples must be at least 1, got {samples}")
+    _sample_count(samples, 1)  # refuse a bad override before any suite runs
     rng = Random(seed)
     out = []
     out.extend(ring_suite(rng, samples))

@@ -231,6 +231,20 @@ def test_deform_actions(tmp_path, capsys):
     assert json.loads(out)["extension_matches_product"] is True
 
 
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_deform_iso_rejects_non_positive_samples(tmp_path, capsys, count):
+    cocycle = {"r": 2, "c": 2, "cocycles": [[[{"degrees": [1, 1], "coeff": "1"}]], [[]]]}
+    path = tmp_path / "cocycle.json"
+    path.write_text(json.dumps(cocycle), encoding="utf-8")
+    code, out, err = run_cli(
+        capsys,
+        "deform", "--rank", "2", "--class", "2",
+        "--cocycle", str(path), "iso", "--samples", count,
+    )
+    assert code == 2
+    assert out == "" and "samples" in err
+
+
 def test_deform_rejects_non_cocycle(tmp_path, capsys):
     cocycle = {
         "r": 2,

@@ -19,6 +19,7 @@ from hallforge.deformation import (
 )
 from hallforge.errors import (
     CocycleViolationError,
+    HallforgeError,
     NotInRingError,
     ShapeMismatchError,
 )
@@ -171,6 +172,15 @@ def test_iso_round_trips_and_verifies():
             assert iso.to_deformed(iso.to_base(g)) == g
             x = base.random_element(rng)
             assert iso.to_base(iso.to_deformed(x)) == x
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_iso_verify_rejects_non_positive_samples(samples):
+    base = FreeNilpotentGroup(2, 2)
+    dgrp = DeformedGroup(base, _family(base))
+    iso = iso_from_splittings(dgrp, [coboundary_split_integers(f) for f in dgrp.cocycles])
+    with pytest.raises(HallforgeError, match="samples"):
+        iso.verify(Random(0), samples=samples)
 
 
 def test_iso_is_a_homomorphism_pointwise():

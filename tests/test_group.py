@@ -1,11 +1,30 @@
-"""Tests for coordinate arithmetic in the free nilpotent group engine."""
+"""Tests for coordinate arithmetic in the free nilpotent group engine.
+
+The differential tests at the end compare construction and the engine's
+mul/pow/inv with the reference loops in series_oracle.py.
+"""
 
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from series_oracle import (
+    CONFIGS,
+    RINGS,
+    exponents,
+    oracle_inv_coords,
+    oracle_mul_coords,
+    oracle_pow_coords,
+    oracle_series_from_coords,
+    ring_values,
+    typed,
+    typed_coords,
+)
 
-from hallforge.errors import NotGroupLikeError, ShapeMismatchError
-from hallforge.group import FreeNilpotentGroup
+from hallforge import group
+from hallforge.errors import NotGroupLikeError, ScaleLimitError, ShapeMismatchError
+from hallforge.group import ENGINE_WORD_LIMIT, FreeNilpotentGroup, check_engine_scale
 from hallforge.oracles import Ut3Oracle
 from hallforge.rings import QQ, ZZ, PolyRing
 from hallforge.series import TruncatedSeries
@@ -154,3 +173,61 @@ def test_centralizer_structure_reports():
         for j in range(1, rank + 1):
             report = g.centralizer_structure_check(j, rng, samples=25)
             assert report["ok"], report
+
+
+# -- size guard -------------------------------------------------------------------
+
+
+def test_engine_scale_guard_counts_words():
+    # (2,9) has 2^10 - 1 = 1023 words, (2,10) has 2047
+    check_engine_scale(2, 9)
+    check_engine_scale(3, 5)
+    check_engine_scale(1, ENGINE_WORD_LIMIT - 1)
+    for rank, nclass in ((2, 10), (10, 10), (1, ENGINE_WORD_LIMIT), (10**6, 10**6), (1, 10**18)):
+        with pytest.raises(ScaleLimitError):
+            check_engine_scale(rank, nclass)
+
+
+def test_huge_group_refused_before_any_table(monkeypatch):
+    def no_basis(*args):
+        raise AssertionError("hall_basis ran for a refused configuration")
+
+    monkeypatch.setattr(group, "hall_basis", no_basis)
+    with pytest.raises(ScaleLimitError):
+        FreeNilpotentGroup(10, 10)
+    with pytest.raises(ScaleLimitError):
+        group._engine_tables(2, 10**9)
+    with pytest.raises(ScaleLimitError):
+        FreeNilpotentGroup(1, 10**12, allow_rank_one=True)
+
+
+# -- differential properties against the reference loops ----------------------
+
+
+@st.composite
+def coordinate_pairs(draw):
+    rank, nclass = draw(st.sampled_from(CONFIGS))
+    ring = draw(st.sampled_from(RINGS))
+    grp = FreeNilpotentGroup(rank, nclass, ring)
+    coords = st.lists(ring_values(ring), min_size=grp.dimension, max_size=grp.dimension)
+    a, b = draw(coords), draw(coords)
+    return grp, tuple(map(ring.coerce, a)), tuple(map(ring.coerce, b)), draw(exponents(ring))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(coordinate_pairs())
+def test_series_from_coords_matches_reference(case):
+    grp, a, b, _ = case
+    assert typed(grp.series_from_coords(a)) == typed(oracle_series_from_coords(grp, a))
+    assert typed(grp.series_from_coords(b)) == typed(oracle_series_from_coords(grp, b))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(coordinate_pairs())
+def test_engine_arithmetic_matches_reference(case):
+    grp, a, b, exponent = case
+    assert typed_coords(grp.mul_coords(a, b)) == typed_coords(oracle_mul_coords(grp, a, b))
+    assert typed_coords(grp.pow_coords(a, exponent)) == typed_coords(
+        oracle_pow_coords(grp, a, exponent)
+    )
+    assert typed_coords(grp.inv_coords(b)) == typed_coords(oracle_inv_coords(grp, b))

@@ -1,8 +1,23 @@
-"""Tests for degree-truncated noncommutative series arithmetic."""
+"""Tests for degree-truncated noncommutative series arithmetic.
+
+The last three tests compare the engine with the reference loops in
+series_oracle.py.
+"""
 
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from series_oracle import (
+    exponents,
+    oracle_augmentation_powers,
+    oracle_inverse,
+    oracle_mul,
+    oracle_series_pow,
+    operands,
+    typed,
+)
 
 from hallforge.errors import NotGroupLikeError, ShapeMismatchError
 from hallforge.rings import QQ, ZZ
@@ -129,3 +144,47 @@ def test_mixed_rank_rejected():
     b = TruncatedSeries(3, 2, {(1,): 1})
     with pytest.raises(ShapeMismatchError):
         a * b
+
+
+# -- differential properties against the reference loops ----------------------
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(operands())
+def test_product_matches_reference(case):
+    _, a, b = case
+    assert typed(a * b) == typed(oracle_mul(a, b))
+    assert typed(b * a) == typed(oracle_mul(b, a))
+    # a product of a and a translate of it, with many equal words
+    c = a + b
+    assert typed(a * c) == typed(oracle_mul(a, c))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(operands(group_like=True))
+def test_cancelling_products_match_reference(case):
+    _, a, b = case
+    inv = oracle_inverse(a)
+    assert typed(group_like_inverse(a)) == typed(inv)
+    # every term past the constant cancels to zero
+    one = TruncatedSeries.one(a.rank, a.cutoff)
+    assert typed(a * inv) == typed(oracle_mul(a, inv)) == typed(one)
+    # every pair of words runs past the cutoff: the product is the zero series
+    u, v = a - 1, b - 1
+    high, low = oracle_mul(oracle_mul(u, u), u), oracle_mul(v, v)
+    assert (high * low).coeffs == oracle_mul(high, low).coeffs == {}
+
+
+@st.composite
+def powers(draw):
+    ring, s, _ = draw(operands(group_like=True))
+    return ring, s, draw(exponents(ring))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(powers())
+def test_series_pow_matches_reference(case):
+    ring, s, exponent = case
+    want = oracle_series_pow(s, exponent, ring)
+    assert typed(series_pow(s, exponent, ring)) == typed(want)
+    aug = oracle_augmentation_powers(s)
+    assert typed(series_pow(s, exponent, ring, aug_powers=aug)) == typed(want)

@@ -8,12 +8,15 @@ from hallforge.errors import HallforgeError
 from hallforge.rings import QQ, ZZ
 from hallforge.verify import (
     CheckResult,
+    centralizer_suite,
     deformation_suite,
     group_suite,
     lie_suite,
+    poly_suite,
     ring_suite,
     run_all,
     series_suite,
+    words_suite,
 )
 
 
@@ -29,6 +32,25 @@ def test_run_all_passes_small_config():
 def test_run_all_rejects_non_positive_samples():
     with pytest.raises(HallforgeError, match="samples"):
         run_all(2, 2, ZZ, seed=0, samples=0)
+
+
+@pytest.mark.parametrize(
+    "suite",
+    [
+        lambda rng, n: ring_suite(rng, n),
+        lambda rng, n: series_suite(2, 2, ZZ, rng, n),
+        lambda rng, n: group_suite(2, 2, ZZ, rng, n),
+        lambda rng, n: words_suite(2, 2, ZZ, rng, n),
+        lambda rng, n: poly_suite(2, 2, rng, n),
+        lambda rng, n: deformation_suite(2, 2, rng, n),
+        lambda rng, n: centralizer_suite(2, 2, ZZ, rng, n),
+    ],
+    ids=["ring", "series", "group", "words", "poly", "deformation", "centralizer"],
+)
+@pytest.mark.parametrize("samples", [0, -1])
+def test_suites_reject_non_positive_samples(suite, samples):
+    with pytest.raises(HallforgeError, match="samples"):
+        suite(Random(0), samples)
 
 
 def test_run_all_rational_ring_skips_integer_only_suites():
