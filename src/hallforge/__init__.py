@@ -38,6 +38,7 @@ from .errors import (
     BadRankError,
     CocycleViolationError,
     HallforgeError,
+    MalformedTailError,
     MixedRingsError,
     NonBinomialError,
     NonIntegerCoefficientError,
@@ -61,6 +62,7 @@ from .lie import (
     complete_system_check,
     endo_pair_satisfies,
     endomorphism_pair_space,
+    first_difference,
     free_nilpotent_lie,
     lazard_lie_ring,
     width_probe,
@@ -106,6 +108,7 @@ __all__ = [
     "GroupElement",
     "HallBasis",
     "HallforgeError",
+    "MalformedTailError",
     "MixedRingsError",
     "NonBinomialError",
     "NonIntegerCoefficientError",
@@ -144,6 +147,7 @@ __all__ = [
     "endomorphism_pair_space",
     "eval_binomial_form",
     "evaluate_word",
+    "first_difference",
     "free_nilpotent_lie",
     "group_commutator_series",
     "group_like_inverse",

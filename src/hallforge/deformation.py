@@ -22,7 +22,7 @@ from .errors import (
     ShapeMismatchError,
     SplitFailureError,
 )
-from .group import FreeNilpotentGroup, GroupElement
+from .group import CoordinateGroup, FreeNilpotentGroup, GroupElement
 from .rings import ZZ, BinomialTable, PolyRing, Ring
 
 
@@ -152,7 +152,7 @@ def check_cocycle(f, ring: Ring = ZZ, budget: int = 200, rng: Random | None = No
     return CocycleReport(ok=not failures, mode="sampled", failures=tuple(failures))
 
 
-class DeformedGroup:
+class DeformedGroup(CoordinateGroup):
     """The base group with its top-weight product twisted by cocycles.
 
     Takes one cocycle per generator, each valued in the weight-c block.
@@ -198,31 +198,6 @@ class DeformedGroup:
 
     def __repr__(self):
         return f"DeformedGroup({self.base!r})"
-
-    @property
-    def dimension(self):
-        return self.base.dimension
-
-    def element(self, coords) -> GroupElement:
-        coords = tuple(self.ring.coerce(a) for a in coords)
-        if len(coords) != self.dimension:
-            raise ShapeMismatchError(
-                f"{len(coords)} coordinates for a basis of size {self.dimension}"
-            )
-        return GroupElement(self, coords)
-
-    def identity(self) -> GroupElement:
-        return GroupElement(self, (self.ring.zero,) * self.dimension)
-
-    def random_element(self, rng: Random, lo=-9, hi=9) -> GroupElement:
-        return self.element(
-            [self.ring.random_element(rng, lo, hi) for _ in range(self.dimension)]
-        )
-
-    def _own(self, g):
-        if not isinstance(g, GroupElement) or g.group != self:
-            raise ShapeMismatchError("element does not belong to this deformed group")
-        return g
 
     def _corrections(self, a_coords, b_coords):
         """Per-component sum of f^k over the generator coordinate pairs."""

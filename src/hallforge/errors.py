@@ -55,3 +55,7 @@ class NotAHomomorphismError(HallforgeError):
 
 class OutOfClassError(HallforgeError):
     """Requested weight lies outside 1..nilpotency class."""
+
+
+class MalformedTailError(HallforgeError):
+    """A collector tail letter is not a basis pair of at least the swapped weight sum."""

@@ -130,7 +130,40 @@ class GroupElement:
         return f"GroupElement({list(self.coords)})"
 
 
-class FreeNilpotentGroup:
+class CoordinateGroup:
+    """The element protocol shared by every group object in the library.
+
+    A subclass sets ring and basis; its elements are GroupElements holding
+    one ring value per basis entry, in basis order.
+    """
+
+    @property
+    def dimension(self):
+        return len(self.basis)
+
+    def element(self, coords) -> GroupElement:
+        coords = tuple(self.ring.coerce(a) for a in coords)
+        if len(coords) != self.dimension:
+            raise ShapeMismatchError(
+                f"{len(coords)} coordinates for a basis of size {self.dimension}"
+            )
+        return GroupElement(self, coords)
+
+    def identity(self) -> GroupElement:
+        return GroupElement(self, (self.ring.zero,) * self.dimension)
+
+    def random_element(self, rng: Random, lo=-9, hi=9) -> GroupElement:
+        return self.element(
+            [self.ring.random_element(rng, lo, hi) for _ in range(self.dimension)]
+        )
+
+    def _own(self, g: GroupElement):
+        if not isinstance(g, GroupElement) or g.group != self:
+            raise ShapeMismatchError(f"element does not belong to {self!r}")
+        return g
+
+
+class FreeNilpotentGroup(CoordinateGroup):
     """N(rank, class) over a binomial ring, with exact Hall-coordinate arithmetic."""
 
     def __init__(self, rank: int, nclass: int, ring: Ring = ZZ, allow_rank_one=False):
@@ -155,21 +188,6 @@ class FreeNilpotentGroup:
     def __repr__(self):
         return f"FreeNilpotentGroup(rank={self.rank}, nclass={self.nclass}, ring={self.ring.name})"
 
-    @property
-    def dimension(self):
-        return len(self.basis)
-
-    def element(self, coords) -> GroupElement:
-        coords = tuple(self.ring.coerce(a) for a in coords)
-        if len(coords) != self.dimension:
-            raise ShapeMismatchError(
-                f"{len(coords)} coordinates for a basis of size {self.dimension}"
-            )
-        return GroupElement(self, coords)
-
-    def identity(self) -> GroupElement:
-        return GroupElement(self, (self.ring.zero,) * self.dimension)
-
     def basic(self, pair) -> GroupElement:
         flat = self.basis.flat(pair)
         coords = [self.ring.zero] * self.dimension
@@ -182,19 +200,13 @@ class FreeNilpotentGroup:
     def generators(self):
         return [self.generator(j) for j in range(1, self.rank + 1)]
 
-    def random_element(self, rng: Random, lo=-9, hi=9) -> GroupElement:
-        return self.element(
-            [self.ring.random_element(rng, lo, hi) for _ in range(self.dimension)]
-        )
-
-    def _own(self, g: GroupElement):
-        if not isinstance(g, GroupElement) or g.group != self:
-            raise ShapeMismatchError("element does not belong to this group")
-        return g
-
     # -- series round trip ----------------------------------------------------
 
     def series_from_coords(self, coords) -> TruncatedSeries:
+        if len(coords) != len(self.basis):
+            raise ShapeMismatchError(
+                f"{len(coords)} coordinates for a basis of size {len(self.basis)}"
+            )
         t = self._tables
         s = TruncatedSeries.one(self.rank, self.nclass)
         for flat, a in enumerate(coords):

@@ -10,6 +10,14 @@ strongest convention checks in the library.
 On top of a graded Lie ring sits the induced bilinear map from the
 quotient by the center into the derived subalgebra, with exact fullness,
 non-degeneracy, completeness and endomorphism-pair computations.
+
+The bracket and the bilinear map are both sparse (a, b) -> {t: c} tables.
+_contract evaluates f(x, y) on sparse vectors, and _map_rows gives the
+dense linalg rows of x -> f(x, v) or x -> f(v, x) for a fixed v; every
+bracket, kernel and probe system here comes from these two (only the
+endomorphism-pair system keeps its own row builder). compare_graded_lie is
+exact equality: a sign flip of basis elements is not repaired, and
+first_difference names the first structure constant that differs.
 """
 
 from __future__ import annotations
@@ -23,6 +31,51 @@ from . import linalg
 from .errors import ShapeMismatchError
 from .group import FreeNilpotentGroup, _engine_tables
 from .rings import ZZ, Ring
+
+
+def _sparse(vec) -> dict:
+    """The nonzero entries of a dense vector, as {index: Fraction}."""
+    return {i: Fraction(c) for i, c in enumerate(vec) if c}
+
+
+def _dense(vec: dict, n: int) -> list:
+    return [Fraction(vec.get(i, 0)) for i in range(n)]
+
+
+def _contract(table, x: dict, y: dict) -> dict:
+    """f(x, y) on sparse vectors via a sparse (a, b) -> {t: c} table; zeros may remain."""
+    out = {}
+    for a, ca in x.items():
+        for b, cb in y.items():
+            targets = table.get((a, b))
+            if targets:
+                for t, c in targets.items():
+                    out[t] = out.get(t, 0) + ca * cb * c
+    return out
+
+
+def _map_rows(table, v: dict, n: int, v_right: bool) -> dict:
+    """Rows of x -> f(x, v) (v_right) or x -> f(v, x), keyed by target.
+
+    Each row is dense over the n coordinates of x. A target that f never
+    reaches from v gets no row; a row that cancels to zero is kept.
+    """
+    rows = {}
+    for (a, b), targets in table.items():
+        col, key = (a, b) if v_right else (b, a)
+        cv = v.get(key)
+        if cv:
+            for t, c in targets.items():
+                if t not in rows:
+                    rows[t] = [Fraction(0)] * n
+                rows[t][col] += cv * c
+    return rows
+
+
+def _common_kernel(table, n: int, maps) -> list:
+    """Basis of {x : f(x, v) = 0 (v_right) or f(v, x) = 0, for all (v, v_right) in maps}."""
+    rows = [row for v, v_right in maps for row in _map_rows(table, v, n, v_right).values()]
+    return linalg.nullspace(rows or [[Fraction(0)] * n])
 
 
 class GradedLieRing:
@@ -46,6 +99,9 @@ class GradedLieRing:
         self.table = {
             pair: dict(targets) for pair, targets in table.items() if targets
         }
+        for (a, b), targets in self.table.items():
+            if not all(0 <= i < self.total_dim for i in (a, b, *targets)):
+                raise ShapeMismatchError(f"table entry {(a, b)}: {targets} leaves the basis")
 
     @property
     def nclass(self):
@@ -65,21 +121,7 @@ class GradedLieRing:
         """Bilinear extension to dense coefficient vectors."""
         if len(va) != self.total_dim or len(vb) != self.total_dim:
             raise ShapeMismatchError("vector length does not match the ring dimension")
-        out = [Fraction(0)] * self.total_dim
-        for a, ca in enumerate(va):
-            if not ca:
-                continue
-            for b, cb in enumerate(vb):
-                if not cb:
-                    continue
-                for t, c in self.table.get((a, b), {}).items():
-                    out[t] += Fraction(ca) * Fraction(cb) * Fraction(c)
-        return out
-
-    def _basis_vector(self, a):
-        v = [Fraction(0)] * self.total_dim
-        v[a] = Fraction(1)
-        return v
+        return _dense(_contract(self.table, _sparse(va), _sparse(vb)), self.total_dim)
 
     def check_antisymmetry(self) -> bool:
         for a in range(self.total_dim):
@@ -95,40 +137,20 @@ class GradedLieRing:
         n = self.total_dim
         for a in range(n):
             for b in range(n):
-                ab = self._bracket_dict_basis(a, b)
                 for c in range(n):
-                    total = self._bracket_dict_vec(ab, c)
-                    for t, v in self._bracket_dict_vec(self._bracket_dict_basis(b, c), a).items():
-                        total[t] = total.get(t, Fraction(0)) + v
-                    for t, v in self._bracket_dict_vec(self._bracket_dict_basis(c, a), b).items():
-                        total[t] = total.get(t, Fraction(0)) + v
+                    total = {}
+                    for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+                        inner = _contract(self.table, {x: 1}, {y: 1})
+                        for t, v in _contract(self.table, inner, {z: 1}).items():
+                            total[t] = total.get(t, 0) + v
                     if any(total.values()):
                         return False
         return True
 
-    def _bracket_dict_basis(self, a, b):
-        return {t: Fraction(c) for t, c in self.table.get((a, b), {}).items()}
-
-    def _bracket_dict_vec(self, vec: dict, c):
-        """Bracket of a sparse vector with basis element c, as [[vec, e_c]]."""
-        out: dict = {}
-        for a, ca in vec.items():
-            for t, v in self.table.get((a, c), {}).items():
-                out[t] = out.get(t, Fraction(0)) + ca * Fraction(v)
-        return {t: v for t, v in out.items() if v}
-
     def center_basis(self):
         """Exact nullspace of all right-bracket maps, as dense vectors."""
         n = self.total_dim
-        rows = []
-        for b in range(n):
-            for t in range(n):
-                row = [Fraction(self.table.get((a, b), {}).get(t, 0)) for a in range(n)]
-                if any(row):
-                    rows.append(row)
-        if not rows:
-            return [self._basis_vector(a) for a in range(n)]
-        return linalg.nullspace(rows)
+        return _common_kernel(self.table, n, [({b: 1}, True) for b in range(n)])
 
     def center_is_top_block(self) -> bool:
         kernel = self.center_basis()
@@ -213,37 +235,30 @@ def free_nilpotent_lie(rank: int, nclass: int) -> GradedLieRing:
     return GradedLieRing(basis.counts, table, label=f"free({rank},{nclass})")
 
 
-def _tables_equal(A: GradedLieRing, B: GradedLieRing, signs=None) -> bool:
-    keys = set(A.table) | set(B.table)
-    for a, b in keys:
-        ta = A.table.get((a, b), {})
-        tb = B.table.get((a, b), {})
-        targets = set(ta) | set(tb)
-        for t in targets:
-            va = Fraction(ta.get(t, 0))
-            if signs is not None:
-                va *= signs[a] * signs[b] * signs[t]
-            if va != Fraction(tb.get(t, 0)):
-                return False
-    return True
+def first_difference(A: GradedLieRing, B: GradedLieRing):
+    """The first structure constant where the tables of A and B differ.
+
+    Returns ((a, b), t, value in A, value in B), or None when the tables are
+    equal. Pairs (a, b) with a > b, the order of the basic commutators
+    [u_a, u_b], come first, then their transposes, each in index order.
+    """
+    for pair in sorted(set(A.table) | set(B.table), key=lambda p: (p[0] < p[1], p)):
+        ta = A.table.get(pair, {})
+        tb = B.table.get(pair, {})
+        for t in sorted(set(ta) | set(tb)):
+            va, vb = Fraction(ta.get(t, 0)), Fraction(tb.get(t, 0))
+            if va != vb:
+                return pair, t, va, vb
+    return None
 
 
 def compare_graded_lie(A: GradedLieRing, B: GradedLieRing) -> bool:
-    """Exact structure-constant match, allowing a per-element sign flip.
+    """Exact match of weight dimensions and structure constants.
 
-    Both rings must carry the same Hall convention; a diagonal change of
-    basis by signs is the only mismatch this will repair before reporting
-    a genuine difference.
+    Both rings must carry the same Hall convention; no change of basis,
+    not even a sign flip, is repaired.
     """
-    if A.dims != B.dims:
-        return False
-    if _tables_equal(A, B):
-        return True
-    n = A.total_dim
-    for bits in product((1, -1), repeat=n):
-        if _tables_equal(A, B, signs=bits):
-            return True
-    return False
+    return A.dims == B.dims and first_difference(A, B) is None
 
 
 # -- the induced bilinear map --------------------------------------------------
@@ -285,56 +300,24 @@ class BilinearMapData:
         """f(x, y) for dense domain vectors, as a dense codomain vector."""
         if len(x) != self.domain_dim or len(y) != self.domain_dim:
             raise ShapeMismatchError("domain vector length mismatch")
-        out = [Fraction(0)] * self.codomain_dim
-        for a, ca in enumerate(x):
-            if not ca:
-                continue
-            for b, cb in enumerate(y):
-                if not cb:
-                    continue
-                for t, c in self.tensor.get((a, b), {}).items():
-                    out[t] += Fraction(ca) * Fraction(cb) * c
-        return out
+        return _dense(_contract(self.tensor, _sparse(x), _sparse(y)), self.codomain_dim)
 
     def is_full(self) -> bool:
         """The image values span the whole codomain (exact rank)."""
-        rows = []
-        for targets in self.tensor.values():
-            rows.append(
-                [targets.get(t, Fraction(0)) for t in range(self.codomain_dim)]
-            )
-        if not rows:
-            return self.codomain_dim == 0
+        rows = [_dense(targets, self.codomain_dim) for targets in self.tensor.values()]
         return linalg.rank(rows) == self.codomain_dim
 
     def left_kernel(self):
         """Basis of {x : f(x, e_b) = 0 for all b}."""
-        rows = []
-        for b in range(self.domain_dim):
-            for t in range(self.codomain_dim):
-                row = [
-                    self.tensor.get((a, b), {}).get(t, Fraction(0))
-                    for a in range(self.domain_dim)
-                ]
-                if any(row):
-                    rows.append(row)
-        if not rows:
-            return linalg.nullspace([[Fraction(0)] * self.domain_dim])
-        return linalg.nullspace(rows)
+        return self._kernel(True)
 
     def right_kernel(self):
-        rows = []
-        for a in range(self.domain_dim):
-            for t in range(self.codomain_dim):
-                row = [
-                    self.tensor.get((a, b), {}).get(t, Fraction(0))
-                    for b in range(self.domain_dim)
-                ]
-                if any(row):
-                    rows.append(row)
-        if not rows:
-            return linalg.nullspace([[Fraction(0)] * self.domain_dim])
-        return linalg.nullspace(rows)
+        """Basis of {y : f(e_a, y) = 0 for all a}."""
+        return self._kernel(False)
+
+    def _kernel(self, v_right):
+        m = self.domain_dim
+        return _common_kernel(self.tensor, m, [({b: 1}, v_right) for b in range(m)])
 
     def is_nondegenerate(self) -> bool:
         return not self.left_kernel() and not self.right_kernel()
@@ -417,12 +400,7 @@ def endomorphism_pair_space(B: BilinearMapData) -> list:
 
 def endo_pair_satisfies(B: BilinearMapData, pair: EndoPair) -> bool:
     """Direct check of the compatibility equations on all basis pairs."""
-    m, n = B.domain_dim, B.codomain_dim
-
-    def basis_vec(k, size):
-        v = [Fraction(0)] * size
-        v[k] = Fraction(1)
-        return v
+    m = B.domain_dim
 
     def apply(mat, vec):
         return [
@@ -431,10 +409,10 @@ def endo_pair_satisfies(B: BilinearMapData, pair: EndoPair) -> bool:
         ]
 
     for a in range(m):
-        ea = basis_vec(a, m)
+        ea = _dense({a: 1}, m)
         pa = apply(pair.phi1, ea)
         for b in range(m):
-            eb = basis_vec(b, m)
+            eb = _dense({b: 1}, m)
             base = apply(pair.phi0, B.value(ea, eb))
             if B.value(pa, eb) != base:
                 return False
@@ -445,35 +423,12 @@ def endo_pair_satisfies(B: BilinearMapData, pair: EndoPair) -> bool:
 
 def complete_system_check(B: BilinearMapData, vectors) -> bool:
     """Whether f(x, E) = f(E, x) = 0 over the given set E forces x = 0."""
-    vectors = [list(v) for v in vectors]
-    rows = []
+    maps = []
     for e in vectors:
         if len(e) != B.domain_dim:
             raise ShapeMismatchError("test vector length mismatch")
-        for t in range(B.codomain_dim):
-            row = [
-                sum(
-                    (Fraction(e[b]) * B.tensor.get((a, b), {}).get(t, Fraction(0))
-                     for b in range(B.domain_dim)),
-                    Fraction(0),
-                )
-                for a in range(B.domain_dim)
-            ]
-            if any(row):
-                rows.append(row)
-            row = [
-                sum(
-                    (Fraction(e[a]) * B.tensor.get((a, b), {}).get(t, Fraction(0))
-                     for a in range(B.domain_dim)),
-                    Fraction(0),
-                )
-                for b in range(B.domain_dim)
-            ]
-            if any(row):
-                rows.append(row)
-    if not rows:
-        rows = [[Fraction(0)] * B.domain_dim]
-    return not linalg.nullspace(rows)
+        maps += [(_sparse(e), True), (_sparse(e), False)]
+    return not _common_kernel(B.tensor, B.domain_dim, maps)
 
 
 def width_probe(B: BilinearMapData, u, s: int, bound: int = 2) -> bool:
@@ -485,32 +440,19 @@ def width_probe(B: BilinearMapData, u, s: int, bound: int = 2) -> bool:
     a proof of impossibility.
     """
     u = [Fraction(v) for v in u]
+    if len(u) != B.codomain_dim:
+        raise ShapeMismatchError("target vector length mismatch")
     if not any(u):
         return True
     if s <= 0:
         return False
     m = B.domain_dim
-    box = [
-        vec
-        for vec in product(range(-bound, bound + 1), repeat=m)
-        if any(vec)
-    ]
+    box = [vec for vec in product(range(-bound, bound + 1), repeat=m) if any(vec)]
+    zero = [Fraction(0)] * m
     for x in box:
-        rows = []
-        rhs = []
-        for t in range(B.codomain_dim):
-            rows.append(
-                [
-                    sum(
-                        (Fraction(x[a]) * B.tensor.get((a, b), {}).get(t, Fraction(0))
-                         for a in range(m)),
-                        Fraction(0),
-                    )
-                    for b in range(m)
-                ]
-            )
-            rhs.append(u[t])
-        if _consistent(rows, rhs):
+        # y -> f(x, y), one row per codomain coordinate, zero rows included
+        got = _map_rows(B.tensor, _sparse(x), m, False)
+        if _consistent([got.get(t, zero) for t in range(B.codomain_dim)], u):
             return True
     if s >= 2:
         for x in box:
@@ -543,18 +485,13 @@ def centralizer_weight_kernels(lie: GradedLieRing, j: int) -> list:
     if not 1 <= j <= lie.dims[0]:
         raise ShapeMismatchError(f"no weight-1 basis element {j}")
     gen = lie.weight_start(1) + (j - 1)
+    rows = _map_rows(lie.table, {gen: 1}, lie.total_dim, True)
     out = []
     for w in range(1, lie.nclass):
-        block = list(lie.weight_block(w))
-        targets = list(lie.weight_block(w + 1))
-        rows = []
-        for t in targets:
-            row = [Fraction(lie.table.get((a, gen), {}).get(t, 0)) for a in block]
-            if any(row):
-                rows.append(row)
-        if not rows:
-            rows = [[Fraction(0)] * len(block)]
-        out.append(linalg.nullspace(rows))
+        block = lie.weight_block(w)
+        targets = lie.weight_block(w + 1)
+        sub = [row[block.start : block.stop] for t, row in rows.items() if t in targets]
+        out.append(linalg.nullspace(sub or [[Fraction(0)] * len(block)]))
     return out
 
 

@@ -42,6 +42,7 @@ from .lie import (
     complete_system_check,
     endo_pair_satisfies,
     endomorphism_pair_space,
+    first_difference,
     free_nilpotent_lie,
     lazard_lie_ring,
     width_probe,
@@ -80,6 +81,40 @@ def _sample_count(samples: int | None, default: int) -> int:
     if samples < 1:
         raise HallforgeError(f"samples must be at least 1, got {samples}")
     return samples
+
+
+def _axiom_rows(grp, rng: Random, n: int, names) -> list:
+    """Associativity, two-sided identity and two-sided inverse on n sampled triples.
+
+    Draws g, h, k per sample, in that order, and runs every sample, so the
+    draws do not depend on the results. names gives the three row names; a
+    failing row names its first counterexample.
+    """
+    e = grp.identity()
+    first = [None, None, None]
+    for _ in range(n):
+        g = grp.random_element(rng)
+        h = grp.random_element(rng)
+        k = grp.random_element(rng)
+        gi = grp.inv(g)
+        failed = (
+            grp.mul(grp.mul(g, h), k) != grp.mul(g, grp.mul(h, k)),
+            grp.mul(g, e) != g or grp.mul(e, g) != g,
+            grp.mul(g, gi) != e or grp.mul(gi, g) != e,
+        )
+        for i, bad in enumerate(failed):
+            if bad and first[i] is None:
+                first[i] = (g, h, k) if i == 0 else (g,)
+    out = []
+    for name, found in zip(names, first):
+        detail = ""
+        if found is not None:
+            shown = ", ".join(
+                f"{x}=({', '.join(map(str, v.coords))})" for x, v in zip("ghk", found)
+            )
+            detail = f"first counterexample: {shown}"
+        out.append(CheckResult(name, found is None, detail))
+    return out
 
 
 # -- ring suite ------------------------------------------------------------
@@ -326,22 +361,8 @@ def group_suite(rank, nclass, ring: Ring, rng: Random, samples: int | None = Non
     out = []
     grp = FreeNilpotentGroup(rank, nclass, ring)
     e = grp.identity()
-
-    ok_assoc = ok_id = ok_inv = True
-    for _ in range(n_triples):
-        g = grp.random_element(rng)
-        h = grp.random_element(rng)
-        k = grp.random_element(rng)
-        if grp.mul(grp.mul(g, h), k) != grp.mul(g, grp.mul(h, k)):
-            ok_assoc = False
-        if grp.mul(g, e) != g or grp.mul(e, g) != g:
-            ok_id = False
-        gi = grp.inv(g)
-        if grp.mul(g, gi) != e or grp.mul(gi, g) != e:
-            ok_inv = False
-    out.append(CheckResult("group: associativity", ok_assoc))
-    out.append(CheckResult("group: two-sided identity", ok_id))
-    out.append(CheckResult("group: two-sided inverse", ok_inv))
+    names = ("group: associativity", "group: two-sided identity", "group: two-sided inverse")
+    out.extend(_axiom_rows(grp, rng, n_triples, names))
 
     out.append(
         _all(
@@ -583,22 +604,8 @@ def deformation_suite(rank, nclass, rng: Random, samples: int | None = None) -> 
     )
 
     dgrp = DeformedGroup(base, family, check=False)
-    e = dgrp.identity()
-    ok_assoc = ok_id = ok_inv = True
-    for _ in range(n_triples):
-        g = dgrp.random_element(rng)
-        h = dgrp.random_element(rng)
-        k = dgrp.random_element(rng)
-        if dgrp.mul(dgrp.mul(g, h), k) != dgrp.mul(g, dgrp.mul(h, k)):
-            ok_assoc = False
-        if dgrp.mul(g, e) != g or dgrp.mul(e, g) != g:
-            ok_id = False
-        gi = dgrp.inv(g)
-        if dgrp.mul(g, gi) != e or dgrp.mul(gi, g) != e:
-            ok_inv = False
-    out.append(CheckResult("deform: associativity", ok_assoc))
-    out.append(CheckResult("deform: identity", ok_id))
-    out.append(CheckResult("deform: inverse", ok_inv))
+    names = ("deform: associativity", "deform: identity", "deform: inverse")
+    out.extend(_axiom_rows(dgrp, rng, n_triples, names))
 
     top = base.basis.weight_start(nclass)
     out.append(
@@ -707,12 +714,14 @@ def lie_suite(rank, nclass) -> list:
     out.append(CheckResult("lie: group-side bracket satisfies Jacobi", A.check_jacobi()))
     out.append(CheckResult("lie: algebra-side bracket antisymmetric", B.check_antisymmetry()))
     out.append(CheckResult("lie: algebra-side bracket satisfies Jacobi", B.check_jacobi()))
-    out.append(
-        CheckResult(
-            "lie: group and algebra structure constants agree",
-            compare_graded_lie(A, B),
-        )
-    )
+    equal = compare_graded_lie(A, B)
+    detail = ""
+    if A.dims != B.dims:
+        detail = f"weight dimensions {A.dims} and {B.dims} differ"
+    elif not equal:
+        (a, b), t, va, vb = first_difference(A, B)
+        detail = f"first difference: [e_{a}, e_{b}] at e_{t}: group side {va}, algebra side {vb}"
+    out.append(CheckResult("lie: group and algebra structure constants agree", equal, detail))
     out.append(CheckResult("lie: center is the top-weight block", B.center_is_top_block()))
 
     bil = bilinear_from_lie(B)

@@ -11,7 +11,7 @@ on every word; the tests hold them to that.
 
 from __future__ import annotations
 
-from .errors import OutOfClassError, ShapeMismatchError
+from .errors import MalformedTailError, OutOfClassError, ShapeMismatchError
 from .group import FreeNilpotentGroup, GroupElement
 
 
@@ -41,6 +41,11 @@ class Collector:
     `structure` must provide tail_letters(high_pair, low_pair, a, b, ring)
     returning the standard form of [u_high^a, u_low^b] as a letter list in
     index order (all letters of weight >= the weight sum).
+
+    collect refuses a tail letter that is not a basis pair or lies below
+    that weight sum (MalformedTailError). Every swap then appends letters of
+    strictly higher weight, and weights stop at the class, so collection
+    terminates.
     """
 
     def __init__(self, group: FreeNilpotentGroup, structure):
@@ -48,6 +53,7 @@ class Collector:
             raise ShapeMismatchError("structure tables do not match the group")
         self.group = group
         self.structure = structure
+        self._pairs = frozenset(group.basis.pairs)
 
     def _merge(self, letters):
         out = []
@@ -73,8 +79,15 @@ class Collector:
             if spot is None:
                 break
             (bp, be), (ap, ae) = work[spot], work[spot + 1]
-            tail = self.structure.tail_letters(bp, ap, be, ae, ring)
-            work[spot : spot + 2] = [(ap, ae), (bp, be)] + list(tail)
+            tail = list(self.structure.tail_letters(bp, ap, be, ae, ring))
+            floor = bp[0] + ap[0]
+            for pair, _ in tail:
+                if not isinstance(pair, tuple) or pair not in self._pairs or pair[0] < floor:
+                    raise MalformedTailError(
+                        f"tail of [{bp}, {ap}] has the letter {pair!r}, which is not "
+                        f"a basis pair of weight at least {floor}"
+                    )
+            work[spot : spot + 2] = [(ap, ae), (bp, be)] + tail
             work = self._merge(work)
         coords = [self.group.ring.zero] * self.group.dimension
         for pair, e in work:

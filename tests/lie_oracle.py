@@ -1,0 +1,263 @@
+"""Reference loops for the Lie layer, kept only for the tests.
+
+These are the dense loops that hallforge.lie used before it was rebuilt on
+one sparse contraction: the bracket and the bilinear value as triple loops
+over dense vectors, Jacobi through two sparse bracket helpers, and every
+kernel and probe system built row by row, one dense row per (vector,
+target), with all-zero rows dropped. The library must return exactly what
+they return. The hypothesis strategies at the end draw small integer tables
+and vectors, and the configurations the differential tests run on.
+"""
+
+from fractions import Fraction
+from itertools import product
+
+from hypothesis import strategies as st
+
+from hallforge import linalg
+from hallforge.lie import BilinearMapData, GradedLieRing
+
+# (rank, class) of the real rings the differential tests also run on
+CONFIGS = ((2, 3), (3, 2), (2, 4))
+
+
+# -- graded Lie ring ------------------------------------------------------------
+
+
+def oracle_bracket(lie, va, vb):
+    out = [Fraction(0)] * lie.total_dim
+    for a, ca in enumerate(va):
+        if not ca:
+            continue
+        for b, cb in enumerate(vb):
+            if not cb:
+                continue
+            for t, c in lie.table.get((a, b), {}).items():
+                out[t] += Fraction(ca) * Fraction(cb) * Fraction(c)
+    return out
+
+
+def _bracket_dict_basis(lie, a, b):
+    return {t: Fraction(c) for t, c in lie.table.get((a, b), {}).items()}
+
+
+def _bracket_dict_vec(lie, vec, c):
+    """Bracket of a sparse vector with basis element c, as [[vec, e_c]]."""
+    out = {}
+    for a, ca in vec.items():
+        for t, v in lie.table.get((a, c), {}).items():
+            out[t] = out.get(t, Fraction(0)) + ca * Fraction(v)
+    return {t: v for t, v in out.items() if v}
+
+
+def oracle_check_jacobi(lie):
+    n = lie.total_dim
+    for a in range(n):
+        for b in range(n):
+            ab = _bracket_dict_basis(lie, a, b)
+            for c in range(n):
+                total = _bracket_dict_vec(lie, ab, c)
+                for t, v in _bracket_dict_vec(lie, _bracket_dict_basis(lie, b, c), a).items():
+                    total[t] = total.get(t, Fraction(0)) + v
+                for t, v in _bracket_dict_vec(lie, _bracket_dict_basis(lie, c, a), b).items():
+                    total[t] = total.get(t, Fraction(0)) + v
+                if any(total.values()):
+                    return False
+    return True
+
+
+def oracle_center_basis(lie):
+    n = lie.total_dim
+    rows = []
+    for b in range(n):
+        for t in range(n):
+            row = [Fraction(lie.table.get((a, b), {}).get(t, 0)) for a in range(n)]
+            if any(row):
+                rows.append(row)
+    if not rows:
+        basis = []
+        for a in range(n):
+            v = [Fraction(0)] * n
+            v[a] = Fraction(1)
+            basis.append(v)
+        return basis
+    return linalg.nullspace(rows)
+
+
+def oracle_centralizer_weight_kernels(lie, j):
+    gen = lie.weight_start(1) + (j - 1)
+    out = []
+    for w in range(1, lie.nclass):
+        block = list(lie.weight_block(w))
+        targets = list(lie.weight_block(w + 1))
+        rows = []
+        for t in targets:
+            row = [Fraction(lie.table.get((a, gen), {}).get(t, 0)) for a in block]
+            if any(row):
+                rows.append(row)
+        if not rows:
+            rows = [[Fraction(0)] * len(block)]
+        out.append(linalg.nullspace(rows))
+    return out
+
+
+def sign_flipped(lie, signs):
+    """The same ring in the basis signs[i] * e_i."""
+    return GradedLieRing(
+        lie.dims,
+        {
+            (a, b): {t: c * signs[a] * signs[b] * signs[t] for t, c in row.items()}
+            for (a, b), row in lie.table.items()
+        },
+    )
+
+
+# -- bilinear map -----------------------------------------------------------------
+
+
+def oracle_value(B, x, y):
+    out = [Fraction(0)] * B.codomain_dim
+    for a, ca in enumerate(x):
+        if not ca:
+            continue
+        for b, cb in enumerate(y):
+            if not cb:
+                continue
+            for t, c in B.tensor.get((a, b), {}).items():
+                out[t] += Fraction(ca) * Fraction(cb) * c
+    return out
+
+
+def oracle_left_kernel(B):
+    rows = []
+    for b in range(B.domain_dim):
+        for t in range(B.codomain_dim):
+            row = [B.tensor.get((a, b), {}).get(t, Fraction(0)) for a in range(B.domain_dim)]
+            if any(row):
+                rows.append(row)
+    if not rows:
+        return linalg.nullspace([[Fraction(0)] * B.domain_dim])
+    return linalg.nullspace(rows)
+
+
+def oracle_right_kernel(B):
+    rows = []
+    for a in range(B.domain_dim):
+        for t in range(B.codomain_dim):
+            row = [B.tensor.get((a, b), {}).get(t, Fraction(0)) for b in range(B.domain_dim)]
+            if any(row):
+                rows.append(row)
+    if not rows:
+        return linalg.nullspace([[Fraction(0)] * B.domain_dim])
+    return linalg.nullspace(rows)
+
+
+def oracle_complete_system_check(B, vectors):
+    m = B.domain_dim
+    rows = []
+    for e in vectors:
+        for t in range(B.codomain_dim):
+            row = [
+                sum(
+                    (Fraction(e[b]) * B.tensor.get((a, b), {}).get(t, Fraction(0))
+                     for b in range(m)),
+                    Fraction(0),
+                )
+                for a in range(m)
+            ]
+            if any(row):
+                rows.append(row)
+            row = [
+                sum(
+                    (Fraction(e[a]) * B.tensor.get((a, b), {}).get(t, Fraction(0))
+                     for a in range(m)),
+                    Fraction(0),
+                )
+                for b in range(m)
+            ]
+            if any(row):
+                rows.append(row)
+    if not rows:
+        rows = [[Fraction(0)] * m]
+    return not linalg.nullspace(rows)
+
+
+def oracle_width_probe(B, u, s, bound=2):
+    u = [Fraction(v) for v in u]
+    if not any(u):
+        return True
+    if s <= 0:
+        return False
+    m = B.domain_dim
+    box = [vec for vec in product(range(-bound, bound + 1), repeat=m) if any(vec)]
+    for x in box:
+        rows = []
+        for t in range(B.codomain_dim):
+            rows.append(
+                [
+                    sum(
+                        (Fraction(x[a]) * B.tensor.get((a, b), {}).get(t, Fraction(0))
+                         for a in range(m)),
+                        Fraction(0),
+                    )
+                    for b in range(m)
+                ]
+            )
+        augmented = [row + [v] for row, v in zip(rows, u)]
+        if linalg.rank(rows) == linalg.rank(augmented):
+            return True
+    if s >= 2:
+        for x in box:
+            for y in product(range(-bound, bound + 1), repeat=m):
+                val = oracle_value(B, list(x), list(y))
+                if not any(val):
+                    continue
+                rest = [a - b for a, b in zip(u, val)]
+                if oracle_width_probe(B, rest, s - 1, bound):
+                    return True
+    return False
+
+
+# -- strategies --------------------------------------------------------------------
+
+small_ints = st.integers(-3, 3)
+
+
+def vectors(n):
+    return st.lists(small_ints, min_size=n, max_size=n)
+
+
+def sparse_tables(n_pairs, n_targets):
+    """Sparse (a, b) -> {t: c} tables over integers, zero entries and empty tables included."""
+    if n_pairs == 0 or n_targets == 0:
+        return st.just({})
+    pairs = st.tuples(st.integers(0, n_pairs - 1), st.integers(0, n_pairs - 1))
+    targets = st.dictionaries(st.integers(0, n_targets - 1), small_ints, max_size=3)
+    return st.dictionaries(pairs, targets, max_size=2 * n_pairs)
+
+
+@st.composite
+def lie_rings(draw):
+    """A GradedLieRing with random weight dimensions and a random integer table."""
+    dims = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    n = sum(dims)
+    return GradedLieRing(dims, draw(sparse_tables(n, n)))
+
+
+@st.composite
+def bilinear_maps(draw, max_domain=3):
+    """BilinearMapData with a random integer tensor, degenerate maps included.
+
+    Built around the constructor, which accepts only the bilinear data of a
+    ring whose center is its top block.
+    """
+    m = draw(st.integers(0, max_domain))
+    n = draw(st.integers(1, 3))
+    B = BilinearMapData.__new__(BilinearMapData)
+    B.domain_dim, B.codomain_dim = m, n
+    B.tensor = {
+        pair: {t: Fraction(c) for t, c in targets.items()}
+        for pair, targets in draw(sparse_tables(m, n)).items()
+        if targets
+    }
+    return B

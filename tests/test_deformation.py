@@ -23,7 +23,7 @@ from hallforge.errors import (
     NotInRingError,
     ShapeMismatchError,
 )
-from hallforge.group import FreeNilpotentGroup
+from hallforge.group import CoordinateGroup, FreeNilpotentGroup
 from hallforge.rings import ZZ
 
 
@@ -219,3 +219,18 @@ def test_centralizer_extension_reports():
         for j in range(1, rank + 1):
             report = centralizer_extension_check(dgrp, j, rng, samples=20)
             assert report["ok"], (rank, nclass, j, report)
+
+
+def test_group_objects_share_one_element_protocol():
+    base = FreeNilpotentGroup(2, 2)
+    dgrp = DeformedGroup(base, [zero_cocycle(1)] * 2)
+    for grp in (base, dgrp):
+        assert isinstance(grp, CoordinateGroup)
+        assert grp.dimension == 3
+        assert grp.identity().coords == (0, 0, 0)
+        assert grp.element([1, 2, 3]).group is grp
+        assert grp.random_element(Random(0)).group is grp
+    with pytest.raises(ShapeMismatchError):
+        dgrp.mul(base.identity(), dgrp.identity())
+    with pytest.raises(ShapeMismatchError):
+        base.mul(dgrp.identity(), base.identity())

@@ -157,6 +157,19 @@ def test_element_shape_validation():
         g.element([1, 2, 3, 4])
 
 
+@pytest.mark.parametrize("coords", [(1,), (1, 0, 0, 0)], ids=["short", "long"])
+@pytest.mark.parametrize("op", ["mul", "pow", "inv"])
+def test_engine_arithmetic_refuses_wrong_coordinate_counts(op, coords):
+    g = FreeNilpotentGroup(2, 2)
+    calls = {
+        "mul": lambda: g.mul_coords(coords, coords),
+        "pow": lambda: g.pow_coords(coords, 2),
+        "inv": lambda: g.inv_coords(coords),
+    }
+    with pytest.raises(ShapeMismatchError):
+        calls[op]()
+
+
 def test_conjugate_definition():
     rng = Random(56)
     g = FreeNilpotentGroup(2, 3)

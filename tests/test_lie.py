@@ -1,8 +1,30 @@
-"""Tests for graded Lie rings, bilinear data, and endomorphism pairs."""
+"""Tests for graded Lie rings, bilinear data, and endomorphism pairs.
+
+The differential tests at the end compare the sparse contraction and the
+kernels built from it with the dense reference loops in lie_oracle.py.
+"""
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from lie_oracle import (
+    CONFIGS,
+    bilinear_maps,
+    lie_rings,
+    oracle_bracket,
+    oracle_center_basis,
+    oracle_centralizer_weight_kernels,
+    oracle_check_jacobi,
+    oracle_complete_system_check,
+    oracle_left_kernel,
+    oracle_right_kernel,
+    oracle_value,
+    oracle_width_probe,
+    sign_flipped,
+    vectors,
+)
 
 from hallforge.errors import ShapeMismatchError
 from hallforge.lie import (
@@ -15,6 +37,7 @@ from hallforge.lie import (
     complete_system_check,
     endo_pair_satisfies,
     endomorphism_pair_space,
+    first_difference,
     free_nilpotent_lie,
     lazard_lie_ring,
     width_probe,
@@ -52,16 +75,14 @@ def test_group_and_algebra_sides_agree():
         )
 
 
-def test_compare_tolerates_diagonal_sign_flips():
+def test_compare_rejects_a_sign_flip_and_names_it():
+    # flipping the sign of the weight-2 basis element changes both constants
     base = free_nilpotent_lie(2, 2)
-    flipped_table = {}
-    signs = [1, -1, -1]
-    for (a, b), row in base.table.items():
-        flipped_table[(a, b)] = {
-            t: c * signs[a] * signs[b] * signs[t] for t, c in row.items()
-        }
-    flipped = GradedLieRing(base.dims, flipped_table)
-    assert compare_graded_lie(base, flipped)
+    flipped = sign_flipped(base, [1, 1, -1])
+    assert compare_graded_lie(base, flipped) is False
+    assert first_difference(base, flipped) == ((1, 0), 2, 1, -1)
+    assert first_difference(base, base) is None
+    assert compare_graded_lie(base, base) is True
 
 
 def test_compare_detects_wrong_constants():
@@ -157,6 +178,12 @@ def test_width_probe_on_image_values():
     assert width_probe(bil, [Fraction(0)], 1)
 
 
+def test_width_probe_refuses_a_target_of_the_wrong_length():
+    bil = bilinear_from_lie(free_nilpotent_lie(2, 2))
+    with pytest.raises(ShapeMismatchError):
+        width_probe(bil, [Fraction(1), Fraction(0)], 1)
+
+
 def test_width_probe_widens():
     bil = bilinear_from_lie(free_nilpotent_lie(2, 3))
     u = bil.value(
@@ -164,6 +191,16 @@ def test_width_probe_widens():
         [Fraction(0), Fraction(1), Fraction(0)],
     )
     assert width_probe(bil, u, 2)
+
+
+@pytest.mark.parametrize(
+    "table",
+    [{(0, 1): {3: 1}}, {(0, 3): {2: 1}}, {(-1, 0): {2: 1}}],
+    ids=["target", "right-factor", "negative"],
+)
+def test_table_indices_must_lie_in_the_basis(table):
+    with pytest.raises(ShapeMismatchError):
+        GradedLieRing((2, 1), table)
 
 
 def test_bilinear_requires_central_top_block():
@@ -190,3 +227,60 @@ def test_centralizer_line_holds_small_configs():
         lie = free_nilpotent_lie(rank, nclass)
         for j in range(1, rank + 1):
             assert centralizer_line_holds(lie, j)
+
+
+# -- differential tests against the dense reference loops ------------------------
+
+
+def _typed(vec):
+    return [(type(v), v) for v in vec]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(lie_rings(), st.data())
+def test_ring_methods_match_reference(lie, data):
+    n = lie.total_dim
+    x, y = data.draw(vectors(n)), data.draw(vectors(n))
+    assert _typed(lie.bracket(x, y)) == _typed(oracle_bracket(lie, x, y))
+    assert lie.check_jacobi() == oracle_check_jacobi(lie)
+    assert lie.center_basis() == oracle_center_basis(lie)
+    for j in range(1, lie.dims[0] + 1):
+        assert centralizer_weight_kernels(lie, j) == oracle_centralizer_weight_kernels(lie, j)
+
+
+@pytest.mark.parametrize("rank,nclass", CONFIGS)
+def test_real_rings_match_reference(rank, nclass):
+    for lie in (lazard_lie_ring(rank, nclass), free_nilpotent_lie(rank, nclass)):
+        assert lie.check_jacobi() is oracle_check_jacobi(lie) is True
+        assert lie.center_basis() == oracle_center_basis(lie)
+        for j in range(1, rank + 1):
+            assert centralizer_weight_kernels(lie, j) == oracle_centralizer_weight_kernels(lie, j)
+    bil = bilinear_from_lie(free_nilpotent_lie(rank, nclass))
+    assert bil.left_kernel() == oracle_left_kernel(bil) == []
+    assert bil.right_kernel() == oracle_right_kernel(bil) == []
+
+
+def _check_bilinear(bil, data, probe_sizes):
+    m = bil.domain_dim
+    x, y = data.draw(vectors(m)), data.draw(vectors(m))
+    assert _typed(bil.value(x, y)) == _typed(oracle_value(bil, x, y))
+    assert bil.left_kernel() == oracle_left_kernel(bil)
+    assert bil.right_kernel() == oracle_right_kernel(bil)
+    system = data.draw(st.lists(vectors(m), max_size=3))
+    assert complete_system_check(bil, system) == oracle_complete_system_check(bil, system)
+    # u is either a bracket value, reachable at width one, or arbitrary
+    u = data.draw(st.one_of(st.just(oracle_value(bil, x, y)), vectors(bil.codomain_dim)))
+    s = data.draw(st.sampled_from(probe_sizes))
+    assert width_probe(bil, u, s, bound=1) == oracle_width_probe(bil, u, s, bound=1)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(CONFIGS), st.data())
+def test_bilinear_methods_match_reference(config, data):
+    _check_bilinear(bilinear_from_lie(free_nilpotent_lie(*config)), data, (0, 1))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(bilinear_maps(), st.data())
+def test_degenerate_bilinear_maps_match_reference(bil, data):
+    _check_bilinear(bil, data, (0, 1, 2) if bil.domain_dim <= 2 else (0, 1))

@@ -1,13 +1,20 @@
 """Tests for the aggregated property-check runner."""
 
+import re
 from random import Random
 
 import pytest
+from lie_oracle import sign_flipped
 
+from hallforge import verify
+from hallforge.deformation import DeformedGroup, PolynomialCocycle, zero_cocycle
 from hallforge.errors import HallforgeError
+from hallforge.group import FreeNilpotentGroup
+from hallforge.lie import free_nilpotent_lie
 from hallforge.rings import QQ, ZZ
 from hallforge.verify import (
     CheckResult,
+    _axiom_rows,
     centralizer_suite,
     deformation_suite,
     group_suite,
@@ -79,3 +86,27 @@ def test_run_all_deterministic_for_fixed_seed():
     a = run_all(2, 2, ZZ, seed=9, samples=15)
     b = run_all(2, 2, ZZ, seed=9, samples=15)
     assert a == b
+
+
+def test_axiom_rows_name_the_first_counterexample():
+    base = FreeNilpotentGroup(2, 2)
+    # f(a, b) = a * binom(b, 2) is normalized but fails the cocycle identity
+    bad = PolynomialCocycle.from_tables([{(1, 2): 1}])
+    dgrp = DeformedGroup(base, [bad, zero_cocycle(1)], check=False)
+    assoc, ident, _ = _axiom_rows(dgrp, Random(0), 20, ("assoc", "identity", "inverse"))
+    assert ident.ok and ident.detail == ""
+    assert not assoc.ok
+    found = re.fullmatch(
+        r"first counterexample: g=\((.*)\), h=\((.*)\), k=\((.*)\)", assoc.detail
+    )
+    g, h, k = (dgrp.element([int(v) for v in c.split(", ")]) for c in found.groups())
+    assert dgrp.mul(dgrp.mul(g, h), k) != dgrp.mul(g, dgrp.mul(h, k))
+
+
+def test_lie_suite_names_the_first_differing_constant(monkeypatch):
+    flipped = sign_flipped(free_nilpotent_lie(2, 2), [1, 1, -1])
+    monkeypatch.setattr(verify, "lazard_lie_ring", lambda rank, nclass: flipped)
+    rows = {r.name: r for r in lie_suite(2, 2)}
+    row = rows["lie: group and algebra structure constants agree"]
+    assert not row.ok
+    assert row.detail == "first difference: [e_1, e_0] at e_2: group side -1, algebra side 1"

@@ -5,7 +5,7 @@ from random import Random
 import pytest
 
 from hallforge.canonical import derive_structure_polys
-from hallforge.errors import ShapeMismatchError
+from hallforge.errors import MalformedTailError, ShapeMismatchError
 from hallforge.group import FreeNilpotentGroup
 from hallforge.words import (
     Collector,
@@ -122,3 +122,37 @@ def test_commutator_power_identity():
             taus = petresco_sequence(g, (w, x), nclass)
             for a in range(-5, 6):
                 assert commutator_power_identity_holds(g, h, x, a, taus=taus)
+
+
+class _FixedTails:
+    """Duck-typed structure tables that return one fixed tail for every swap.
+
+    Gives up with RuntimeError after 10,000 calls, so a collector that does
+    not refuse a bad tail fails fast instead of looping.
+    """
+
+    def __init__(self, rank, nclass, tail):
+        self.rank, self.nclass, self.tail, self.calls = rank, nclass, tail, 0
+
+    def tail_letters(self, high_pair, low_pair, a, b, ring):
+        self.calls += 1
+        if self.calls > 10_000:
+            raise RuntimeError("collection did not stop")
+        return list(self.tail)
+
+
+@pytest.mark.parametrize(
+    "tail",
+    [
+        [((1, 2), 1), ((1, 1), 1)],  # below the weight sum: rewrites forever if accepted
+        [((2, 2), 1)],  # N(2,3) has a single weight-2 basis element
+        [((4, 1), 1)],  # beyond the class
+        [([2, 1], 1)],  # a list, not a pair
+    ],
+    ids=["below-weight-sum", "not-a-basis-pair", "beyond-class", "list"],
+)
+def test_collector_refuses_malformed_tails(tail):
+    g = FreeNilpotentGroup(2, 3)
+    col = Collector(g, _FixedTails(2, 3, tail))
+    with pytest.raises(MalformedTailError):
+        col.collect([((1, 2), 1), ((1, 1), 1)])
