@@ -9,6 +9,8 @@ and rational-coefficient polynomials); randomized checks use explicit
 seeds and are reproducible.
 """
 
+import importlib
+
 from .basis import BasicCommutator, HallBasis, hall_basis
 from .canonical import (
     DESK_SCALE_LIMIT,
@@ -75,7 +77,6 @@ from .series import (
     group_like_inverse,
     series_pow,
 )
-from .verify import CheckResult, run_all
 from .words import (
     Collector,
     commutator_power_identity_holds,
@@ -88,6 +89,18 @@ from .words import (
 )
 
 __version__ = "0.1.0"
+
+# verify, the largest module, is only needed for the checks: it is imported
+# on first use of one of these names
+_FROM_VERIFY = ("CheckResult", "run_all")
+
+
+def __getattr__(name):
+    if name == "verify" or name in _FROM_VERIFY:
+        verify = importlib.import_module(".verify", __name__)
+        return verify if name == "verify" else getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ArityMismatchError",

@@ -43,7 +43,7 @@ def to_binomial_basis(poly: Poly) -> dict:
     out: dict = {}
 
     def expand(q: Poly, vi: int, prefix):
-        if not q.terms:
+        if not q:
             return
         if vi == nv:
             c = q.constant_value()
@@ -55,7 +55,7 @@ def to_binomial_basis(poly: Poly) -> dict:
             return
         cur = q
         k = 0
-        while cur.terms:
+        while cur:
             expand(cur.at_zero(vi), vi + 1, prefix + [k])
             cur = cur.shift(vi) - cur
             k += 1
@@ -187,6 +187,10 @@ def derive_structure_polys(rank: int, nclass: int) -> StructurePolynomials:
 
     polys = {}
     tables = {}
+    # Most tails repeat: at (3,4), 16 distinct tables serve all 152 tails. A
+    # table determines its polynomial, so equal tables share one (poly, table)
+    # pair, and the result holds each distinct tail once.
+    shared = {}
     for eb in basis.entries:
         for ea in basis.entries:
             if eb.pair == ea.pair or eb.weight + ea.weight > nclass:
@@ -203,10 +207,9 @@ def derive_structure_polys(rank: int, nclass: int) -> StructurePolynomials:
                         f"tail of [{eb.pair}^a, {ea.pair}^b] has support at "
                         f"weight {target.weight} below the weight sum {floor}"
                     )
-                entries.append((target.pair, poly))
-            polys[(eb.pair, ea.pair)] = tuple(entries)
-            tables[(eb.pair, ea.pair)] = tuple(
-                (pair, BinomialTable.from_dict(2, to_binomial_basis(poly)))
-                for pair, poly in entries
-            )
+                table = BinomialTable.from_dict(2, to_binomial_basis(poly))
+                poly, table = shared.setdefault(table, (poly, table))
+                entries.append((target.pair, poly, table))
+            polys[(eb.pair, ea.pair)] = tuple((pair, poly) for pair, poly, _ in entries)
+            tables[(eb.pair, ea.pair)] = tuple((pair, table) for pair, _, table in entries)
     return StructurePolynomials(rank=rank, nclass=nclass, polys=polys, tables=tables)

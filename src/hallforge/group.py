@@ -309,61 +309,3 @@ class FreeNilpotentGroup(CoordinateGroup):
 
     def weight_block_coords(self, g: GroupElement, i):
         return tuple(g.coords[f] for f in self.basis.weight_block(i))
-
-    def centralizer_structure_check(self, j: int, rng: Random | None = None, samples=40):
-        """Sampled checks that the centralizer of u_1j is {u_1j^a * central}.
-
-        Verifies: built centralizer elements commute; every sampled element
-        either fails to commute or decomposes exactly as u_1j^a * z with z in
-        the weight-class block; and the center is exactly that block.
-        """
-        rng = rng or Random(0)
-        u = self.generator(j)
-        one = self.identity()
-        n_c = self.basis.counts[-1]
-        start_c = self.basis.weight_start(self.nclass)
-        report = {
-            "built_elements_commute": True,
-            "decomposition_exact": True,
-            "rejects_noncommuting": 0,
-            "center_is_weight_c_block": True,
-        }
-
-        for _ in range(samples):
-            a = self.ring.random_element(rng)
-            z = [self.ring.zero] * self.dimension
-            for s in range(n_c):
-                z[start_c + s] = self.ring.random_element(rng)
-            x = self.mul(self.pow(u, a), self.element(z))
-            if self.commutator(x, u) != one:
-                report["built_elements_commute"] = False
-
-        for _ in range(samples):
-            x = self.random_element(rng)
-            if self.commutator(x, u) != one:
-                report["rejects_noncommuting"] += 1
-                continue
-            a = x.coords[self.basis.flat((1, j))]
-            z = self.mul(self.pow(u, -a), x)
-            if not self.is_central(z) or self.mul(self.pow(u, a), z) != x:
-                report["decomposition_exact"] = False
-
-        gens = self.generators()
-        for _ in range(samples):
-            z = [self.ring.zero] * self.dimension
-            for s in range(n_c):
-                z[start_c + s] = self.ring.random_element(rng)
-            zc = self.element(z)
-            if any(self.commutator(zc, g) != one for g in gens):
-                report["center_is_weight_c_block"] = False
-            x = self.random_element(rng)
-            if not self.is_central(x):
-                if all(self.commutator(x, g) == one for g in gens):
-                    report["center_is_weight_c_block"] = False
-
-        report["ok"] = (
-            report["built_elements_commute"]
-            and report["decomposition_exact"]
-            and report["center_is_weight_c_block"]
-        )
-        return report

@@ -15,8 +15,9 @@ evaluates inside any binomial ring without leaving it (eval_binomial_form).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache, reduce
+from operator import or_
 from typing import Mapping
 
 from .errors import (
@@ -24,54 +25,111 @@ from .errors import (
     MixedRingsError,
     NonBinomialError,
     NotInRingError,
+    ScaleLimitError,
 )
+
+
+EXPONENT_BITS = 8  # width of one variable's field in a packed monomial key
+MAX_EXPONENT = (1 << (EXPONENT_BITS - 1)) - 1  # 127: the top bit of every field stays clear
+_FIELD = (1 << EXPONENT_BITS) - 1
+
+
+@lru_cache(maxsize=None)
+def _guard_mask(nv: int) -> int:
+    """The top bit of each of nv fields: set in a key only past MAX_EXPONENT."""
+    top = 1 << (EXPONENT_BITS - 1)
+    return sum(top << (EXPONENT_BITS * i) for i in range(nv))
+
+
+def _pack(exps, nv: int) -> int:
+    """The packed key of an exponent tuple, checked: nv nonnegative ints <= MAX_EXPONENT."""
+    e = tuple(exps)
+    if len(e) != nv:
+        raise ArityMismatchError(f"exponent tuple {e} does not match {nv} variables")
+    key = 0
+    for i, d in enumerate(e):
+        if not isinstance(d, int) or d < 0:
+            raise ArityMismatchError(f"exponent {d!r} in {e} is not a nonnegative integer")
+        if d > MAX_EXPONENT:
+            raise ScaleLimitError(f"exponent {d} in {e} exceeds MAX_EXPONENT = {MAX_EXPONENT}")
+        key |= d << (EXPONENT_BITS * i)
+    return key
+
+
+def _unpack(key: int, nv: int) -> tuple:
+    return tuple((key >> (EXPONENT_BITS * i)) & _FIELD for i in range(nv))
+
+
+def _reduced(variables, num: dict, den: int) -> "Poly":
+    """A Poly from nonzero numerators over den > 0, their common factor divided out."""
+    if den != 1:
+        g = math.gcd(den, *num.values())
+        if g != 1:
+            num = {k: c // g for k, c in num.items()}
+            den //= g
+    return Poly._trusted(variables, num, den)
 
 
 class Poly:
     """Sparse multivariate polynomial over Q.
 
-    Terms live in a dict mapping exponent tuples (one slot per variable) to
-    nonzero Fraction coefficients. Zero coefficients are dropped on
-    construction, so equality is structural.
+    A monomial is one packed integer key: the exponent of variable i sits in
+    bits [8i, 8i + 8), so the key of a product of monomials is the sum of
+    their keys. Exponents are at most MAX_EXPONENT, which keeps the top bit
+    of every field clear: a sum of two keys never carries into the next
+    variable, and a product past the limit shows as a guard bit and raises
+    ScaleLimitError. Coefficients are integer numerators over one common
+    denominator, positive and reduced against them; zero numerators are
+    dropped, so equality is structural. `terms` is the dense view, exponent
+    tuples to Fraction coefficients.
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "_num", "_den")
 
     def __init__(self, variables, terms):
         self.vars = tuple(variables)
-        clean = {}
         nv = len(self.vars)
+        fracs = {}
         for exps, coeff in terms.items():
             c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
-            if not c:
-                continue
-            e = tuple(exps)
-            if len(e) != nv:
-                raise ArityMismatchError(
-                    f"exponent tuple {e} does not match {nv} variables"
-                )
-            clean[e] = c
-        self.terms = clean
+            if c:
+                fracs[_pack(exps, nv)] = c
+        den = math.lcm(*(c.denominator for c in fracs.values()))
+        self._num = {k: c.numerator * (den // c.denominator) for k, c in fracs.items()}
+        self._den = den
+
+    @classmethod
+    def _trusted(cls, variables, num, den):
+        """Wrap as is: keys within the limit, no zero numerator, den positive and reduced."""
+        p = cls.__new__(cls)
+        p.vars = variables
+        p._num = num
+        p._den = den
+        return p
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def constant(cls, variables, value):
-        variables = tuple(variables)
-        return cls(variables, {(0,) * len(variables): Fraction(value)})
+        c = Fraction(value)
+        return cls._trusted(tuple(variables), {0: c.numerator} if c else {}, c.denominator)
 
     @classmethod
     def variable(cls, variables, name):
         variables = tuple(variables)
         idx = variables.index(name)
-        exps = [0] * len(variables)
-        exps[idx] = 1
-        return cls(variables, {tuple(exps): Fraction(1)})
+        return cls._trusted(variables, {1 << (EXPONENT_BITS * idx): 1}, 1)
+
+    @property
+    def terms(self) -> dict:
+        nv = len(self.vars)
+        den = self._den
+        return {_unpack(k, nv): Fraction(c, den) for k, c in self._num.items()}
 
     # -- ring structure ----------------------------------------------------
 
     def _check(self, other):
-        if self.vars != other.vars:
+        if self.vars is not other.vars and self.vars != other.vars:
             raise MixedRingsError(
                 f"polynomials over {self.vars} and {other.vars} cannot mix"
             )
@@ -84,52 +142,112 @@ class Poly:
             return Poly.constant(self.vars, other)
         return None
 
+    def _add(self, other, sign):
+        """self + sign * other for a Poly other over the same variables."""
+        da, db = self._den, other._den
+        if da == db:
+            out = dict(self._num)
+            scale = sign
+        else:
+            g = math.gcd(da, db)
+            fa = db // g
+            out = {k: c * fa for k, c in self._num.items()}
+            scale = sign * (da // g)
+            da *= fa
+        get = out.get
+        for k, c in other._num.items():
+            s = get(k, 0) + c * scale
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+        return _reduced(self.vars, out, da)
+
+    def _add_int(self, n):
+        # n * den changes one numerator by a multiple of den: still reduced
+        if not n:
+            return self
+        out = dict(self._num)
+        s = out.get(0, 0) + n * self._den
+        if s:
+            out[0] = s
+        else:
+            del out[0]
+        return Poly._trusted(self.vars, out, self._den)
+
     def __add__(self, other):
+        if isinstance(other, int):
+            return self._add_int(other)
         o = self._as_poly(other)
         if o is None:
             return NotImplemented
-        out = dict(self.terms)
-        for e, c in o.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return Poly(self.vars, out)
+        return self._add(o, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.vars, {e: -c for e, c in self.terms.items()})
+        return Poly._trusted(self.vars, {k: -c for k, c in self._num.items()}, self._den)
 
     def __sub__(self, other):
+        if isinstance(other, int):
+            return self._add_int(-other)
         o = self._as_poly(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return self._add(o, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
+    def _scale(self, n, d):
+        """self * n / d for coprime ints n, d > 0."""
+        if not n:
+            return Poly._trusted(self.vars, {}, 1)
+        den = self._den
+        if d != 1:
+            return _reduced(self.vars, {k: c * n for k, c in self._num.items()}, den * d)
+        if n == 1:
+            return self
+        # gcd(num, den) = 1 and gcd(n / g, den / g) = 1 keep the result reduced
+        g = math.gcd(n, den)
+        if g != 1:
+            n //= g
+            den //= g
+        return Poly._trusted(self.vars, {k: c * n for k, c in self._num.items()}, den)
+
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return Poly(self.vars, {})
-            return Poly(self.vars, {e: c * other for e, c in self.terms.items()})
-        o = self._as_poly(other)
-        if o is None:
+        if isinstance(other, int):
+            return self._scale(other, 1)
+        if isinstance(other, Fraction):
+            return self._scale(other.numerator, other.denominator)
+        if not isinstance(other, Poly):
             return NotImplemented
-        out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in o.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                prev = out.get(e)
-                prod = c1 * c2
-                out[e] = prod if prev is None else prev + prod
-        return Poly(self.vars, out)
+        self._check(other)
+        small, big = self._num, other._num
+        if len(small) > len(big):
+            small, big = big, small
+        if len(small) == 1:
+            (k1, c1), = small.items()
+            out = {k1 + k: c1 * c for k, c in big.items()}
+        else:
+            out = {}
+            get = out.get
+            items = list(big.items())
+            for k1, c1 in small.items():
+                for k2, c2 in items:
+                    k = k1 + k2
+                    out[k] = get(k, 0) + c1 * c2
+            out = {k: c for k, c in out.items() if c}
+        if out and reduce(or_, out) & _guard_mask(len(self.vars)):
+            raise ScaleLimitError(f"a product exponent exceeds MAX_EXPONENT = {MAX_EXPONENT}")
+        return _reduced(self.vars, out, self._den * other._den)
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers take nonnegative integer exponents")
-        result = Poly.constant(self.vars, 1)
+        result = Poly._trusted(self.vars, {0: 1}, 1)
         base = self
         while n:
             if n & 1:
@@ -140,59 +258,75 @@ class Poly:
 
     def __eq__(self, other):
         if isinstance(other, Poly):
-            return self.vars == other.vars and self.terms == other.terms
+            return (
+                self.vars == other.vars
+                and self._den == other._den
+                and self._num == other._num
+            )
         if isinstance(other, (int, Fraction)):
-            if not self.terms:
+            if not self._num:
                 return other == 0
-            return self.terms == {(0,) * len(self.vars): Fraction(other)}
+            return self._den == other.denominator and self._num == {0: other.numerator}
         return NotImplemented
 
-    __hash__ = None  # mutable dict inside; never used as a key
+    __hash__ = None  # compared by value; never used as a key
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._num)
 
     # -- queries and rewriting ---------------------------------------------
 
     def total_degree(self):
-        return max((sum(e) for e in self.terms), default=0)
+        nv = len(self.vars)
+        return max((sum(_unpack(k, nv)) for k in self._num), default=0)
 
     def degree_in(self, index):
-        return max((e[index] for e in self.terms), default=0)
+        shift = EXPONENT_BITS * index
+        return max(((k >> shift) & _FIELD for k in self._num), default=0)
 
     def is_constant(self):
-        return all(not any(e) for e in self.terms)
+        return not any(self._num)
 
     def constant_value(self) -> Fraction:
-        return self.terms.get((0,) * len(self.vars), Fraction(0))
+        return Fraction(self._num.get(0, 0), self._den)
 
     def at_zero(self, index):
         """Keep only the terms with zero exponent in the given variable."""
-        return Poly(self.vars, {e: c for e, c in self.terms.items() if not e[index]})
+        mask = _FIELD << (EXPONENT_BITS * index)
+        return _reduced(
+            self.vars, {k: c for k, c in self._num.items() if not k & mask}, self._den
+        )
 
     def shift(self, index):
         """Substitute variable[index] -> variable[index] + 1."""
+        # an invertible integer change of the numerators: they stay reduced
+        shift = EXPONENT_BITS * index
+        step = 1 << shift
         out: dict = {}
-        for e, c in self.terms.items():
-            d = e[index]
+        get = out.get
+        for k, c in self._num.items():
+            d = (k >> shift) & _FIELD
             if not d:
-                out[e] = out.get(e, Fraction(0)) + c
+                out[k] = get(k, 0) + c
                 continue
+            nk = k - d * step
             for t in range(d + 1):
-                ne = e[:index] + (t,) + e[index + 1 :]
-                out[ne] = out.get(ne, Fraction(0)) + c * math.comb(d, t)
-        return Poly(self.vars, out)
+                out[nk] = get(nk, 0) + c * math.comb(d, t)
+                nk += step
+        return Poly._trusted(self.vars, {k: c for k, c in out.items() if c}, self._den)
 
     def evaluate(self, point):
         """Evaluate at a point of arbitrary values supporting + and *.
 
-        Individual terms may leave the target ring (the Fraction coefficients
-        are not integers in general); callers coerce the final sum.
+        The integer numerators are summed first and divided by the common
+        denominator once; callers coerce the result.
         """
         if len(point) != len(self.vars):
             raise ArityMismatchError(
                 f"point of length {len(point)} for {len(self.vars)} variables"
             )
+        if not self._num:
+            return 0
         power_cache: dict = {}
 
         def pw(i, n):
@@ -204,20 +338,22 @@ class Poly:
             return got
 
         total = 0
-        for e, c in self.terms.items():
+        for k, c in self._num.items():
             term = c
-            for i, d in enumerate(e):
-                if d:
-                    term = term * pw(i, d)
+            while k:
+                # lowest nonzero field first, so variables come in index order
+                i = ((k & -k).bit_length() - 1) // EXPONENT_BITS
+                d = (k >> (EXPONENT_BITS * i)) & _FIELD
+                k -= d << (EXPONENT_BITS * i)
+                term = term * pw(i, d)
             total = total + term
-        return total
+        return total * Fraction(1, self._den)
 
     def __repr__(self):
-        if not self.terms:
+        if not self._num:
             return "Poly(0)"
         bits = []
-        for e in sorted(self.terms):
-            c = self.terms[e]
+        for e, c in sorted(self.terms.items()):
             mono = "*".join(
                 f"{self.vars[i]}^{d}" if d > 1 else self.vars[i]
                 for i, d in enumerate(e)
@@ -418,20 +554,70 @@ def eval_binomial_form(coeffs: Mapping, point, ring: Ring):
     return total
 
 
-@dataclass(frozen=True)
-class BinomialTable:
-    """Integer coefficients over the binomial-product basis, fixed arity."""
+# Each distinct flat key, and each distinct tuple of keys, is stored once and
+# shared by every table, as interned strings are: derived tables repeat them
+# heavily (at (3,4) the product tables hold 481 keys, 335 of them distinct).
+_KEYS: dict = {}
 
-    arity: int
-    coeffs: tuple  # sorted tuple of (degree tuple, int coefficient)
+
+class BinomialTable:
+    """Integer coefficients over the binomial-product basis, fixed arity.
+
+    Stored sparsely in two parallel tuples: keys[j] lists the nonzero degrees
+    of term j as a flat (variable, degree, variable, degree, ...) tuple, and
+    values[j] is its integer coefficient. `coeffs` is the dense view, a
+    tuple of (degree tuple, int) pairs; from_dict sorts it. The degrees are
+    checked once, on construction, and evaluation reads the sparse keys
+    directly, computing each binom(point[v], r) once per call.
+    """
+
+    __slots__ = ("arity", "keys", "values")
+
+    def __init__(self, arity, coeffs):
+        keys = []
+        values = []
+        for exps, c in coeffs:
+            e = tuple(exps)
+            if len(e) != arity:
+                raise ArityMismatchError(f"key {e} in table of arity {arity}")
+            flat = []
+            for v, r in enumerate(e):
+                if not isinstance(r, int) or r < 0:
+                    raise ArityMismatchError(
+                        f"binomial degree {r!r} in {e} is not a nonnegative integer"
+                    )
+                if r:
+                    flat += (v, int(r))
+            flat = tuple(flat)
+            keys.append(_KEYS.setdefault(flat, flat))
+            values.append(int(c))
+        object.__setattr__(self, "arity", arity)
+        keys = tuple(keys)
+        object.__setattr__(self, "keys", _KEYS.setdefault(keys, keys))
+        object.__setattr__(self, "values", tuple(values))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable BinomialTable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return (BinomialTable, (self.arity, self.coeffs))
 
     @classmethod
     def from_dict(cls, arity, table):
-        items = tuple(sorted((tuple(e), int(c)) for e, c in table.items() if c))
-        for e, _ in items:
-            if len(e) != arity:
-                raise ArityMismatchError(f"key {e} in table of arity {arity}")
-        return cls(arity, items)
+        return cls(arity, sorted((tuple(e), int(c)) for e, c in table.items() if c))
+
+    @property
+    def coeffs(self) -> tuple:
+        out = []
+        for key, c in zip(self.keys, self.values):
+            e = [0] * self.arity
+            it = iter(key)
+            for v, r in zip(it, it):
+                e[v] = r
+            out.append((tuple(e), c))
+        return tuple(out)
 
     def as_dict(self):
         return dict(self.coeffs)
@@ -441,10 +627,32 @@ class BinomialTable:
             raise ArityMismatchError(
                 f"point of length {len(point)} for arity {self.arity}"
             )
-        return eval_binomial_form(self.as_dict(), point, ring)
+        binoms: dict = {}
+        total = ring.zero
+        for key, c in zip(self.keys, self.values):
+            term = ring.from_int(c)
+            it = iter(key)
+            for vr in zip(it, it):
+                b = binoms.get(vr)
+                if b is None:
+                    b = binoms[vr] = ring.binom(point[vr[0]], vr[1])
+                term = term * b
+            total = total + term
+        return total
 
     def is_zero(self):
-        return not self.coeffs
+        return not self.values
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.arity, self.keys, self.values) == (other.arity, other.keys, other.values)
+
+    def __hash__(self):
+        return hash((self.arity, self.coeffs))
+
+    def __repr__(self):
+        return f"BinomialTable(arity={self.arity!r}, coeffs={self.coeffs!r})"
 
 
 # -- polynomial serialization -------------------------------------------------
@@ -455,12 +663,8 @@ def poly_to_obj(p: Poly) -> dict:
     return {
         "variables": list(p.vars),
         "terms": [
-            {
-                "exps": list(e),
-                "num": str(p.terms[e].numerator),
-                "den": str(p.terms[e].denominator),
-            }
-            for e in sorted(p.terms)
+            {"exps": list(e), "num": str(c.numerator), "den": str(c.denominator)}
+            for e, c in sorted(p.terms.items())
         ],
     }
 

@@ -785,12 +785,73 @@ def lie_suite(rank, nclass) -> list:
 # -- group-side centralizer suite ----------------------------------------------
 
 
+def centralizer_structure_check(
+    grp: FreeNilpotentGroup, j: int, rng: Random | None = None, samples=40
+) -> dict:
+    """Sampled checks that the centralizer of u_1j is {u_1j^a * central}.
+
+    Verifies: built centralizer elements commute; every sampled element
+    either fails to commute or decomposes exactly as u_1j^a * z with z in
+    the weight-class block; and the center is exactly that block.
+    """
+    rng = rng or Random(0)
+    u = grp.generator(j)
+    one = grp.identity()
+    n_c = grp.basis.counts[-1]
+    start_c = grp.basis.weight_start(grp.nclass)
+    report = {
+        "built_elements_commute": True,
+        "decomposition_exact": True,
+        "rejects_noncommuting": 0,
+        "center_is_weight_c_block": True,
+    }
+
+    for _ in range(samples):
+        a = grp.ring.random_element(rng)
+        z = [grp.ring.zero] * grp.dimension
+        for s in range(n_c):
+            z[start_c + s] = grp.ring.random_element(rng)
+        x = grp.mul(grp.pow(u, a), grp.element(z))
+        if grp.commutator(x, u) != one:
+            report["built_elements_commute"] = False
+
+    for _ in range(samples):
+        x = grp.random_element(rng)
+        if grp.commutator(x, u) != one:
+            report["rejects_noncommuting"] += 1
+            continue
+        a = x.coords[grp.basis.flat((1, j))]
+        z = grp.mul(grp.pow(u, -a), x)
+        if not grp.is_central(z) or grp.mul(grp.pow(u, a), z) != x:
+            report["decomposition_exact"] = False
+
+    gens = grp.generators()
+    for _ in range(samples):
+        z = [grp.ring.zero] * grp.dimension
+        for s in range(n_c):
+            z[start_c + s] = grp.ring.random_element(rng)
+        zc = grp.element(z)
+        if any(grp.commutator(zc, g) != one for g in gens):
+            report["center_is_weight_c_block"] = False
+        x = grp.random_element(rng)
+        if not grp.is_central(x):
+            if all(grp.commutator(x, g) == one for g in gens):
+                report["center_is_weight_c_block"] = False
+
+    report["ok"] = (
+        report["built_elements_commute"]
+        and report["decomposition_exact"]
+        and report["center_is_weight_c_block"]
+    )
+    return report
+
+
 def centralizer_suite(rank, nclass, ring: Ring, rng: Random, samples: int | None = None) -> list:
     n = _sample_count(samples, 40)
     grp = FreeNilpotentGroup(rank, nclass, ring)
     out = []
     for j in range(1, rank + 1):
-        report = grp.centralizer_structure_check(j, rng, samples=min(n, 40))
+        report = centralizer_structure_check(grp, j, rng, samples=min(n, 40))
         out.append(
             CheckResult(
                 f"centralizer: generator {j} decomposes as its powers times the center",

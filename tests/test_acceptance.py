@@ -31,6 +31,7 @@ from hallforge.lie import (
 )
 from hallforge.oracles import Ut3Oracle
 from hallforge.rings import ZZ, PolyRing
+from hallforge.verify import centralizer_structure_check
 from hallforge.words import (
     Collector,
     commutator_power_identity_holds,
@@ -217,6 +218,6 @@ def test_criterion_9_generator_centralizer_line():
         grp = FreeNilpotentGroup(rank, nclass)
         for j in range(1, rank + 1):
             assert centralizer_line_holds(lie, j)
-            report = grp.centralizer_structure_check(j, rng, samples=40)
+            report = centralizer_structure_check(grp, j, rng, samples=40)
             assert report["ok"], (rank, nclass, j, report)
     print("ACCEPTANCE 9 PASS generator centralizers reduce to a coordinate line")

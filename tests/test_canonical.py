@@ -4,6 +4,8 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from poly_oracle import VARS, DensePoly, dense_to_binomial_basis, poly_pairs, table_dicts
 
 from hallforge.canonical import (
     DESK_SCALE_LIMIT,
@@ -14,7 +16,7 @@ from hallforge.canonical import (
 )
 from hallforge.errors import NonIntegerCoefficientError, ScaleLimitError
 from hallforge.group import FreeNilpotentGroup
-from hallforge.rings import QQ, ZZ, PolyRing, eval_binomial_form
+from hallforge.rings import QQ, ZZ, BinomialTable, PolyRing, eval_binomial_form
 
 
 def test_weight_one_polynomials_are_linear():
@@ -172,3 +174,25 @@ def test_scale_limit_enforced():
         derive_hall_polynomials(4, 4)
     with pytest.raises(ScaleLimitError):
         derive_structure_polys(3, 5)
+
+
+def _conversion(convert, poly):
+    try:
+        return convert(poly)
+    except NonIntegerCoefficientError as exc:
+        return ("raises", str(exc))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(poly_pairs(), table_dicts(len(VARS)))
+def test_binomial_basis_matches_reference(pa, table):
+    # a drawn polynomial is rarely integer-valued; the evaluated table always is
+    a, da = pa
+    assert _conversion(to_binomial_basis, a) == _conversion(dense_to_binomial_basis, da)
+    ring = PolyRing(VARS)
+    p = BinomialTable.from_dict(len(VARS), table).evaluate(
+        [ring.variable(v) for v in VARS], ring
+    )
+    got = to_binomial_basis(p)
+    assert got == dense_to_binomial_basis(DensePoly(VARS, p.terms))
+    assert got == {e: c for e, c in table.items() if c}

@@ -28,6 +28,7 @@ from hallforge.group import ENGINE_WORD_LIMIT, FreeNilpotentGroup, check_engine_
 from hallforge.oracles import Ut3Oracle
 from hallforge.rings import QQ, ZZ, PolyRing
 from hallforge.series import TruncatedSeries
+from hallforge.verify import centralizer_structure_check
 
 
 def test_frozen_products_rank2_class2():
@@ -184,7 +185,7 @@ def test_centralizer_structure_reports():
     for rank, nclass in ((2, 2), (2, 3), (3, 2)):
         g = FreeNilpotentGroup(rank, nclass)
         for j in range(1, rank + 1):
-            report = g.centralizer_structure_check(j, rng, samples=25)
+            report = centralizer_structure_check(g, j, rng, samples=25)
             assert report["ok"], report
 
 

@@ -1,6 +1,10 @@
 """Tests for the aggregated property-check runner."""
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -110,3 +114,18 @@ def test_lie_suite_names_the_first_differing_constant(monkeypatch):
     row = rows["lie: group and algebra structure constants agree"]
     assert not row.ok
     assert row.detail == "first difference: [e_1, e_0] at e_2: group side -1, algebra side 1"
+
+
+def test_package_import_leaves_verify_unloaded():
+    # verify loads on first use of run_all / CheckResult, not with the package
+    code = (
+        "import sys, hallforge\n"
+        "assert 'hallforge.verify' not in sys.modules, 'verify loaded eagerly'\n"
+        "from hallforge import CheckResult, run_all\n"
+        "assert 'hallforge.verify' in sys.modules\n"
+        "assert run_all is hallforge.verify.run_all and CheckResult is hallforge.verify.CheckResult\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
