@@ -69,7 +69,12 @@ class HallBasis:
 
     def flat(self, pair) -> int:
         """Flat index of the (weight, position) pair."""
-        i, j = pair
+        try:
+            i, j = pair
+        except (TypeError, ValueError):
+            raise OutOfClassError(f"basis index {pair!r} is not a pair") from None
+        if not (isinstance(i, int) and isinstance(j, int)):
+            raise OutOfClassError(f"basis index {pair!r} is not a pair of integers")
         if not (1 <= i <= self.nclass and 1 <= j <= self.counts[i - 1]):
             raise OutOfClassError(f"no basis entry with index {pair}")
         return sum(self.counts[: i - 1]) + j - 1

@@ -195,12 +195,12 @@ def _cmd_deform(args) -> int:
     if ring is not ZZ:
         raise ShapeMismatchError("deformations are served over the integers")
     obj = _load_json("@" + args.cocycle)
+    family = cocycle_family_from_obj(obj)
     if obj.get("r") != rank or obj.get("c") != nclass:
         raise ShapeMismatchError(
             "cocycle file is for another configuration "
             f"(file says rank {obj.get('r')}, class {obj.get('c')})"
         )
-    family = cocycle_family_from_obj(obj)
     if len(family) != rank:
         raise ShapeMismatchError(
             f"cocycle file lists {len(family)} cocycles, need one per generator"

@@ -109,7 +109,7 @@ def check_cocycle(f, ring: Ring = ZZ, budget: int = 200, rng: Random | None = No
 
     Polynomial cocycles are checked as exact identities over Q[x,y,z]; the
     ring argument matters only for sampled cocycles, which are checked on
-    `budget` random triples.
+    `budget` random triples; that budget must be at least 1.
     """
     failures = []
     if isinstance(f, PolynomialCocycle):
@@ -130,6 +130,8 @@ def check_cocycle(f, ring: Ring = ZZ, budget: int = 200, rng: Random | None = No
                 failures.append(f"component {idx}: not normalized")
         return CocycleReport(ok=not failures, mode="symbolic", failures=tuple(failures))
 
+    if budget < 1:
+        raise HallforgeError(f"a sampled cocycle check needs a budget of at least 1, got {budget}")
     rng = rng or Random(0)
     zero = ring.zero
     for _ in range(budget):
@@ -261,6 +263,8 @@ class IntegerSplitting:
     """
 
     def __init__(self, cocycle, check_range: int = 12):
+        if check_range < 0:
+            raise HallforgeError(f"check_range must be at least 0, got {check_range}")
         self.cocycle = cocycle
         self.width = cocycle.n_components
         self._vals = {0: (0,) * self.width}
@@ -425,6 +429,9 @@ class ExtensionCocycle:
         return self.deformed.element(tuple(lower) + tuple(top))
 
     def matches_deformed_mul(self, rng: Random | None = None, samples: int = 100) -> bool:
+        """Extension build against the deformed product on random pairs (at least 1)."""
+        if samples < 1:
+            raise HallforgeError(f"samples must be at least 1, got {samples}")
         rng = rng or Random(0)
         for _ in range(samples):
             g = self.deformed.random_element(rng)
@@ -442,7 +449,10 @@ def centralizer_extension_check(
     Its elements are u_1j^a times a central element; the subgroup is abelian,
     and the cocycle its products induce on the exponent a is exactly the
     generator's deformation component, which splits over the integers.
+    Samples must be at least 1.
     """
+    if samples < 1:
+        raise HallforgeError(f"samples must be at least 1, got {samples}")
     rng = rng or Random(0)
     grp = deformed
     flat = grp.basis.flat((1, j))

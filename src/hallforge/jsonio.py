@@ -24,6 +24,14 @@ def canonical_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _field(obj, key: str, kind, what: str):
+    """obj[key] for a JSON object obj whose key holds a value of type kind."""
+    value = obj.get(key) if isinstance(obj, dict) else None
+    if not isinstance(value, kind):
+        raise ShapeMismatchError(f"{what} needs a well-typed {key!r} field")
+    return value
+
+
 # -- group elements ------------------------------------------------------------
 
 
@@ -36,14 +44,14 @@ def element_to_obj(group, g: GroupElement) -> dict:
 
 
 def element_from_obj(group, obj: dict) -> GroupElement:
+    coords = _field(obj, "coords", list, "an element object")
     if obj.get("r") != group.rank or obj.get("c") != group.nclass:
         raise ShapeMismatchError(
             f"element is for rank {obj.get('r')}, class {obj.get('c')}; "
             f"the group has rank {group.rank}, class {group.nclass}"
         )
-    coords = obj.get("coords")
-    if not isinstance(coords, list):
-        raise ShapeMismatchError("element object needs a coords list")
+    if not all(isinstance(s, str) for s in coords):
+        raise ShapeMismatchError("element coordinates are written as strings")
     return group.element([group.ring.parse(s) for s in coords])
 
 
@@ -89,8 +97,8 @@ def word_from_obj(group, obj) -> list:
         raise ShapeMismatchError("a word is a JSON list of letters")
     out = []
     for item in obj:
-        pair = tuple(item["index"])
-        out.append((pair, group.ring.parse(item["exp"])))
+        pair = tuple(_field(item, "index", list, "a letter"))
+        out.append((pair, group.ring.parse(_field(item, "exp", str, "a letter"))))
     return out
 
 
@@ -106,9 +114,16 @@ def table_to_obj(table) -> list:
 def table_from_dict_obj(obj, arity: int):
     from .rings import BinomialTable
 
+    if not isinstance(obj, list):
+        raise ShapeMismatchError("a binomial table is a JSON list of terms")
     entries = {}
     for item in obj:
-        entries[tuple(item["degrees"])] = int(item["coeff"])
+        degrees = tuple(_field(item, "degrees", list, "a table term"))
+        coeff = _field(item, "coeff", (str, int), "a table term")
+        try:
+            entries[degrees] = int(coeff)
+        except ValueError:
+            raise ShapeMismatchError(f"table coefficient {coeff!r} is not an integer") from None
     return BinomialTable.from_dict(arity, entries)
 
 
@@ -123,11 +138,11 @@ def cocycle_family_to_obj(rank: int, nclass: int, cocycles) -> dict:
 
 
 def cocycle_family_from_obj(obj: dict) -> tuple:
-    fams = obj.get("cocycles")
-    if not isinstance(fams, list):
-        raise ShapeMismatchError("cocycle file needs a 'cocycles' list")
+    fams = _field(obj, "cocycles", list, "a cocycle file")
     out = []
     for components in fams:
+        if not isinstance(components, list):
+            raise ShapeMismatchError("each cocycle is a JSON list of component tables")
         out.append(
             PolynomialCocycle(
                 table_from_dict_obj(comp, 2) for comp in components

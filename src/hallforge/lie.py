@@ -25,10 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, count, product
 
 from . import linalg
-from .errors import ShapeMismatchError
+from .errors import ScaleLimitError, ShapeMismatchError
 from .group import FreeNilpotentGroup, _engine_tables
 from .rings import ZZ, Ring
 
@@ -431,37 +431,65 @@ def complete_system_check(B: BilinearMapData, vectors) -> bool:
     return not _common_kernel(B.tensor, B.domain_dim, maps)
 
 
+# Candidates (first factors, and second factors while widening) one width_probe call may try.
+_WIDTH_PROBE_LIMIT = 2000
+
+
 def width_probe(B: BilinearMapData, u, s: int, bound: int = 2) -> bool:
     """Bounded search for u as a sum of at most s bracket values.
 
     Heuristic by design: the first factor of each summand ranges over the
     integer box [-bound, bound]^m (the second is solved exactly for the
     last summand, boxed otherwise). False means not found in the box, not
-    a proof of impossibility.
+    a proof of impossibility. The box is walked lazily, fewest nonzero
+    entries first, so basis witnesses come first; a search that needs more
+    than _WIDTH_PROBE_LIMIT candidates raises ScaleLimitError.
     """
     u = [Fraction(v) for v in u]
     if len(u) != B.codomain_dim:
         raise ShapeMismatchError("target vector length mismatch")
+    return _probe(B, u, s, bound, count(1))
+
+
+def _box(m: int, bound: int):
+    """The nonzero vectors of [-bound, bound]^m, by number of nonzero entries."""
+    values = [v for a in range(1, bound + 1) for v in (a, -a)]
+    for k in range(1, m + 1):
+        for support in combinations(range(m), k):
+            for entries in product(values, repeat=k):
+                vec = [0] * m
+                for i, v in zip(support, entries):
+                    vec[i] = v
+                yield vec
+
+
+def _probe(B: BilinearMapData, u, s: int, bound: int, tried) -> bool:
     if not any(u):
         return True
     if s <= 0:
         return False
     m = B.domain_dim
-    box = [vec for vec in product(range(-bound, bound + 1), repeat=m) if any(vec)]
+
+    def candidates():
+        for x in _box(m, bound):
+            if next(tried) > _WIDTH_PROBE_LIMIT:
+                raise ScaleLimitError(
+                    f"width probe passed {_WIDTH_PROBE_LIMIT} candidates in a box of "
+                    f"{(2 * bound + 1) ** m - 1} nonzero vectors"
+                )
+            yield x
+
     zero = [Fraction(0)] * m
-    for x in box:
+    for x in candidates():
         # y -> f(x, y), one row per codomain coordinate, zero rows included
         got = _map_rows(B.tensor, _sparse(x), m, False)
         if _consistent([got.get(t, zero) for t in range(B.codomain_dim)], u):
             return True
     if s >= 2:
-        for x in box:
-            for y in product(range(-bound, bound + 1), repeat=m):
-                val = B.value(list(x), list(y))
-                if not any(val):
-                    continue
-                rest = [a - b for a, b in zip(u, val)]
-                if width_probe(B, rest, s - 1, bound):
+        for x in candidates():
+            for y in candidates():
+                val = B.value(x, y)
+                if any(val) and _probe(B, [a - b for a, b in zip(u, val)], s - 1, bound, tried):
                     return True
     return False
 

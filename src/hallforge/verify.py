@@ -5,12 +5,21 @@ rows; run_all stitches the full table for one (rank, class, ring)
 configuration. Sample counts default to the documented values and can be
 overridden wholesale for quick runs. Everything is exact: a check either
 holds on every sample or the row is marked failed.
+
+Every sampled row goes through one sampler, `_sampled_rows`, under three
+rules. The draws come first: a draw() callable makes every rng call for
+one sample, the laws only evaluate, so what a suite draws never depends on
+the results. Every law runs on every sample, so a failing row draws as
+much as a passing one and leaves the later rows' samples unchanged. A
+failing row names its first counterexample, the drawn inputs of the first
+sample on which it failed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from random import Random
 
 from . import linalg
@@ -67,10 +76,6 @@ class CheckResult:
     detail: str = ""
 
 
-def _all(name, iterable, detail="") -> CheckResult:
-    return CheckResult(name, all(iterable), detail)
-
-
 def _sample_count(samples: int | None, default: int) -> int:
     """The per-check sample count: default unless overridden; overrides below 1 are refused.
 
@@ -83,38 +88,65 @@ def _sample_count(samples: int | None, default: int) -> int:
     return samples
 
 
-def _axiom_rows(grp, rng: Random, n: int, names) -> list:
-    """Associativity, two-sided identity and two-sided inverse on n sampled triples.
+def _show(value) -> str:
+    """Element coordinates as a tuple; lists and tuples element by element."""
+    value = getattr(value, "coords", value)
+    if isinstance(value, (list, tuple)):
+        inner = ", ".join(map(_show, value))
+        return f"[{inner}]" if isinstance(value, list) else f"({inner})"
+    return str(value)
 
-    Draws g, h, k per sample, in that order, and runs every sample, so the
-    draws do not depend on the results. names gives the three row names; a
-    failing row names its first counterexample.
+
+def _elements(source, rng: Random, names: str, *bounds) -> dict:
+    """One source.random_element per letter of names, drawn in that order.
+
+    source is a group or a ring; bounds, if given, are its (lo, hi) entry bounds.
     """
-    e = grp.identity()
-    first = [None, None, None]
+    return {x: source.random_element(rng, *bounds) for x in names}
+
+
+def _sampled_rows(n: int, draw, laws: dict) -> list:
+    """One CheckResult per entry of laws (row name -> law), each law run on all n samples.
+
+    draw() makes every rng call for one sample and returns it as a dict of
+    named inputs; a law takes those inputs as keyword arguments and only
+    evaluates. Samples are drawn in order and never skipped, so the draws
+    do not depend on the results. A failing row's detail shows the inputs
+    of its first counterexample.
+    """
+    if n < 1:
+        raise HallforgeError(f"samples must be at least 1, got {n}")
+    first = dict.fromkeys(laws)
     for _ in range(n):
-        g = grp.random_element(rng)
-        h = grp.random_element(rng)
-        k = grp.random_element(rng)
-        gi = grp.inv(g)
-        failed = (
-            grp.mul(grp.mul(g, h), k) != grp.mul(g, grp.mul(h, k)),
-            grp.mul(g, e) != g or grp.mul(e, g) != g,
-            grp.mul(g, gi) != e or grp.mul(gi, g) != e,
-        )
-        for i, bad in enumerate(failed):
-            if bad and first[i] is None:
-                first[i] = (g, h, k) if i == 0 else (g,)
+        sample = draw()
+        for name, law in laws.items():
+            if not law(**sample) and first[name] is None:
+                first[name] = sample
     out = []
-    for name, found in zip(names, first):
+    for name, found in first.items():
         detail = ""
         if found is not None:
-            shown = ", ".join(
-                f"{x}=({', '.join(map(str, v.coords))})" for x, v in zip("ghk", found)
-            )
+            shown = ", ".join(f"{key}={_show(v)}" for key, v in found.items())
             detail = f"first counterexample: {shown}"
         out.append(CheckResult(name, found is None, detail))
     return out
+
+
+def _axiom_rows(grp, rng: Random, n: int, names) -> list:
+    """Associativity, two-sided identity and two-sided inverse on n sampled triples g, h, k."""
+    e = grp.identity()
+    mul = grp.mul
+
+    def inverse(g, **_):
+        gi = grp.inv(g)
+        return mul(g, gi) == e and mul(gi, g) == e
+
+    laws = (
+        lambda g, h, k: mul(mul(g, h), k) == mul(g, mul(h, k)),
+        lambda g, **_: mul(g, e) == g and mul(e, g) == g,
+        inverse,
+    )
+    return _sampled_rows(n, lambda: _elements(grp, rng, "ghk"), dict(zip(names, laws)))
 
 
 # -- ring suite ------------------------------------------------------------
@@ -128,65 +160,45 @@ def ring_suite(rng: Random, samples: int | None = None) -> list:
     rings = [ZZ, QQ, PolyRing(("x",))]
 
     for ring in rings:
-        acc = ring.zero
-        ok = True
-        for n in range(1, 101):
-            acc = acc + ring.one
-            if acc == ring.zero or acc != ring.from_int(n):
-                ok = False
-                break
-        out.append(CheckResult(f"ring[{ring.name}]: characteristic zero", ok))
-
+        name, binom, one = f"ring[{ring.name}]", ring.binom, ring.one
+        sums = enumerate(accumulate([one] * 100), start=1)
         out.append(
             CheckResult(
-                f"ring[{ring.name}]: binom(5,2) = 10",
-                ring.binom(ring.from_int(5), 2) == ring.from_int(10),
+                f"{name}: characteristic zero",
+                all(acc != ring.zero and acc == ring.from_int(n) for n, acc in sums),
             )
         )
         out.append(
-            _all(
-                f"ring[{ring.name}]: binom(a,0) = 1",
-                (
-                    ring.binom(ring.random_element(rng), 0) == ring.one
-                    for _ in range(20)
-                ),
-            )
+            CheckResult(f"{name}: binom(5,2) = 10", binom(ring.from_int(5), 2) == ring.from_int(10))
+        )
+        out += _sampled_rows(
+            20,
+            lambda: _elements(ring, rng, "a"),
+            {f"{name}: binom(a,0) = 1": lambda a: binom(a, 0) == one},
         )
         out.append(
-            _all(
-                f"ring[{ring.name}]: binom(-1,k) = (-1)^k",
-                (
-                    ring.binom(ring.from_int(-1), k) == ring.from_int((-1) ** k)
-                    for k in range(11)
-                ),
+            CheckResult(
+                f"{name}: binom(-1,k) = (-1)^k",
+                all(binom(-one, k) == ring.from_int((-1) ** k) for k in range(11)),
             )
         )
-        out.append(
-            _all(
-                f"ring[{ring.name}]: Pascal identity",
-                (
-                    ring.binom(a, k) + ring.binom(a, k + 1)
-                    == ring.binom(a + ring.one, k + 1)
-                    for a in (ring.random_element(rng) for _ in range(n_pascal))
-                    for k in (rng.randint(0, 8),)
-                ),
-            )
+        out += _sampled_rows(
+            n_pascal,
+            lambda: {**_elements(ring, rng, "a"), "k": rng.randint(0, 8)},
+            {
+                f"{name}: Pascal identity": (
+                    lambda a, k: binom(a, k) + binom(a, k + 1) == binom(a + one, k + 1)
+                )
+            },
         )
-        out.append(
-            _all(
-                f"ring[{ring.name}]: Vandermonde identity",
-                (
-                    ring.binom(a + b, k)
-                    == sum(
-                        (ring.binom(a, j) * ring.binom(b, k - j) for j in range(k + 1)),
-                        ring.zero,
-                    )
-                    for _ in range(n_vdm)
-                    for a in (ring.random_element(rng),)
-                    for b in (ring.random_element(rng),)
-                    for k in (rng.randint(0, 6),)
-                ),
-            )
+        out += _sampled_rows(
+            n_vdm,
+            lambda: {**_elements(ring, rng, "ab"), "k": rng.randint(0, 6)},
+            {
+                f"{name}: Vandermonde identity": lambda a, b, k: binom(a + b, k) == sum(
+                    (binom(a, j) * binom(b, k - j) for j in range(k + 1)), ring.zero
+                )
+            },
         )
 
     px = PolyRing(("x",))
@@ -197,16 +209,14 @@ def ring_suite(rng: Random, samples: int | None = None) -> list:
             px.binom(x, 2) == (x * x - x) * Fraction(1, 2),
         )
     )
-    ok = True
-    for _ in range(n_spec):
-        a = rng.randint(-30, 30)
-        k = rng.randint(0, 10)
-        symbolic = px.binom(x, k).evaluate([Fraction(a)])
-        if symbolic != ZZ.binom(a, k):
-            ok = False
-            break
-    out.append(
-        CheckResult("ring: polynomial binom specializes to integer binom", ok)
+    out += _sampled_rows(
+        n_spec,
+        lambda: {"a": rng.randint(-30, 30), "k": rng.randint(0, 10)},
+        {
+            "ring: polynomial binom specializes to integer binom": (
+                lambda a, k: px.binom(x, k).evaluate([Fraction(a)]) == ZZ.binom(a, k)
+            )
+        },
     )
     return out
 
@@ -230,124 +240,99 @@ def _random_group_like(rank, nclass, ring, rng) -> TruncatedSeries:
 
 
 def series_suite(rank, nclass, ring: Ring, rng: Random, samples: int | None = None) -> list:
-    out = []
     n_assoc = _sample_count(samples, 500)
+    n_dep = _sample_count(samples, 200)
     one = TruncatedSeries.one(rank, nclass)
+    inverse = group_like_inverse
 
-    out.append(
-        _all(
-            "series: multiplication associative",
-            (
-                (a * b) * c == a * (b * c)
-                for _ in range(n_assoc)
-                for a in (_random_series(rank, nclass, ring, rng),)
-                for b in (_random_series(rank, nclass, ring, rng),)
-                for c in (_random_series(rank, nclass, ring, rng),)
-            ),
-        )
+    def series(names):
+        return {x: _random_series(rank, nclass, ring, rng) for x in names}
+
+    def group_like(exponents):
+        s = _random_group_like(rank, nclass, ring, rng)
+        return {"s": s, **_elements(ring, rng, exponents)}
+
+    def power(s, a):
+        return series_pow(s, a, ring)
+
+    out = _sampled_rows(
+        n_assoc,
+        lambda: series("abc"),
+        {"series: multiplication associative": lambda a, b, c: (a * b) * c == a * (b * c)},
     )
-    out.append(
-        _all(
-            "series: unit element",
-            (
-                s * one == s and one * s == s
-                for _ in range(50)
-                for s in (_random_series(rank, nclass, ring, rng),)
-            ),
-        )
+    out += _sampled_rows(
+        50, lambda: series("s"), {"series: unit element": lambda s: s * one == s and one * s == s}
     )
-    out.append(
-        _all(
-            "series: power additive in the exponent",
-            (
-                series_pow(s, a, ring) * series_pow(s, b, ring)
-                == series_pow(s, a + b, ring)
-                for _ in range(200)
-                for s in (_random_group_like(rank, nclass, ring, rng),)
-                for a in (ring.random_element(rng),)
-                for b in (ring.random_element(rng),)
-            ),
-        )
+    out += _sampled_rows(
+        200,
+        lambda: group_like("ab"),
+        {
+            "series: power additive in the exponent": (
+                lambda s, a, b: power(s, a) * power(s, b) == power(s, a + b)
+            )
+        },
     )
-    out.append(
-        _all(
-            "series: group-like inverse",
-            (
-                s * group_like_inverse(s) == one and group_like_inverse(s) * s == one
-                for _ in range(100)
-                for s in (_random_group_like(rank, nclass, ring, rng),)
-            ),
-        )
+    out += _sampled_rows(
+        100,
+        lambda: group_like(""),
+        {"series: group-like inverse": lambda s: s * inverse(s) == one and inverse(s) * s == one},
     )
-    out.append(
-        _all(
-            "series: inverse of a power is the negative power",
-            (
-                group_like_inverse(series_pow(s, a, ring))
-                == series_pow(s, -a, ring)
-                for _ in range(100)
-                for s in (_random_group_like(rank, nclass, ring, rng),)
-                for a in (ring.random_element(rng),)
-            ),
-        )
+    out += _sampled_rows(
+        100,
+        lambda: group_like("a"),
+        {
+            "series: inverse of a power is the negative power": (
+                lambda s, a: inverse(power(s, a)) == power(s, -a)
+            )
+        },
     )
 
     basis = FreeNilpotentGroup(rank, nclass).basis
-    ok = True
-    for w in range(1, nclass + 1):
+
+    def lie(f):
+        return basis.lie_element(basis.entries[f])
+
+    def independent(w):
         block = list(basis.weight_block(w))
-        words = sorted(
-            set(
-                word
-                for f in block
-                for word in basis.lie_element(basis.entries[f]).coeffs
-            )
-        )
-        matrix = [
-            [
-                Fraction(basis.lie_element(basis.entries[f]).coeff(word))
-                for f in block
-            ]
-            for word in words
-        ]
-        if linalg.rank(matrix) != len(block):
-            ok = False
+        words = sorted(set(word for f in block for word in lie(f).coeffs))
+        matrix = [[Fraction(lie(f).coeff(word)) for f in block] for word in words]
+        return linalg.rank(matrix) == len(block)
+
     out.append(
-        CheckResult("series: Hall Lie elements independent per weight", ok)
+        CheckResult(
+            "series: Hall Lie elements independent per weight",
+            all(independent(w) for w in range(1, nclass + 1)),
+        )
     )
 
-    n_dep = _sample_count(samples, 200)
-    ok = True
-    detail = ""
-    for t in range(n_dep):
+    # every fourth sample tries a proportional pair when the weights agree
+    drawn = iter(range(n_dep))
+
+    def draw_pair():
+        t = next(drawn)
         w1 = rng.randint(1, max(1, nclass - 1))
         w2 = rng.randint(1, max(1, nclass - w1))
-        b1 = list(basis.weight_block(w1))
-        b2 = list(basis.weight_block(w2))
-        c1 = [rng.randint(-3, 3) for _ in b1]
+        c1 = [rng.randint(-3, 3) for _ in basis.weight_block(w1)]
         if t % 4 == 0 and w2 == w1:
             lam = rng.randint(-2, 2)
             c2 = [lam * v for v in c1]
         else:
-            c2 = [rng.randint(-3, 3) for _ in b2]
-        z = TruncatedSeries(rank, nclass, {})
-        for c, f in zip(c1, b1):
-            z = z + c * basis.lie_element(basis.entries[f])
-        y = TruncatedSeries(rank, nclass, {})
-        for c, f in zip(c2, b2):
-            y = y + c * basis.lie_element(basis.entries[f])
-        if not (z * y - y * z).coeffs:
-            rows = [[Fraction(0)] * len(basis) for _ in range(2)]
-            for c, f in zip(c1, b1):
-                rows[0][f] = Fraction(c)
-            for c, f in zip(c2, b2):
-                rows[1][f] = Fraction(c)
-            if linalg.rank(rows) > 1:
-                ok = False
-                detail = f"independent pair with zero bracket at weights ({w1},{w2})"
-                break
-    out.append(
-        CheckResult("series: zero bracket forces dependence", ok, detail)
+            c2 = [rng.randint(-3, 3) for _ in basis.weight_block(w2)]
+        return {"w1": w1, "w2": w2, "c1": c1, "c2": c2}
+
+    def zero_bracket_dependent(w1, w2, c1, c2):
+        rows = [[Fraction(0)] * len(basis) for _ in range(2)]
+        z = y = TruncatedSeries(rank, nclass, {})
+        for c, f in zip(c1, basis.weight_block(w1)):
+            z = z + c * lie(f)
+            rows[0][f] = Fraction(c)
+        for c, f in zip(c2, basis.weight_block(w2)):
+            y = y + c * lie(f)
+            rows[1][f] = Fraction(c)
+        return bool((z * y - y * z).coeffs) or linalg.rank(rows) <= 1
+
+    out += _sampled_rows(
+        n_dep, draw_pair, {"series: zero bracket forces dependence": zero_bracket_dependent}
     )
     return out
 
@@ -358,54 +343,47 @@ def series_suite(rank, nclass, ring: Ring, rng: Random, samples: int | None = No
 def group_suite(rank, nclass, ring: Ring, rng: Random, samples: int | None = None) -> list:
     n_triples = _sample_count(samples, 1000)
     n_pow = _sample_count(samples, 500)
-    out = []
     grp = FreeNilpotentGroup(rank, nclass, ring)
     e = grp.identity()
+    mul, pow_, weight = grp.mul, grp.pow, grp.gamma_weight
     names = ("group: associativity", "group: two-sided identity", "group: two-sided inverse")
-    out.extend(_axiom_rows(grp, rng, n_triples, names))
+    out = _axiom_rows(grp, rng, n_triples, names)
 
-    out.append(
-        _all(
-            "group: weight-1 coordinates add",
-            (
-                grp.weight_block_coords(grp.mul(g, h), 1)
-                == tuple(
-                    a + b
-                    for a, b in zip(
-                        grp.weight_block_coords(g, 1), grp.weight_block_coords(h, 1)
-                    )
-                )
-                for _ in range(100)
-                for g in (grp.random_element(rng),)
-                for h in (grp.random_element(rng),)
-            ),
-        )
+    def weight_one(g):
+        return grp.weight_block_coords(g, 1)
+
+    out += _sampled_rows(
+        100,
+        lambda: _elements(grp, rng, "gh"),
+        {
+            "group: weight-1 coordinates add": lambda g, h: weight_one(mul(g, h)) == tuple(
+                a + b for a, b in zip(weight_one(g), weight_one(h))
+            )
+        },
     )
-
-    ok_mul = ok_com = True
-    for _ in range(min(200, n_triples)):
-        g = grp.random_element(rng, -3, 3)
-        h = grp.random_element(rng, -3, 3)
-        if grp.gamma_weight(grp.mul(g, h)) < min(grp.gamma_weight(g), grp.gamma_weight(h)):
-            ok_mul = False
-        bound = min(nclass + 1, grp.gamma_weight(g) + grp.gamma_weight(h))
-        if grp.gamma_weight(grp.commutator(g, h)) < bound:
-            ok_com = False
-    out.append(CheckResult("group: product respects the filtration", ok_mul))
-    out.append(CheckResult("group: commutator adds filtration weights", ok_com))
-
-    ok_hom = True
-    for _ in range(n_pow):
-        g = grp.random_element(rng)
-        a = ring.random_element(rng)
-        b = ring.random_element(rng)
-        if grp.mul(grp.pow(g, a), grp.pow(g, b)) != grp.pow(g, a + b):
-            ok_hom = False
-            break
-        if grp.pow(g, 1) != g or grp.pow(g, 0) != e:
-            ok_hom = False
-            break
-    out.append(CheckResult("group: powers additive in the exponent", ok_hom))
+    out += _sampled_rows(
+        min(200, n_triples),
+        lambda: _elements(grp, rng, "gh", -3, 3),
+        {
+            "group: product respects the filtration": (
+                lambda g, h: weight(mul(g, h)) >= min(weight(g), weight(h))
+            ),
+            "group: commutator adds filtration weights": (
+                lambda g, h: weight(grp.commutator(g, h)) >= min(nclass + 1, weight(g) + weight(h))
+            ),
+        },
+    )
+    out += _sampled_rows(
+        n_pow,
+        lambda: {**_elements(grp, rng, "g"), **_elements(ring, rng, "ab")},
+        {
+            "group: powers additive in the exponent": lambda g, a, b: (
+                mul(pow_(g, a), pow_(g, b)) == pow_(g, a + b)
+                and pow_(g, 1) == g
+                and pow_(g, 0) == e
+            )
+        },
+    )
     return out
 
 
@@ -420,65 +398,69 @@ def _random_word(grp, rng, max_len=6):
     return letters
 
 
+def _collection_rows(grp, collector: Collector, rng: Random, n: int) -> list:
+    """Collection against series evaluation on n random words."""
+    return _sampled_rows(
+        n,
+        lambda: {"word": _random_word(grp, rng)},
+        {
+            "words: collection matches series evaluation": (
+                lambda word: collector.collect(word) == evaluate_word(grp, word)
+            )
+        },
+    )
+
+
 def words_suite(rank, nclass, ring: Ring, rng: Random, samples: int | None = None) -> list:
     n_words = _sample_count(samples, 500)
-    out = []
     grp = FreeNilpotentGroup(rank, nclass, ring)
     collector = Collector(grp, derive_structure_polys(rank, nclass))
 
-    out.append(
-        CheckResult("words: empty word collects to identity", collector.collect([]) == grp.identity())
-    )
+    empty = collector.collect([]) == grp.identity()
+    out = [CheckResult("words: empty word collects to identity", empty)]
 
-    ok = True
-    for _ in range(50):
+    def draw_sorted():
         flats = sorted(rng.sample(range(grp.dimension), rng.randint(1, grp.dimension)))
-        letters = [(grp.basis.pairs[f], ring.random_element(rng, -4, 4)) for f in flats]
+        return {"letters": [(grp.basis.pairs[f], ring.random_element(rng, -4, 4)) for f in flats]}
+
+    def collects_verbatim(letters):
         letters = normalize_word(grp, letters)
-        got = collector.collect(letters)
         coords = [ring.zero] * grp.dimension
         for pair, ex in letters:
             coords[grp.basis.flat(pair)] = ex
-        if got != grp.element(coords):
-            ok = False
-            break
-    out.append(CheckResult("words: sorted words collect verbatim", ok))
+        return collector.collect(letters) == grp.element(coords)
 
-    ok = True
-    detail = ""
-    for _ in range(n_words):
-        word = _random_word(grp, rng)
-        if collector.collect(word) != evaluate_word(grp, word):
-            ok = False
-            detail = f"word {word} disagrees"
-            break
-    out.append(CheckResult("words: collection matches series evaluation", ok, detail))
+    out += _sampled_rows(
+        50, draw_sorted, {"words: sorted words collect verbatim": collects_verbatim}
+    )
+    out += _collection_rows(grp, collector, rng, n_words)
+
+    def descends(xs):
+        taus = petresco_sequence(grp, xs, nclass)
+        return all(grp.gamma_weight(t) >= k for k, t in enumerate(taus, start=1))
 
     m = 2 if rank == 2 else 3
-    ok_gamma = ok_ident = True
-    for _ in range(5):
-        xs = [grp.random_element(rng, -4, 4) for _ in range(m)]
-        taus = petresco_sequence(grp, xs, nclass)
-        if any(grp.gamma_weight(t) < k for k, t in enumerate(taus, start=1)):
-            ok_gamma = False
-        if not all(petresco_identity_holds(grp, xs, n) for n in range(1, 7)):
-            ok_ident = False
-    out.append(CheckResult("words: power-product correction terms descend the filtration", ok_gamma))
-    out.append(CheckResult("words: power-product identity for n = 1..6", ok_ident))
+    out += _sampled_rows(
+        5,
+        lambda: {"xs": [grp.random_element(rng, -4, 4) for _ in range(m)]},
+        {
+            "words: power-product correction terms descend the filtration": descends,
+            "words: power-product identity for n = 1..6": lambda xs: all(
+                petresco_identity_holds(grp, xs, n) for n in range(1, 7)
+            ),
+        },
+    )
 
-    ok = True
-    for _ in range(10):
-        h = grp.random_element(rng, -3, 3)
-        g = grp.random_element(rng, -3, 3)
+    def commutator_powers(h, g):
         w = grp.mul(grp.mul(grp.inv(h), grp.inv(g)), h)
         taus = petresco_sequence(grp, (w, g), nclass)
-        if not all(
-            commutator_power_identity_holds(grp, h, g, a, taus=taus)
-            for a in range(-5, 6)
-        ):
-            ok = False
-            break
-    out.append(CheckResult("words: commutator-of-power identity for a = -5..5", ok))
+        return all(commutator_power_identity_holds(grp, h, g, a, taus=taus) for a in range(-5, 6))
+
+    out += _sampled_rows(
+        10,
+        lambda: _elements(grp, rng, "hg", -3, 3),
+        {"words: commutator-of-power identity for a = -5..5": commutator_powers},
+    )
     return out
 
 
@@ -516,50 +498,75 @@ def poly_suite(rank, nclass, rng: Random, samples: int | None = None) -> list:
         )
     )
 
-    ok_mul = ok_pow = True
-    for _ in range(n_points):
-        a = [rng.randint(-6, 6) for _ in range(n)]
-        b = [rng.randint(-6, 6) for _ in range(n)]
-        if cp.mul_coords(a, b, ZZ) != grp.mul_coords(a, b):
-            ok_mul = False
-            break
-        ex = rng.randint(-6, 6)
-        if cp.pow_coords(a, ex, ZZ) != grp.pow_coords(a, ex):
-            ok_pow = False
-            break
-    out.append(CheckResult("poly: product polynomials match the engine", ok_mul))
-    out.append(CheckResult("poly: power polynomials match the engine", ok_pow))
+    def point():
+        return [rng.randint(-6, 6) for _ in range(n)]
 
-    ok = True
-    for poly in list(cp.p)[: min(6, n)]:
-        table = to_binomial_basis(poly)
-        for _ in range(10):
-            point = [Fraction(rng.randint(-5, 5)) for _ in poly.vars]
-            if eval_binomial_form(table, point, QQ) != QQ.coerce(poly.evaluate(point)):
-                ok = False
-    out.append(CheckResult("poly: binomial form evaluates like the monomial form", ok))
+    out += _sampled_rows(
+        n_points,
+        lambda: {"a": point(), "b": point(), "ex": rng.randint(-6, 6)},
+        {
+            "poly: product polynomials match the engine": (
+                lambda a, b, ex: cp.mul_coords(a, b, ZZ) == grp.mul_coords(a, b)
+            ),
+            "poly: power polynomials match the engine": (
+                lambda a, b, ex: cp.pow_coords(a, ex, ZZ) == grp.pow_coords(a, ex)
+            ),
+        },
+    )
+
+    # ten points for each of the first six product coordinates, in order
+    polys = list(cp.p)[: min(6, n)]
+    tables = [to_binomial_basis(poly) for poly in polys]
+    coordinate = iter([f for f in range(len(polys)) for _ in range(10)])
+
+    def draw_point():
+        f = next(coordinate)
+        return {"f": f, "point": [Fraction(rng.randint(-5, 5)) for _ in polys[f].vars]}
+
+    out += _sampled_rows(
+        10 * len(polys),
+        draw_point,
+        {
+            "poly: binomial form evaluates like the monomial form": lambda f, point: (
+                eval_binomial_form(tables[f], point, QQ) == QQ.coerce(polys[f].evaluate(point))
+            )
+        },
+    )
 
     st = derive_structure_polys(rank, nclass)
-    ok_zero = ok_match = True
-    pairs = list(st.tables)
-    rng.shuffle(pairs)
-    for key in pairs[:6]:
-        high, low = key
-        if st.tail_letters(high, low, 0, rng.randint(-5, 5), ZZ):
-            ok_zero = False
-        for _ in range(25):
-            a = rng.randint(-4, 4)
-            b = rng.randint(-4, 4)
-            com = grp.commutator(
-                grp.pow(grp.basic(high), a), grp.pow(grp.basic(low), b)
-            )
-            coords = [ZZ.zero] * n
-            for pair, e in st.tail_letters(high, low, a, b, ZZ):
-                coords[grp.basis.flat(pair)] = e
-            if grp.element(coords) != com:
-                ok_match = False
-    out.append(CheckResult("poly: tails vanish at exponent zero", ok_zero))
-    out.append(CheckResult("poly: tail tables match engine commutators", ok_match))
+
+    def shuffled_tables():
+        keys = list(st.tables)
+        rng.shuffle(keys)
+        yield from keys[:6]
+
+    chosen = shuffled_tables()  # shuffles on the first draw
+
+    def draw_tail():
+        high, low = next(chosen)
+        b = rng.randint(-5, 5)
+        ab = [(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(25)]
+        return {"high": high, "low": low, "b": b, "ab": ab}
+
+    def tail_matches(high, low, a, b):
+        com = grp.commutator(grp.pow(grp.basic(high), a), grp.pow(grp.basic(low), b))
+        coords = [ZZ.zero] * n
+        for pair, e in st.tail_letters(high, low, a, b, ZZ):
+            coords[grp.basis.flat(pair)] = e
+        return grp.element(coords) == com
+
+    out += _sampled_rows(
+        min(6, len(st.tables)),
+        draw_tail,
+        {
+            "poly: tails vanish at exponent zero": (
+                lambda high, low, b, ab: not st.tail_letters(high, low, 0, b, ZZ)
+            ),
+            "poly: tail tables match engine commutators": (
+                lambda high, low, b, ab: all(tail_matches(high, low, a, bb) for a, bb in ab)
+            ),
+        },
+    )
 
     if (rank, nclass) in ((2, 2), (2, 3)):
         out.append(
@@ -576,6 +583,7 @@ def poly_suite(rank, nclass, rng: Random, samples: int | None = None) -> list:
 
 def deformation_suite(rank, nclass, rng: Random, samples: int | None = None) -> list:
     n_triples = _sample_count(samples, 1000)
+    n_coc = _sample_count(samples, 500)
     out = []
     base = FreeNilpotentGroup(rank, nclass, ZZ)
     n_c = base.basis.counts[-1]
@@ -605,41 +613,36 @@ def deformation_suite(rank, nclass, rng: Random, samples: int | None = None) -> 
 
     dgrp = DeformedGroup(base, family, check=False)
     names = ("deform: associativity", "deform: identity", "deform: inverse")
-    out.extend(_axiom_rows(dgrp, rng, n_triples, names))
+    out += _axiom_rows(dgrp, rng, n_triples, names)
 
     top = base.basis.weight_start(nclass)
-    out.append(
-        _all(
-            "deform: coordinates below the top weight are undeformed",
-            (
-                dgrp.mul(g, h).coords[:top]
-                == base.mul_coords(g.coords, h.coords)[:top]
-                for _ in range(200)
-                for g in (dgrp.random_element(rng),)
-                for h in (dgrp.random_element(rng),)
-            ),
-        )
+    out += _sampled_rows(
+        200,
+        lambda: _elements(dgrp, rng, "gh"),
+        {
+            "deform: coordinates below the top weight are undeformed": lambda g, h: (
+                dgrp.mul(g, h).coords[:top] == base.mul_coords(g.coords, h.coords)[:top]
+            )
+        },
     )
 
     zgrp = DeformedGroup(base, [zero_cocycle(n_c)] * rank, check=False)
-    out.append(
-        _all(
-            "deform: zero cocycles reproduce the base group exactly",
-            (
+    out += _sampled_rows(
+        100,
+        lambda: _elements(zgrp, rng, "gh"),
+        {
+            "deform: zero cocycles reproduce the base group exactly": lambda g, h: (
                 zgrp.mul(g, h).coords == base.mul_coords(g.coords, h.coords)
                 and zgrp.inv(g).coords == base.inv_coords(g.coords)
-                for _ in range(100)
-                for g in (zgrp.random_element(rng),)
-                for h in (zgrp.random_element(rng),)
-            ),
-        )
+            )
+        },
     )
 
     psi = coboundary_split_integers(f_ab)
     out.append(
-        _all(
+        CheckResult(
             "deform: the product cocycle splits as binom(a,2)",
-            (
+            all(
                 psi(a) == tuple(ZZ.binom(a, 2) if j == 0 else 0 for j in range(n_c))
                 for a in range(-15, 16)
             ),
@@ -655,28 +658,19 @@ def deformation_suite(rank, nclass, rng: Random, samples: int | None = None) -> 
         out.append(CheckResult("deform: splitting isomorphism verified", False, str(exc)))
 
     ext = assemble_extension_cocycle(dgrp)
-    n_coc = _sample_count(samples, 500)
-    out.append(
-        _all(
-            "deform: extension cocycle identity",
-            (
-                ext.cocycle_identity_holds(
-                    dgrp.random_element(rng).coords,
-                    dgrp.random_element(rng).coords,
-                    dgrp.random_element(rng).coords,
-                )
-                for _ in range(n_coc)
-            ),
-        )
+    out += _sampled_rows(
+        n_coc,
+        lambda: _elements(dgrp, rng, "ghk"),
+        {
+            "deform: extension cocycle identity": (
+                lambda g, h, k: ext.cocycle_identity_holds(g.coords, h.coords, k.coords)
+            )
+        },
     )
-    out.append(
-        _all(
-            "deform: extension cocycle normalized",
-            (
-                ext.is_normalized_at(dgrp.random_element(rng).coords)
-                for _ in range(50)
-            ),
-        )
+    out += _sampled_rows(
+        50,
+        lambda: _elements(dgrp, rng, "g"),
+        {"deform: extension cocycle normalized": lambda g: ext.is_normalized_at(g.coords)},
     )
     out.append(
         CheckResult(
@@ -792,57 +786,51 @@ def centralizer_structure_check(
 
     Verifies: built centralizer elements commute; every sampled element
     either fails to commute or decomposes exactly as u_1j^a * z with z in
-    the weight-class block; and the center is exactly that block.
+    the weight-class block; and the center is exactly that block. Each
+    check runs on `samples` samples, which must be at least 1.
     """
     rng = rng or Random(0)
     u = grp.generator(j)
     one = grp.identity()
-    n_c = grp.basis.counts[-1]
+    gens = grp.generators()
+    pow_ = grp.pow
     start_c = grp.basis.weight_start(grp.nclass)
-    report = {
-        "built_elements_commute": True,
-        "decomposition_exact": True,
-        "rejects_noncommuting": 0,
-        "center_is_weight_c_block": True,
-    }
+    report = {"rejects_noncommuting": 0}
 
-    for _ in range(samples):
-        a = grp.ring.random_element(rng)
+    def central():
         z = [grp.ring.zero] * grp.dimension
-        for s in range(n_c):
-            z[start_c + s] = grp.ring.random_element(rng)
-        x = grp.mul(grp.pow(u, a), grp.element(z))
-        if grp.commutator(x, u) != one:
-            report["built_elements_commute"] = False
+        for s in range(start_c, grp.dimension):
+            z[s] = grp.ring.random_element(rng)
+        return grp.element(z)
 
-    for _ in range(samples):
-        x = grp.random_element(rng)
+    def decomposes(x):
         if grp.commutator(x, u) != one:
             report["rejects_noncommuting"] += 1
-            continue
+            return True
         a = x.coords[grp.basis.flat((1, j))]
-        z = grp.mul(grp.pow(u, -a), x)
-        if not grp.is_central(z) or grp.mul(grp.pow(u, a), z) != x:
-            report["decomposition_exact"] = False
+        z = grp.mul(pow_(u, -a), x)
+        return grp.is_central(z) and grp.mul(pow_(u, a), z) == x
 
-    gens = grp.generators()
-    for _ in range(samples):
-        z = [grp.ring.zero] * grp.dimension
-        for s in range(n_c):
-            z[start_c + s] = grp.ring.random_element(rng)
-        zc = grp.element(z)
-        if any(grp.commutator(zc, g) != one for g in gens):
-            report["center_is_weight_c_block"] = False
-        x = grp.random_element(rng)
-        if not grp.is_central(x):
-            if all(grp.commutator(x, g) == one for g in gens):
-                report["center_is_weight_c_block"] = False
+    def center_is_block(z, x):
+        commutes = all(grp.commutator(z, g) == one for g in gens)
+        return commutes and (grp.is_central(x) or any(grp.commutator(x, g) != one for g in gens))
 
-    report["ok"] = (
-        report["built_elements_commute"]
-        and report["decomposition_exact"]
-        and report["center_is_weight_c_block"]
+    rows = _sampled_rows(
+        samples,
+        lambda: {**_elements(grp.ring, rng, "a"), "z": central()},
+        {"built_elements_commute": lambda a, z: grp.commutator(grp.mul(pow_(u, a), z), u) == one},
     )
+    rows += _sampled_rows(
+        samples, lambda: _elements(grp, rng, "x"), {"decomposition_exact": decomposes}
+    )
+    rows += _sampled_rows(
+        samples,
+        lambda: {"z": central(), **_elements(grp, rng, "x")},
+        {"center_is_weight_c_block": center_is_block},
+    )
+    for row in rows:
+        report[row.name] = row.ok
+    report["ok"] = all(row.ok for row in rows)
     return report
 
 

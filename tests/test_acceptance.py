@@ -31,11 +31,10 @@ from hallforge.lie import (
 )
 from hallforge.oracles import Ut3Oracle
 from hallforge.rings import ZZ, PolyRing
-from hallforge.verify import centralizer_structure_check
+from hallforge.verify import _axiom_rows, _collection_rows, centralizer_structure_check
 from hallforge.words import (
     Collector,
     commutator_power_identity_holds,
-    evaluate_word,
     petresco_identity_holds,
     petresco_sequence,
 )
@@ -43,22 +42,19 @@ from hallforge.words import (
 AXIOM_CONFIGS = ((2, 2), (2, 3), (3, 2), (2, 4), (2, 5))
 POLY_CONFIGS = ((2, 2), (2, 3), (3, 2), (2, 4))
 SMALL_CONFIGS = ((2, 2), (2, 3), (3, 2))
+AXIOMS = ("associativity", "two-sided identity", "two-sided inverse")
+
+
+def assert_rows_pass(rows):
+    failing = [row for row in rows if not row.ok]
+    assert not failing, failing
 
 
 def test_criterion_1_group_axiom_suite_five_configs():
     rng = Random(101)
     started = time.monotonic()
     for rank, nclass in AXIOM_CONFIGS:
-        grp = FreeNilpotentGroup(rank, nclass)
-        e = grp.identity()
-        for _ in range(1000):
-            g = grp.random_element(rng, -9, 9)
-            h = grp.random_element(rng, -9, 9)
-            k = grp.random_element(rng, -9, 9)
-            assert grp.mul(grp.mul(g, h), k) == grp.mul(g, grp.mul(h, k))
-            assert grp.mul(g, e) == g and grp.mul(e, g) == g
-            gi = grp.inv(g)
-            assert grp.mul(g, gi) == e and grp.mul(gi, g) == e
+        assert_rows_pass(_axiom_rows(FreeNilpotentGroup(rank, nclass), rng, 1000, AXIOMS))
     elapsed = time.monotonic() - started
     assert elapsed < 300.0, f"axiom sweep took {elapsed:.1f}s"
     print(f"ACCEPTANCE 1 PASS group axioms, 5 configurations, {elapsed:.1f}s")
@@ -83,12 +79,7 @@ def test_criterion_3_collection_matches_series_and_polynomials():
     for rank, nclass in AXIOM_CONFIGS:
         grp = FreeNilpotentGroup(rank, nclass)
         collector = Collector(grp, derive_structure_polys(rank, nclass))
-        for _ in range(500):
-            word = [
-                (grp.basis.pairs[rng.randrange(grp.dimension)], rng.randint(-4, 4))
-                for _ in range(rng.randint(0, 6))
-            ]
-            assert collector.collect(word) == evaluate_word(grp, word)
+        assert_rows_pass(_collection_rows(grp, collector, rng, 500))
     for rank, nclass in POLY_CONFIGS:
         cp = derive_hall_polynomials(rank, nclass)
         grp = FreeNilpotentGroup(rank, nclass)
@@ -172,15 +163,7 @@ def test_criterion_8_abelian_deformation_suite():
             zero_cocycle(n_c) for _ in range(rank - 1)
         ]
         dgrp = DeformedGroup(base, family)
-        e = dgrp.identity()
-        for _ in range(1000):
-            g = dgrp.random_element(rng, -9, 9)
-            h = dgrp.random_element(rng, -9, 9)
-            k = dgrp.random_element(rng, -9, 9)
-            assert dgrp.mul(dgrp.mul(g, h), k) == dgrp.mul(g, dgrp.mul(h, k))
-            assert dgrp.mul(g, e) == g and dgrp.mul(e, g) == g
-            gi = dgrp.inv(g)
-            assert dgrp.mul(g, gi) == e and dgrp.mul(gi, g) == e
+        assert_rows_pass(_axiom_rows(dgrp, rng, 1000, AXIOMS))
 
         splittings = [coboundary_split_integers(f) for f in family]
         # the first splitting equals binom(a,2) up to an additive homomorphism

@@ -116,6 +116,40 @@ def test_malformed_json_exits_two(capsys):
     assert code == 2
 
 
+ZERO = '{"r":2,"c":2,"coords":["0","0","0"]}'
+
+
+@pytest.mark.parametrize(
+    "argv, cocycle",
+    [
+        (["collect", '[{"idx":[1,1],"exp":"1"}]'], None),
+        (["collect", "[[1,1]]"], None),
+        (["collect", '[{"index":[1],"exp":"1"}]'], None),
+        (["collect", '[{"index":["1","1"],"exp":"1"}]'], None),
+        (["collect", '[{"index":[1,1],"exp":1}]'], None),
+        (["mul", '{"r":2,"c":2,"coords":[[1],"0","0"]}', ZERO], None),
+        (["mul", "[1]", "[2]"], None),
+        (["deform", "check"], {"r": 2, "c": 2, "cocycles": [[[{"deg": [1, 1], "coeff": "1"}]], [[]]]}),
+        (["deform", "check"], {"r": 2, "c": 2, "cocycles": [[[{"degrees": [1, 1], "coeff": "x"}]], [[]]]}),
+        (["deform", "check"], {"r": 2, "c": 2, "cocycles": [[{}], [[]]]}),
+        (["deform", "check"], [1]),
+    ],
+    ids=[
+        "letter-key", "letter-list", "short-index", "string-index", "number-exp",
+        "nested-coord", "element-list", "term-key", "term-coeff", "component-object", "file-list",
+    ],
+)
+def test_malformed_json_fields_exit_two(tmp_path, capsys, argv, cocycle):
+    command, *rest = argv
+    if cocycle is not None:
+        path = tmp_path / "cocycle.json"
+        path.write_text(json.dumps(cocycle), encoding="utf-8")
+        rest = ["--cocycle", str(path), *rest]
+    code, out, err = run_cli(capsys, command, "--rank", "2", "--class", "2", *rest)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_hallpoly_output_parses(capsys):
     code, out, _ = run_cli(capsys, "hallpoly", "--rank", "2", "--class", "2")
     assert code == 0

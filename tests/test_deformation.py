@@ -67,6 +67,28 @@ def test_sampled_cocycle_check():
     assert not check_cocycle(g, ZZ, budget=100, rng=Random(82)).ok
 
 
+@pytest.mark.parametrize("budget", [0, -2])
+def test_sampled_cocycle_check_refuses_an_empty_budget(budget):
+    g = SampledCocycle(lambda a, b: (a * b * b,), 1)
+    with pytest.raises(HallforgeError, match="budget"):
+        check_cocycle(g, budget=budget)
+    # polynomial cocycles are checked symbolically and draw nothing
+    assert check_cocycle(product_cocycle(1, 0), budget=0).ok
+
+
+def _non_cocycle_deformation():
+    # f(a, b) = a * binom(b, 2) is normalized but fails the cocycle identity
+    bad = PolynomialCocycle.from_tables([{(1, 2): 1}])
+    return DeformedGroup(FreeNilpotentGroup(2, 2), [bad, zero_cocycle(1)], check=False)
+
+
+@pytest.mark.parametrize("check_range", [-1, -5])
+def test_splitting_refuses_a_negative_check_range(check_range):
+    bad = _non_cocycle_deformation().cocycles[0]
+    with pytest.raises(HallforgeError, match="check_range"):
+        coboundary_split_integers(bad, check_range=check_range)
+
+
 def test_deformed_group_validates_cocycles():
     base = FreeNilpotentGroup(2, 2)
     bad = PolynomialCocycle.from_tables([{(2, 1): 1}])
@@ -209,6 +231,19 @@ def test_extension_cocycle_properties():
         assert ext.cocycle_identity_holds(a, b, c)
         assert ext.is_normalized_at(a)
     assert ext.matches_deformed_mul(rng, samples=60)
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_extension_match_refuses_non_positive_samples(samples):
+    ext = assemble_extension_cocycle(_non_cocycle_deformation())
+    with pytest.raises(HallforgeError, match="samples"):
+        ext.matches_deformed_mul(Random(0), samples=samples)
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_centralizer_extension_check_refuses_non_positive_samples(samples):
+    with pytest.raises(HallforgeError, match="samples"):
+        centralizer_extension_check(_non_cocycle_deformation(), 1, Random(0), samples=samples)
 
 
 def test_centralizer_extension_reports():

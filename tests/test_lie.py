@@ -4,6 +4,7 @@ The differential tests at the end compare the sparse contraction and the
 kernels built from it with the dense reference loops in lie_oracle.py.
 """
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,7 @@ from lie_oracle import (
     vectors,
 )
 
-from hallforge.errors import ShapeMismatchError
+from hallforge.errors import ScaleLimitError, ShapeMismatchError
 from hallforge.lie import (
     EndoPair,
     GradedLieRing,
@@ -182,6 +183,28 @@ def test_width_probe_refuses_a_target_of_the_wrong_length():
     bil = bilinear_from_lie(free_nilpotent_lie(2, 2))
     with pytest.raises(ShapeMismatchError):
         width_probe(bil, [Fraction(1), Fraction(0)], 1)
+
+
+@pytest.mark.parametrize("rank,nclass", [(4, 3), (3, 4)])
+def test_width_probe_finds_a_bracket_value_in_a_huge_box_at_once(rank, nclass):
+    # the verify lie row's target, f(e_a, e_b) for the first nonzero tensor
+    # entry; the bound-2 box has about 1e7 vectors at (4,3) and 6e9 at (3,4)
+    bil = bilinear_from_lie(free_nilpotent_lie(rank, nclass))
+    targets = next(t for _, t in sorted(bil.tensor.items()) if t)
+    u = [targets.get(t, Fraction(0)) for t in range(bil.codomain_dim)]
+    started = time.monotonic()
+    assert width_probe(bil, u, 1)
+    assert time.monotonic() - started < 1.0
+
+
+def test_width_probe_refuses_a_search_past_its_limit():
+    # at (4,2), f is the wedge product Z^4 x Z^4 -> Λ²Z^4 and the all-ones
+    # target has a nonzero Pfaffian, so it is not a single bracket value
+    bil = bilinear_from_lie(free_nilpotent_lie(4, 2))
+    u = [Fraction(1)] * bil.codomain_dim
+    assert not width_probe(bil, u, 1)  # the bound-2 box: 624 candidates
+    with pytest.raises(ScaleLimitError, match="2400 nonzero vectors"):
+        width_probe(bil, u, 1, bound=3)
 
 
 def test_width_probe_widens():

@@ -1,5 +1,6 @@
 """Tests for the aggregated property-check runner."""
 
+import hashlib
 import os
 import re
 import subprocess
@@ -11,11 +12,13 @@ import pytest
 from lie_oracle import sign_flipped
 
 from hallforge import verify
-from hallforge.deformation import DeformedGroup, PolynomialCocycle, zero_cocycle
+from hallforge.cli import main
+from hallforge.deformation import DeformedGroup, ExtensionCocycle, PolynomialCocycle, zero_cocycle
 from hallforge.errors import HallforgeError
 from hallforge.group import FreeNilpotentGroup
 from hallforge.lie import free_nilpotent_lie
-from hallforge.rings import QQ, ZZ
+from hallforge.rings import QQ, ZZ, IntegerRing, eval_binomial_form
+from hallforge.series import series_pow
 from hallforge.verify import (
     CheckResult,
     _axiom_rows,
@@ -64,6 +67,12 @@ def test_suites_reject_non_positive_samples(suite, samples):
         suite(Random(0), samples)
 
 
+@pytest.mark.parametrize("samples", [0, -5])
+def test_centralizer_structure_check_refuses_non_positive_samples(samples):
+    with pytest.raises(HallforgeError, match="samples"):
+        verify.centralizer_structure_check(FreeNilpotentGroup(2, 2), 1, Random(0), samples=samples)
+
+
 def test_run_all_rational_ring_skips_integer_only_suites():
     results = run_all(2, 2, QQ, seed=4, samples=20)
     assert all(r.ok for r in results)
@@ -107,6 +116,67 @@ def test_axiom_rows_name_the_first_counterexample():
     assert dgrp.mul(dgrp.mul(g, h), k) != dgrp.mul(g, dgrp.mul(h, k))
 
 
+def _off_by_one(f):
+    return lambda *args: f(*args) + 1
+
+
+# one sampled row per suite, broken through the library call its law makes
+BROKEN_ROWS = [
+    (
+        lambda rng: ring_suite(rng, 3),
+        lambda mp: mp.setattr(IntegerRing, "binom", _off_by_one(IntegerRing.binom)),
+        "ring: polynomial binom specializes to integer binom",
+        r"a=-?\d+, k=\d+",
+    ),
+    (
+        lambda rng: series_suite(2, 3, ZZ, rng, 3),
+        lambda mp: mp.setattr(verify, "series_pow", lambda s, a, ring: series_pow(s, a + 1, ring)),
+        "series: power additive in the exponent",
+        r"s=Series\(.*\), a=-?\d+, b=-?\d+",
+    ),
+    (
+        lambda rng: group_suite(2, 3, ZZ, rng, 3),
+        lambda mp: mp.setattr(
+            FreeNilpotentGroup,
+            "weight_block_coords",
+            lambda self, g, i: tuple(c * c for c in g.coords[: self.rank]),
+        ),
+        "group: weight-1 coordinates add",
+        r"g=\(-?\d+(, -?\d+){4}\), h=\(-?\d+(, -?\d+){4}\)",
+    ),
+    (
+        lambda rng: words_suite(2, 3, ZZ, rng, 3),
+        lambda mp: mp.setattr(verify, "evaluate_word", lambda grp, word: grp.identity()),
+        "words: collection matches series evaluation",
+        r"word=\[\(\(\d, \d\), -?\d\)(, \(\(\d, \d\), -?\d\))*\]",
+    ),
+    (
+        lambda rng: poly_suite(2, 3, rng, 3),
+        lambda mp: mp.setattr(verify, "eval_binomial_form", _off_by_one(eval_binomial_form)),
+        "poly: binomial form evaluates like the monomial form",
+        r"f=0, point=\[-?\d(, -?\d)*\]",
+    ),
+    (
+        lambda rng: deformation_suite(2, 3, rng, 3),
+        lambda mp: mp.setattr(ExtensionCocycle, "cocycle_identity_holds", lambda self, *coords: False),
+        "deform: extension cocycle identity",
+        r"g=\(.*\), h=\(.*\), k=\(.*\)",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "suite, breaks, name, shown",
+    BROKEN_ROWS,
+    ids=["ring", "series", "group", "words", "poly", "deformation"],
+)
+def test_failing_sampled_rows_name_their_first_counterexample(monkeypatch, suite, breaks, name, shown):
+    breaks(monkeypatch)
+    row = {r.name: r for r in suite(Random(0))}[name]
+    assert not row.ok
+    assert re.fullmatch(f"first counterexample: {shown}", row.detail), row.detail
+
+
 def test_lie_suite_names_the_first_differing_constant(monkeypatch):
     flipped = sign_flipped(free_nilpotent_lie(2, 2), [1, 1, -1])
     monkeypatch.setattr(verify, "lazard_lie_ring", lambda rank, nclass: flipped)
@@ -129,3 +199,42 @@ def test_package_import_leaves_verify_unloaded():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+# Each suite at (2,3) over ZZ with samples=5 on one shared Random(0); the
+# value after each suite is a SHA-256 prefix of repr(rng.getstate()), so a
+# suite that draws one value more or less than before moves every later pin.
+RNG_STATE_PINS = (
+    ("ring", lambda rng: ring_suite(rng, 5), "6f9dd5cb795b87ee"),
+    ("series", lambda rng: series_suite(2, 3, ZZ, rng, 5), "88b33efd464dd9b7"),
+    ("group", lambda rng: group_suite(2, 3, ZZ, rng, 5), "93d820f05362e19a"),
+    ("words", lambda rng: words_suite(2, 3, ZZ, rng, 5), "b67084bcf06b01eb"),
+    ("poly", lambda rng: poly_suite(2, 3, rng, 5), "d743fa6d8367a3f2"),
+    ("deformation", lambda rng: deformation_suite(2, 3, rng, 5), "bed72de1132f1bfd"),
+    ("centralizer", lambda rng: centralizer_suite(2, 3, ZZ, rng, 5), "fce09167e505e88f"),
+)
+
+
+def test_suites_draw_pinned_amounts_of_randomness():
+    rng = Random(0)
+    for name, suite, pinned in RNG_STATE_PINS:
+        rows = suite(rng)
+        assert all(r.ok for r in rows), name
+        state = hashlib.sha256(repr(rng.getstate()).encode()).hexdigest()[:16]
+        assert state == pinned, name
+
+
+@pytest.mark.parametrize(
+    "args, pinned",
+    [
+        ("--rank 2 --class 2 --seed 0", "ccf4baaf085f63f71429e0da665fd80dc25b901d7c12338e207891ec56222754"),
+        ("--rank 2 --class 3 --seed 0 --samples 5", "0894a2feb8c28edaf18ef1b5938c61228e76705b281d6bc3886998bfc18fbd19"),
+        ("--rank 2 --class 3 --seed 7 --samples 5", "2e5bc5c8d674a817411d84b7e5543f9ea84fc40904a065327f2752a66ac52f9c"),
+        ("--rank 3 --class 2 --seed 0 --samples 5", "bd85345f6264b8bad42b318b26fd1c08cc4463959e78505f392c4935d1e05a82"),
+        ("--rank 3 --class 2 --seed 7 --ring q --samples 5", "11841ddef0063fb258afae28f7ed54cd06f8d51b2edec6dbdcb2c187b64938de"),
+        ("--rank 2 --class 4 --seed 0 --samples 5", "fe22591626b46667e9d8f0de882a79ea5ae47b62f44245b3681645c6e3c9907c"),
+    ],
+)
+def test_verify_json_digest_pinned(capsys, args, pinned):
+    assert main(["verify", *args.split(), "--json"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == pinned
