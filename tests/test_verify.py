@@ -215,13 +215,33 @@ RNG_STATE_PINS = (
 )
 
 
-def test_suites_draw_pinned_amounts_of_randomness():
+# The same at (2,2) with the default counts: the work a plain `verify` does.
+DEFAULT_RNG_STATE_PINS = (
+    ("ring", lambda rng: ring_suite(rng), "8c24df15ab541cc5"),
+    ("series", lambda rng: series_suite(2, 2, ZZ, rng), "bf588e5baa5252f3"),
+    ("group", lambda rng: group_suite(2, 2, ZZ, rng), "240e8eddc71c6ae4"),
+    ("words", lambda rng: words_suite(2, 2, ZZ, rng), "2b83758f338749d8"),
+    ("poly", lambda rng: poly_suite(2, 2, rng), "cbcbed04f15111d9"),
+    ("deformation", lambda rng: deformation_suite(2, 2, rng), "5567fa7e8548b41d"),
+    ("centralizer", lambda rng: centralizer_suite(2, 2, ZZ, rng), "e61ce358af6b96c7"),
+)
+
+
+def _assert_rng_states(pins):
     rng = Random(0)
-    for name, suite, pinned in RNG_STATE_PINS:
+    for name, suite, pinned in pins:
         rows = suite(rng)
         assert all(r.ok for r in rows), name
         state = hashlib.sha256(repr(rng.getstate()).encode()).hexdigest()[:16]
         assert state == pinned, name
+
+
+def test_suites_draw_pinned_amounts_of_randomness():
+    _assert_rng_states(RNG_STATE_PINS)
+
+
+def test_default_counts_draw_pinned_amounts_of_randomness():
+    _assert_rng_states(DEFAULT_RNG_STATE_PINS)
 
 
 @pytest.mark.parametrize(
