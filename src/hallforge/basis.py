@@ -121,12 +121,10 @@ class HallBasis:
 
 
 @lru_cache(maxsize=None)
-def hall_basis(rank: int, nclass: int, allow_rank_one: bool = False) -> HallBasis:
+def hall_basis(rank: int, nclass: int) -> HallBasis:
     """Build the Hall basis for the given rank and nilpotency class."""
-    if rank < 1 or (rank < 2 and not allow_rank_one):
-        raise BadRankError(
-            f"rank {rank} needs at least 2 generators (pass allow_rank_one for 1)"
-        )
+    if rank < 2:
+        raise BadRankError(f"rank {rank} needs at least 2 generators")
     if nclass < 1:
         raise OutOfClassError(f"nilpotency class {nclass} must be at least 1")
 

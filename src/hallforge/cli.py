@@ -261,7 +261,7 @@ def _cmd_deform(args) -> int:
         "verified_samples": args.samples,
         "isomorphism": "subtract the splitting of each cocycle on the top block",
         "extension_matches_product": ext.matches_deformed_mul(
-            Random(args.seed + 1), samples=100
+            Random(args.seed + 1), samples=min(args.samples, 100)
         ),
     }
     lines = [
@@ -434,7 +434,7 @@ def build_parser() -> _Parser:
         "--samples",
         type=int,
         default=None,
-        help="override the per-check sample counts",
+        help="cap every sampled check at this many samples",
     )
     sub.set_defaults(run=_cmd_verify)
     return parser

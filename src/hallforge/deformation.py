@@ -162,7 +162,7 @@ class DeformedGroup(CoordinateGroup):
     image and no general ring power.
     """
 
-    def __init__(self, base: FreeNilpotentGroup, cocycles, check=True, budget=200, rng=None):
+    def __init__(self, base: FreeNilpotentGroup, cocycles, check=True):
         cocycles = tuple(cocycles)
         if len(cocycles) != base.rank:
             raise ShapeMismatchError(
@@ -176,7 +176,7 @@ class DeformedGroup(CoordinateGroup):
                     f"the weight-{base.nclass} block has {n_c}"
                 )
             if check:
-                report = check_cocycle(f, base.ring, budget=budget, rng=rng)
+                report = check_cocycle(f, base.ring)
                 if not report.ok:
                     raise CocycleViolationError(
                         f"cocycle {k + 1}: " + "; ".join(report.failures)
@@ -248,9 +248,12 @@ class DeformedGroup(CoordinateGroup):
         return acc
 
 
-def coboundary_split_integers(cocycle, check_range: int = 12) -> "IntegerSplitting":
+def coboundary_split_integers(cocycle) -> "IntegerSplitting":
     """Split an integer cocycle as f(a,b) = psi(a+b) - psi(a) - psi(b)."""
-    return IntegerSplitting(cocycle, check_range=check_range)
+    return IntegerSplitting(cocycle)
+
+
+_SPLIT_BOX = range(-12, 13)  # IntegerSplitting checks every pair (a, b) from this box
 
 
 class IntegerSplitting:
@@ -258,20 +261,18 @@ class IntegerSplitting:
 
     psi(0) = 0, psi(n+1) = psi(n) + f(n, 1), psi(n-1) = psi(n) - f(n-1, 1).
     The coboundary equation for all integers follows from the cocycle
-    identity by induction; the constructor still verifies it on a box of
-    pairs and raises if the input was not actually a cocycle.
+    identity by induction; the constructor still verifies it on every pair
+    from _SPLIT_BOX and raises if the input was not actually a cocycle.
     """
 
-    def __init__(self, cocycle, check_range: int = 12):
-        if check_range < 0:
-            raise HallforgeError(f"check_range must be at least 0, got {check_range}")
+    def __init__(self, cocycle):
         self.cocycle = cocycle
         self.width = cocycle.n_components
         self._vals = {0: (0,) * self.width}
         self._hi = 0
         self._lo = 0
-        for a in range(-check_range, check_range + 1):
-            for b in range(-check_range, check_range + 1):
+        for a in _SPLIT_BOX:
+            for b in _SPLIT_BOX:
                 got = self._f(a, b)
                 want = tuple(
                     s - p - q for s, p, q in zip(self(a + b), self(a), self(b))
@@ -342,11 +343,10 @@ class SplittingIsomorphism:
         self.base._own(g)
         return self.deformed.element(self._shift(g.coords, +1))
 
-    def verify(self, rng: Random | None = None, samples: int = 200) -> bool:
+    def verify(self, rng: Random, samples: int) -> bool:
         """Homomorphism and two-sided round trips on random samples (at least 1)."""
         if samples < 1:
             raise HallforgeError(f"samples must be at least 1, got {samples}")
-        rng = rng or Random(0)
         for _ in range(samples):
             g = self.deformed.random_element(rng)
             h = self.deformed.random_element(rng)
@@ -428,11 +428,10 @@ class ExtensionCocycle:
         ]
         return self.deformed.element(tuple(lower) + tuple(top))
 
-    def matches_deformed_mul(self, rng: Random | None = None, samples: int = 100) -> bool:
+    def matches_deformed_mul(self, rng: Random, samples: int) -> bool:
         """Extension build against the deformed product on random pairs (at least 1)."""
         if samples < 1:
             raise HallforgeError(f"samples must be at least 1, got {samples}")
-        rng = rng or Random(0)
         for _ in range(samples):
             g = self.deformed.random_element(rng)
             h = self.deformed.random_element(rng)
@@ -441,9 +440,7 @@ class ExtensionCocycle:
         return True
 
 
-def centralizer_extension_check(
-    deformed: DeformedGroup, j: int, rng: Random | None = None, samples: int = 60
-) -> dict:
+def centralizer_extension_check(deformed: DeformedGroup, j: int, rng: Random, samples: int) -> dict:
     """The centralizer of generator j in a deformed group over Z.
 
     Its elements are u_1j^a times a central element; the subgroup is abelian,
@@ -453,7 +450,6 @@ def centralizer_extension_check(
     """
     if samples < 1:
         raise HallforgeError(f"samples must be at least 1, got {samples}")
-    rng = rng or Random(0)
     grp = deformed
     flat = grp.basis.flat((1, j))
     top = grp._top

@@ -30,7 +30,7 @@ class NotGroupLikeError(HallforgeError):
 
 
 class BadRankError(HallforgeError):
-    """Rank below 2 requires the explicit allow_rank_one flag."""
+    """Rank below 2: a free nilpotent group here has at least 2 generators."""
 
 
 class ScaleLimitError(HallforgeError):

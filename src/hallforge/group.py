@@ -77,10 +77,10 @@ def check_engine_scale(rank: int, nclass: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def _engine_tables(rank: int, nclass: int, allow_rank_one: bool = False) -> _EngineTables:
+def _engine_tables(rank: int, nclass: int) -> _EngineTables:
     check_engine_scale(rank, nclass)
     # ring-independent: image coefficients are integers, valid in every ring
-    basis = hall_basis(rank, nclass, allow_rank_one)
+    basis = hall_basis(rank, nclass)
     images = tuple(basis.embedding_image(e) for e in basis.entries)
     augs = tuple(augmentation_powers(img) for img in images)
 
@@ -166,8 +166,8 @@ class CoordinateGroup:
 class FreeNilpotentGroup(CoordinateGroup):
     """N(rank, class) over a binomial ring, with exact Hall-coordinate arithmetic."""
 
-    def __init__(self, rank: int, nclass: int, ring: Ring = ZZ, allow_rank_one=False):
-        self._tables = _engine_tables(rank, nclass, allow_rank_one)
+    def __init__(self, rank: int, nclass: int, ring: Ring = ZZ):
+        self._tables = _engine_tables(rank, nclass)
         self.rank = rank
         self.nclass = nclass
         self.ring = ring

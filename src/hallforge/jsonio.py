@@ -77,7 +77,7 @@ def basis_to_obj(basis: HallBasis) -> dict:
 
 def basis_from_obj(obj: dict) -> HallBasis:
     """Parse by rebuilding: the object must match the canonical basis."""
-    basis = hall_basis(int(obj["r"]), int(obj["c"]))
+    basis = hall_basis(*(_field(obj, key, int, "a basis object") for key in ("r", "c")))
     if basis_to_obj(basis) != obj:
         raise ShapeMismatchError("basis object does not match the Hall convention")
     return basis
@@ -218,9 +218,17 @@ def lie_to_obj(L: GradedLieRing) -> dict:
 def lie_from_obj(obj: dict) -> GradedLieRing:
     from fractions import Fraction
 
+    dims = _field(obj, "dims", list, "a Lie ring object")
+    if not all(isinstance(n, int) for n in dims):
+        raise ShapeMismatchError("Lie ring dimensions are written as integers")
     table = {}
-    for row in obj["table"]:
-        table[(int(row["left"]), int(row["right"]))] = {
-            int(t["index"]): Fraction(t["coeff"]) for t in row["targets"]
-        }
-    return GradedLieRing(obj["dims"], table, label=obj.get("label", ""))
+    for row in _field(obj, "table", list, "a Lie ring object"):
+        pair = tuple(_field(row, side, int, "a Lie table row") for side in ("left", "right"))
+        table[pair] = {}
+        for t in _field(row, "targets", list, "a Lie table row"):
+            coeff = _field(t, "coeff", (str, int), "a Lie table target")
+            try:
+                table[pair][_field(t, "index", int, "a Lie table target")] = Fraction(coeff)
+            except (ValueError, ZeroDivisionError):
+                raise ShapeMismatchError(f"Lie coefficient {coeff!r} is not a rational") from None
+    return GradedLieRing(dims, table, label=_field(obj, "label", str, "a Lie ring object"))

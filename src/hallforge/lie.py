@@ -30,7 +30,6 @@ from itertools import combinations, count, product
 from . import linalg
 from .errors import ScaleLimitError, ShapeMismatchError
 from .group import FreeNilpotentGroup, _engine_tables
-from .rings import ZZ, Ring
 
 
 def _sparse(vec) -> dict:
@@ -166,9 +165,9 @@ class GradedLieRing:
 
 
 @lru_cache(maxsize=None)
-def lazard_lie_ring(rank: int, nclass: int, ring: Ring = ZZ) -> GradedLieRing:
+def lazard_lie_ring(rank: int, nclass: int) -> GradedLieRing:
     """Structure constants from leading coordinates of group commutators."""
-    grp = FreeNilpotentGroup(rank, nclass, ring)
+    grp = FreeNilpotentGroup(rank, nclass)
     basis = grp.basis
     table = {}
     for a, ea in enumerate(basis.entries):

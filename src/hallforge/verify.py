@@ -2,9 +2,9 @@
 
 Each suite samples with a caller-provided PRNG and returns CheckResult
 rows; run_all stitches the full table for one (rank, class, ring)
-configuration. Sample counts default to the documented values and can be
-overridden wholesale for quick runs. Everything is exact: a check either
-holds on every sample or the row is marked failed.
+configuration. Every sample count is `_sample_count(samples, default)`: the
+documented default, capped at samples, so an override only shrinks a check.
+Everything is exact: a check holds on every sample or the row fails.
 
 Every sampled row goes through one sampler, `_sampled_rows`, under three
 rules. The draws come first: a draw() callable makes every rng call for
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, count
 from random import Random
 
 from . import linalg
@@ -77,15 +77,15 @@ class CheckResult:
 
 
 def _sample_count(samples: int | None, default: int) -> int:
-    """The per-check sample count: default unless overridden; overrides below 1 are refused.
+    """The count for one sampled check: default, capped at samples; samples below 1 are refused.
 
-    Every suite calls this before any work, so no check can pass on zero samples.
+    Every sampled count goes through this, so no check can pass on zero samples.
     """
     if samples is None:
         return default
     if samples < 1:
         raise HallforgeError(f"samples must be at least 1, got {samples}")
-    return samples
+    return min(samples, default)
 
 
 def _show(value) -> str:
@@ -153,9 +153,6 @@ def _axiom_rows(grp, rng: Random, n: int, names) -> list:
 
 
 def ring_suite(rng: Random, samples: int | None = None) -> list:
-    n_spec = _sample_count(samples, 1000)
-    n_pascal = _sample_count(samples, 500)
-    n_vdm = _sample_count(samples, 200)
     out = []
     rings = [ZZ, QQ, PolyRing(("x",))]
 
@@ -172,7 +169,7 @@ def ring_suite(rng: Random, samples: int | None = None) -> list:
             CheckResult(f"{name}: binom(5,2) = 10", binom(ring.from_int(5), 2) == ring.from_int(10))
         )
         out += _sampled_rows(
-            20,
+            _sample_count(samples, 20),
             lambda: _elements(ring, rng, "a"),
             {f"{name}: binom(a,0) = 1": lambda a: binom(a, 0) == one},
         )
@@ -183,7 +180,7 @@ def ring_suite(rng: Random, samples: int | None = None) -> list:
             )
         )
         out += _sampled_rows(
-            n_pascal,
+            _sample_count(samples, 500),
             lambda: {**_elements(ring, rng, "a"), "k": rng.randint(0, 8)},
             {
                 f"{name}: Pascal identity": (
@@ -192,7 +189,7 @@ def ring_suite(rng: Random, samples: int | None = None) -> list:
             },
         )
         out += _sampled_rows(
-            n_vdm,
+            _sample_count(samples, 200),
             lambda: {**_elements(ring, rng, "ab"), "k": rng.randint(0, 6)},
             {
                 f"{name}: Vandermonde identity": lambda a, b, k: binom(a + b, k) == sum(
@@ -210,7 +207,7 @@ def ring_suite(rng: Random, samples: int | None = None) -> list:
         )
     )
     out += _sampled_rows(
-        n_spec,
+        _sample_count(samples, 1000),
         lambda: {"a": rng.randint(-30, 30), "k": rng.randint(0, 10)},
         {
             "ring: polynomial binom specializes to integer binom": (
@@ -240,8 +237,6 @@ def _random_group_like(rank, nclass, ring, rng) -> TruncatedSeries:
 
 
 def series_suite(rank, nclass, ring: Ring, rng: Random, samples: int | None = None) -> list:
-    n_assoc = _sample_count(samples, 500)
-    n_dep = _sample_count(samples, 200)
     one = TruncatedSeries.one(rank, nclass)
     inverse = group_like_inverse
 
@@ -256,15 +251,17 @@ def series_suite(rank, nclass, ring: Ring, rng: Random, samples: int | None = No
         return series_pow(s, a, ring)
 
     out = _sampled_rows(
-        n_assoc,
+        _sample_count(samples, 500),
         lambda: series("abc"),
         {"series: multiplication associative": lambda a, b, c: (a * b) * c == a * (b * c)},
     )
     out += _sampled_rows(
-        50, lambda: series("s"), {"series: unit element": lambda s: s * one == s and one * s == s}
+        _sample_count(samples, 50),
+        lambda: series("s"),
+        {"series: unit element": lambda s: s * one == s and one * s == s},
     )
     out += _sampled_rows(
-        200,
+        _sample_count(samples, 200),
         lambda: group_like("ab"),
         {
             "series: power additive in the exponent": (
@@ -273,12 +270,12 @@ def series_suite(rank, nclass, ring: Ring, rng: Random, samples: int | None = No
         },
     )
     out += _sampled_rows(
-        100,
+        _sample_count(samples, 100),
         lambda: group_like(""),
         {"series: group-like inverse": lambda s: s * inverse(s) == one and inverse(s) * s == one},
     )
     out += _sampled_rows(
-        100,
+        _sample_count(samples, 100),
         lambda: group_like("a"),
         {
             "series: inverse of a power is the negative power": (
@@ -306,7 +303,7 @@ def series_suite(rank, nclass, ring: Ring, rng: Random, samples: int | None = No
     )
 
     # every fourth sample tries a proportional pair when the weights agree
-    drawn = iter(range(n_dep))
+    drawn = count()
 
     def draw_pair():
         t = next(drawn)
@@ -332,7 +329,9 @@ def series_suite(rank, nclass, ring: Ring, rng: Random, samples: int | None = No
         return bool((z * y - y * z).coeffs) or linalg.rank(rows) <= 1
 
     out += _sampled_rows(
-        n_dep, draw_pair, {"series: zero bracket forces dependence": zero_bracket_dependent}
+        _sample_count(samples, 200),
+        draw_pair,
+        {"series: zero bracket forces dependence": zero_bracket_dependent},
     )
     return out
 
@@ -341,19 +340,17 @@ def series_suite(rank, nclass, ring: Ring, rng: Random, samples: int | None = No
 
 
 def group_suite(rank, nclass, ring: Ring, rng: Random, samples: int | None = None) -> list:
-    n_triples = _sample_count(samples, 1000)
-    n_pow = _sample_count(samples, 500)
     grp = FreeNilpotentGroup(rank, nclass, ring)
     e = grp.identity()
     mul, pow_, weight = grp.mul, grp.pow, grp.gamma_weight
     names = ("group: associativity", "group: two-sided identity", "group: two-sided inverse")
-    out = _axiom_rows(grp, rng, n_triples, names)
+    out = _axiom_rows(grp, rng, _sample_count(samples, 1000), names)
 
     def weight_one(g):
         return grp.weight_block_coords(g, 1)
 
     out += _sampled_rows(
-        100,
+        _sample_count(samples, 100),
         lambda: _elements(grp, rng, "gh"),
         {
             "group: weight-1 coordinates add": lambda g, h: weight_one(mul(g, h)) == tuple(
@@ -362,7 +359,7 @@ def group_suite(rank, nclass, ring: Ring, rng: Random, samples: int | None = Non
         },
     )
     out += _sampled_rows(
-        min(200, n_triples),
+        _sample_count(samples, 200),
         lambda: _elements(grp, rng, "gh", -3, 3),
         {
             "group: product respects the filtration": (
@@ -374,7 +371,7 @@ def group_suite(rank, nclass, ring: Ring, rng: Random, samples: int | None = Non
         },
     )
     out += _sampled_rows(
-        n_pow,
+        _sample_count(samples, 500),
         lambda: {**_elements(grp, rng, "g"), **_elements(ring, rng, "ab")},
         {
             "group: powers additive in the exponent": lambda g, a, b: (
@@ -412,7 +409,6 @@ def _collection_rows(grp, collector: Collector, rng: Random, n: int) -> list:
 
 
 def words_suite(rank, nclass, ring: Ring, rng: Random, samples: int | None = None) -> list:
-    n_words = _sample_count(samples, 500)
     grp = FreeNilpotentGroup(rank, nclass, ring)
     collector = Collector(grp, derive_structure_polys(rank, nclass))
 
@@ -431,9 +427,11 @@ def words_suite(rank, nclass, ring: Ring, rng: Random, samples: int | None = Non
         return collector.collect(letters) == grp.element(coords)
 
     out += _sampled_rows(
-        50, draw_sorted, {"words: sorted words collect verbatim": collects_verbatim}
+        _sample_count(samples, 50),
+        draw_sorted,
+        {"words: sorted words collect verbatim": collects_verbatim},
     )
-    out += _collection_rows(grp, collector, rng, n_words)
+    out += _collection_rows(grp, collector, rng, _sample_count(samples, 500))
 
     def descends(xs):
         taus = petresco_sequence(grp, xs, nclass)
@@ -441,7 +439,7 @@ def words_suite(rank, nclass, ring: Ring, rng: Random, samples: int | None = Non
 
     m = 2 if rank == 2 else 3
     out += _sampled_rows(
-        5,
+        _sample_count(samples, 5),
         lambda: {"xs": [grp.random_element(rng, -4, 4) for _ in range(m)]},
         {
             "words: power-product correction terms descend the filtration": descends,
@@ -457,7 +455,7 @@ def words_suite(rank, nclass, ring: Ring, rng: Random, samples: int | None = Non
         return all(commutator_power_identity_holds(grp, h, g, a, taus=taus) for a in range(-5, 6))
 
     out += _sampled_rows(
-        10,
+        _sample_count(samples, 10),
         lambda: _elements(grp, rng, "hg", -3, 3),
         {"words: commutator-of-power identity for a = -5..5": commutator_powers},
     )
@@ -468,7 +466,6 @@ def words_suite(rank, nclass, ring: Ring, rng: Random, samples: int | None = Non
 
 
 def poly_suite(rank, nclass, rng: Random, samples: int | None = None) -> list:
-    n_points = _sample_count(samples, 200)
     out = []
     cp = derive_hall_polynomials(rank, nclass)
     grp = FreeNilpotentGroup(rank, nclass, ZZ)
@@ -502,7 +499,7 @@ def poly_suite(rank, nclass, rng: Random, samples: int | None = None) -> list:
         return [rng.randint(-6, 6) for _ in range(n)]
 
     out += _sampled_rows(
-        n_points,
+        _sample_count(samples, 200),
         lambda: {"a": point(), "b": point(), "ex": rng.randint(-6, 6)},
         {
             "poly: product polynomials match the engine": (
@@ -514,17 +511,18 @@ def poly_suite(rank, nclass, rng: Random, samples: int | None = None) -> list:
         },
     )
 
-    # ten points for each of the first six product coordinates, in order
-    polys = list(cp.p)[: min(6, n)]
+    # n_each points for each of the first six product coordinates, in order
+    n_each = _sample_count(samples, 10)
+    polys = list(cp.p)[:6]
     tables = [to_binomial_basis(poly) for poly in polys]
-    coordinate = iter([f for f in range(len(polys)) for _ in range(10)])
+    coordinate = iter([f for f in range(len(polys)) for _ in range(n_each)])
 
     def draw_point():
         f = next(coordinate)
         return {"f": f, "point": [Fraction(rng.randint(-5, 5)) for _ in polys[f].vars]}
 
     out += _sampled_rows(
-        10 * len(polys),
+        n_each * len(polys),
         draw_point,
         {
             "poly: binomial form evaluates like the monomial form": lambda f, point: (
@@ -534,11 +532,13 @@ def poly_suite(rank, nclass, rng: Random, samples: int | None = None) -> list:
     )
 
     st = derive_structure_polys(rank, nclass)
+    # the sampled tables are distinct, so there are never more than there are tables
+    n_tails = min(_sample_count(samples, 6), len(st.tables))
 
     def shuffled_tables():
         keys = list(st.tables)
         rng.shuffle(keys)
-        yield from keys[:6]
+        yield from keys
 
     chosen = shuffled_tables()  # shuffles on the first draw
 
@@ -556,7 +556,7 @@ def poly_suite(rank, nclass, rng: Random, samples: int | None = None) -> list:
         return grp.element(coords) == com
 
     out += _sampled_rows(
-        min(6, len(st.tables)),
+        n_tails,
         draw_tail,
         {
             "poly: tails vanish at exponent zero": (
@@ -582,8 +582,6 @@ def poly_suite(rank, nclass, rng: Random, samples: int | None = None) -> list:
 
 
 def deformation_suite(rank, nclass, rng: Random, samples: int | None = None) -> list:
-    n_triples = _sample_count(samples, 1000)
-    n_coc = _sample_count(samples, 500)
     out = []
     base = FreeNilpotentGroup(rank, nclass, ZZ)
     n_c = base.basis.counts[-1]
@@ -613,11 +611,11 @@ def deformation_suite(rank, nclass, rng: Random, samples: int | None = None) -> 
 
     dgrp = DeformedGroup(base, family, check=False)
     names = ("deform: associativity", "deform: identity", "deform: inverse")
-    out += _axiom_rows(dgrp, rng, n_triples, names)
+    out += _axiom_rows(dgrp, rng, _sample_count(samples, 1000), names)
 
     top = base.basis.weight_start(nclass)
     out += _sampled_rows(
-        200,
+        _sample_count(samples, 200),
         lambda: _elements(dgrp, rng, "gh"),
         {
             "deform: coordinates below the top weight are undeformed": lambda g, h: (
@@ -628,7 +626,7 @@ def deformation_suite(rank, nclass, rng: Random, samples: int | None = None) -> 
 
     zgrp = DeformedGroup(base, [zero_cocycle(n_c)] * rank, check=False)
     out += _sampled_rows(
-        100,
+        _sample_count(samples, 100),
         lambda: _elements(zgrp, rng, "gh"),
         {
             "deform: zero cocycles reproduce the base group exactly": lambda g, h: (
@@ -652,14 +650,14 @@ def deformation_suite(rank, nclass, rng: Random, samples: int | None = None) -> 
     splittings = [coboundary_split_integers(f) for f in family]
     iso = iso_from_splittings(dgrp, splittings)
     try:
-        iso.verify(rng, samples=min(200, n_triples))
+        iso.verify(rng, samples=_sample_count(samples, 200))
         out.append(CheckResult("deform: splitting isomorphism verified", True))
     except NotAHomomorphismError as exc:
         out.append(CheckResult("deform: splitting isomorphism verified", False, str(exc)))
 
     ext = assemble_extension_cocycle(dgrp)
     out += _sampled_rows(
-        n_coc,
+        _sample_count(samples, 500),
         lambda: _elements(dgrp, rng, "ghk"),
         {
             "deform: extension cocycle identity": (
@@ -668,19 +666,19 @@ def deformation_suite(rank, nclass, rng: Random, samples: int | None = None) -> 
         },
     )
     out += _sampled_rows(
-        50,
+        _sample_count(samples, 50),
         lambda: _elements(dgrp, rng, "g"),
         {"deform: extension cocycle normalized": lambda g: ext.is_normalized_at(g.coords)},
     )
     out.append(
         CheckResult(
             "deform: extension build matches the deformed product",
-            ext.matches_deformed_mul(rng, samples=100),
+            ext.matches_deformed_mul(rng, samples=_sample_count(samples, 100)),
         )
     )
 
     ok = all(
-        centralizer_extension_check(dgrp, j, rng, samples=40)["ok"]
+        centralizer_extension_check(dgrp, j, rng, samples=_sample_count(samples, 40))["ok"]
         for j in range(1, rank + 1)
     )
     out.append(CheckResult("deform: generator centralizers are abelian extensions", ok))
@@ -779,9 +777,7 @@ def lie_suite(rank, nclass) -> list:
 # -- group-side centralizer suite ----------------------------------------------
 
 
-def centralizer_structure_check(
-    grp: FreeNilpotentGroup, j: int, rng: Random | None = None, samples=40
-) -> dict:
+def centralizer_structure_check(grp: FreeNilpotentGroup, j: int, rng: Random, samples: int) -> dict:
     """Sampled checks that the centralizer of u_1j is {u_1j^a * central}.
 
     Verifies: built centralizer elements commute; every sampled element
@@ -789,7 +785,6 @@ def centralizer_structure_check(
     the weight-class block; and the center is exactly that block. Each
     check runs on `samples` samples, which must be at least 1.
     """
-    rng = rng or Random(0)
     u = grp.generator(j)
     one = grp.identity()
     gens = grp.generators()
@@ -835,11 +830,10 @@ def centralizer_structure_check(
 
 
 def centralizer_suite(rank, nclass, ring: Ring, rng: Random, samples: int | None = None) -> list:
-    n = _sample_count(samples, 40)
     grp = FreeNilpotentGroup(rank, nclass, ring)
     out = []
     for j in range(1, rank + 1):
-        report = centralizer_structure_check(grp, j, rng, samples=min(n, 40))
+        report = centralizer_structure_check(grp, j, rng, samples=_sample_count(samples, 40))
         out.append(
             CheckResult(
                 f"centralizer: generator {j} decomposes as its powers times the center",
@@ -854,7 +848,6 @@ def centralizer_suite(rank, nclass, ring: Ring, rng: Random, samples: int | None
 
 def run_all(rank, nclass, ring: Ring = ZZ, seed: int = 0, samples: int | None = None) -> list:
     """Full verification table for one configuration."""
-    _sample_count(samples, 1)  # refuse a bad override before any suite runs
     rng = Random(seed)
     out = []
     out.extend(ring_suite(rng, samples))

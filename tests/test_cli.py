@@ -5,6 +5,7 @@ import json
 import pytest
 
 from hallforge.cli import main
+from hallforge.deformation import ExtensionCocycle
 from hallforge.jsonio import canonical_polys_parse_check
 
 
@@ -277,6 +278,29 @@ def test_deform_iso_rejects_non_positive_samples(tmp_path, capsys, count):
     )
     assert code == 2
     assert out == "" and "samples" in err
+
+
+@pytest.mark.parametrize("count, checked", [("3", 3), ("200", 100)])
+def test_deform_iso_caps_its_extension_check(tmp_path, capsys, monkeypatch, count, checked):
+    cocycle = {"r": 2, "c": 2, "cocycles": [[[{"degrees": [1, 1], "coeff": "1"}]], [[]]]}
+    path = tmp_path / "cocycle.json"
+    path.write_text(json.dumps(cocycle), encoding="utf-8")
+    seen = []
+    original = ExtensionCocycle.matches_deformed_mul
+
+    def recorded(self, rng, samples):
+        seen.append(samples)
+        return original(self, rng, samples)
+
+    monkeypatch.setattr(ExtensionCocycle, "matches_deformed_mul", recorded)
+    code, out, _ = run_cli(
+        capsys,
+        "deform", "--rank", "2", "--class", "2",
+        "--cocycle", str(path), "iso", "--samples", count, "--json",
+    )
+    assert code == 0
+    assert json.loads(out)["verified_samples"] == int(count)
+    assert seen == [checked]
 
 
 def test_deform_rejects_non_cocycle(tmp_path, capsys):

@@ -212,7 +212,7 @@ def test_huge_group_refused_before_any_table(monkeypatch):
     with pytest.raises(ScaleLimitError):
         group._engine_tables(2, 10**9)
     with pytest.raises(ScaleLimitError):
-        FreeNilpotentGroup(1, 10**12, allow_rank_one=True)
+        FreeNilpotentGroup(1, 10**12)
 
 
 # -- differential properties against the reference loops ----------------------

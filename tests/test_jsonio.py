@@ -109,6 +109,61 @@ def test_lie_round_trip():
         assert compare_graded_lie(back, free_nilpotent_lie(rank, nclass))
 
 
+TARGET = {"index": 2, "coeff": "1"}
+ROW = {"left": 1, "right": 0, "targets": [TARGET]}
+LIE = {"dims": [2, 1], "label": "", "table": [ROW]}
+
+
+def _lie(top={}, row={}, target={}):
+    """The one-row Lie object LIE with keys replaced; a value of None drops the key."""
+
+    def put(base, changes):
+        return {k: v for k, v in {**base, **changes}.items() if v is not None}
+
+    return put(LIE, {"table": [put(ROW, {"targets": [put(TARGET, target)], **row})], **top})
+
+
+@pytest.mark.parametrize(
+    "parse, obj",
+    [
+        (basis_from_obj, {}),
+        (basis_from_obj, {"r": 2}),
+        (basis_from_obj, {"r": [2], "c": 2}),
+        (basis_from_obj, {"r": 2, "c": None}),
+        (lie_from_obj, _lie(top={"table": None})),
+        (lie_from_obj, _lie(top={"label": None})),
+        (lie_from_obj, _lie(top={"dims": "21"})),
+        (lie_from_obj, _lie(top={"dims": ["2", "1"]})),
+        (lie_from_obj, _lie(row={"targets": None})),
+        (lie_from_obj, _lie(row={"left": "1"})),
+        (lie_from_obj, _lie(target={"index": "2"})),
+        (lie_from_obj, _lie(target={"coeff": None})),
+        (lie_from_obj, _lie(target={"coeff": "one"})),
+        (lie_from_obj, _lie(target={"coeff": "1/0"})),
+    ],
+    ids=[
+        "basis-empty",
+        "basis-no-c",
+        "basis-list-r",
+        "basis-null-c",
+        "lie-no-table",
+        "lie-no-label",
+        "lie-string-dims",
+        "lie-string-dim",
+        "lie-row-no-targets",
+        "lie-row-string-left",
+        "lie-string-index",
+        "lie-no-coeff",
+        "lie-word-coeff",
+        "lie-zero-denominator",
+    ],
+)
+def test_malformed_basis_and_lie_objects_are_shape_errors(parse, obj):
+    assert lie_from_obj(_lie()).table == {(1, 0): {2: 1}}
+    with pytest.raises(ShapeMismatchError):
+        parse(obj)
+
+
 def test_float_coordinates_rejected():
     g = FreeNilpotentGroup(2, 2)
     with pytest.raises(NotInRingError):

@@ -13,7 +13,13 @@ from lie_oracle import sign_flipped
 
 from hallforge import verify
 from hallforge.cli import main
-from hallforge.deformation import DeformedGroup, ExtensionCocycle, PolynomialCocycle, zero_cocycle
+from hallforge.deformation import (
+    DeformedGroup,
+    ExtensionCocycle,
+    PolynomialCocycle,
+    SplittingIsomorphism,
+    zero_cocycle,
+)
 from hallforge.errors import HallforgeError
 from hallforge.group import FreeNilpotentGroup
 from hallforge.lie import free_nilpotent_lie
@@ -71,6 +77,35 @@ def test_suites_reject_non_positive_samples(suite, samples):
 def test_centralizer_structure_check_refuses_non_positive_samples(samples):
     with pytest.raises(HallforgeError, match="samples"):
         verify.centralizer_structure_check(FreeNilpotentGroup(2, 2), 1, Random(0), samples=samples)
+
+
+def test_samples_caps_every_sampled_count(monkeypatch):
+    counts = []
+
+    def recorded(owner, attr, count_of):
+        original = getattr(owner, attr)
+
+        def wrapper(*args, **kwargs):
+            counts.append(count_of(attr, args, kwargs))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    # a sampled row is named by its laws, a library check by its own name
+    recorded(verify, "_sampled_rows", lambda attr, args, kwargs: (" / ".join(args[2]), args[0]))
+    library_checks = (
+        (verify, "centralizer_structure_check"),
+        (verify, "centralizer_extension_check"),
+        (SplittingIsomorphism, "verify"),
+        (ExtensionCocycle, "matches_deformed_mul"),
+    )
+    for owner, attr in library_checks:
+        recorded(owner, attr, lambda attr, args, kwargs: (attr, kwargs["samples"]))
+    assert all(r.ok for r in run_all(2, 3, ZZ, seed=0, samples=1))
+    assert {attr for _, attr in library_checks} <= {name for name, _ in counts}
+    # one point for each of the five product coordinates
+    binomial = "poly: binomial form evaluates like the monomial form"
+    assert [(name, n) for name, n in counts if n != 1] == [(binomial, 5)]
 
 
 def test_run_all_rational_ring_skips_integer_only_suites():
@@ -205,13 +240,13 @@ def test_package_import_leaves_verify_unloaded():
 # value after each suite is a SHA-256 prefix of repr(rng.getstate()), so a
 # suite that draws one value more or less than before moves every later pin.
 RNG_STATE_PINS = (
-    ("ring", lambda rng: ring_suite(rng, 5), "6f9dd5cb795b87ee"),
-    ("series", lambda rng: series_suite(2, 3, ZZ, rng, 5), "88b33efd464dd9b7"),
-    ("group", lambda rng: group_suite(2, 3, ZZ, rng, 5), "93d820f05362e19a"),
-    ("words", lambda rng: words_suite(2, 3, ZZ, rng, 5), "b67084bcf06b01eb"),
-    ("poly", lambda rng: poly_suite(2, 3, rng, 5), "d743fa6d8367a3f2"),
-    ("deformation", lambda rng: deformation_suite(2, 3, rng, 5), "bed72de1132f1bfd"),
-    ("centralizer", lambda rng: centralizer_suite(2, 3, ZZ, rng, 5), "fce09167e505e88f"),
+    ("ring", lambda rng: ring_suite(rng, 5), "3852f5cbc75f60e1"),
+    ("series", lambda rng: series_suite(2, 3, ZZ, rng, 5), "5cf421eab243dfb2"),
+    ("group", lambda rng: group_suite(2, 3, ZZ, rng, 5), "3e1d464b12ed6110"),
+    ("words", lambda rng: words_suite(2, 3, ZZ, rng, 5), "752b5d7bfea6af04"),
+    ("poly", lambda rng: poly_suite(2, 3, rng, 5), "30eec07094f1630a"),
+    ("deformation", lambda rng: deformation_suite(2, 3, rng, 5), "3d60184b16f015e3"),
+    ("centralizer", lambda rng: centralizer_suite(2, 3, ZZ, rng, 5), "207db111ffe1c0f3"),
 )
 
 
