@@ -4,8 +4,10 @@ The coordinates of a product (or power) are polynomial in the coordinates of
 the operands. Running the series engine once over a polynomial coefficient
 ring with symbolic coordinates derives those polynomials exactly; they are
 then converted to integer coefficient tables over the binomial-product basis
-(finite differencing, one variable at a time), which is the witness that they
-are integer-valued and lets them be evaluated inside any binomial ring.
+(each monomial expanded through Stirling numbers of the second kind), which
+is the witness that they are integer-valued and lets them be evaluated inside
+any binomial ring. The results keep only the tables: the polynomials are
+views of them, rebuilt on first access.
 
 Structure polynomials are the special case for [u_high^a, u_low^b]: the tail
 exponents as polynomials in (a, b). They feed the word collector.
@@ -14,11 +16,12 @@ exponents as polynomials in (a, b). They feed the word collector.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from fractions import Fraction
+from functools import cached_property, lru_cache
 
 from .errors import NonIntegerCoefficientError, ScaleLimitError
 from .group import FreeNilpotentGroup
-from .rings import BinomialTable, Poly, PolyRing, Ring
+from .rings import EXPONENT_BITS, _FIELD, BinomialTable, Poly, PolyRing, Ring, _unpack
 
 DESK_SCALE_LIMIT = 7  # largest rank + class for symbolic derivation
 
@@ -31,37 +34,66 @@ def _check_scale(rank, nclass):
         )
 
 
+@lru_cache(maxsize=None)
+def _surjection_row(n: int) -> tuple:
+    """The pairs (k, S(n,k) k!) for k = 1..n, n >= 1: x^n = sum_k S(n,k) k! binom(x, k).
+
+    S(n,k) k! counts the surjections of an n-set onto a k-set, and satisfies
+    T(n,k) = k (T(n-1,k-1) + T(n-1,k)) with T(0,0) = 1 (Stirling numbers of
+    the second kind; Graham, Knuth & Patashnik, Concrete Mathematics, ch. 6).
+    """
+    row = [1]  # T(0, k) for k = 0..0
+    for m in range(1, n + 1):
+        row = [0] + [k * (row[k - 1] + (row[k] if k < m else 0)) for k in range(1, m + 1)]
+    return tuple((k, t) for k, t in enumerate(row) if k)
+
+
+@lru_cache(maxsize=None)
+def _field_row(field: int, shift: int) -> tuple:
+    """The row of one packed field (one variable's degree), its degrees packed alike."""
+    return tuple((k << shift, t) for k, t in _surjection_row(field >> shift))
+
+
 def to_binomial_basis(poly: Poly) -> dict:
     """Integer coefficients of a polynomial over the binomial-product basis.
 
-    Newton forward differencing per variable: the coefficient table entry at
-    degrees (k_1..k_m) is (D_1^k_1 ... D_m^k_m poly) at the origin, where D_i
-    is the finite difference in variable i. Raises if any entry is not an
+    One pass over the packed monomials: each x_1^n_1 ... x_m^n_m expands as
+    the product over its present variables of sum_k S(n_i,k) k! binom(x_i, k),
+    and the products are summed, so absent variables are never visited. The
+    table maps degree tuples to nonzero integers, in lexicographic order of
+    the degrees. Raises NonIntegerCoefficientError, naming the
+    lexicographically smallest offending degrees, if any entry is not an
     integer, i.e. if the polynomial is not integer-valued.
     """
+    acc: dict = {}
+    get = acc.get
+    for key, c in poly._num.items():
+        terms = [(0, c)]
+        while key:
+            # one present variable per step; its binomial degrees land in its own field
+            shift = ((key & -key).bit_length() - 1) // EXPONENT_BITS * EXPONENT_BITS
+            field = key & (_FIELD << shift)
+            key -= field
+            terms = [(b + k, v * t) for b, v in terms for k, t in _field_row(field, shift)]
+        for b, v in terms:
+            acc[b] = get(b, 0) + v
     nv = len(poly.vars)
-    out: dict = {}
+    den = poly._den
+    bad = [key for key, v in acc.items() if v % den]
+    if bad:
+        first = min(bad, key=lambda key: _unpack(key, nv))
+        raise NonIntegerCoefficientError(
+            f"binomial coefficient {Fraction(acc[first], den)} at "
+            f"{_unpack(first, nv)} is not an integer"
+        )
+    return dict(sorted((_unpack(key, nv), v // den) for key, v in acc.items() if v))
 
-    def expand(q: Poly, vi: int, prefix):
-        if not q:
-            return
-        if vi == nv:
-            c = q.constant_value()
-            if c.denominator != 1:
-                raise NonIntegerCoefficientError(
-                    f"binomial coefficient {c} at {tuple(prefix)} is not an integer"
-                )
-            out[tuple(prefix)] = int(c)
-            return
-        cur = q
-        k = 0
-        while cur:
-            expand(cur.at_zero(vi), vi + 1, prefix + [k])
-            cur = cur.shift(vi) - cur
-            k += 1
 
-    expand(poly, 0, [])
-    return out
+def _table_polys(tables, variables) -> tuple:
+    """The polynomials of binomial tables, as Polys over the given variables."""
+    ring = PolyRing(variables)
+    point = [ring.variable(v) for v in variables]
+    return tuple(t.evaluate(point, ring) for t in tables)
 
 
 @dataclass(frozen=True)
@@ -70,17 +102,25 @@ class CanonicalPolynomials:
 
     Product variables are the first-operand coordinates then the second's, in
     flat basis order; power variables are the base coordinates then the single
-    exponent variable, which is always last.
+    exponent variable, which is always last. Only the binomial tables are
+    stored; `p` and `q` are read-only views of them as Polys, built on first
+    access.
     """
 
     rank: int
     nclass: int
     mul_vars: tuple[str, ...]
     pow_vars: tuple[str, ...]
-    p: tuple[Poly, ...]  # product coordinates, flat order
-    q: tuple[Poly, ...]  # power coordinates, flat order
-    p_tables: tuple[BinomialTable, ...]
-    q_tables: tuple[BinomialTable, ...]
+    p_tables: tuple[BinomialTable, ...]  # product coordinates, flat order
+    q_tables: tuple[BinomialTable, ...]  # power coordinates, flat order
+
+    @cached_property
+    def p(self) -> tuple[Poly, ...]:
+        return _table_polys(self.p_tables, self.mul_vars)
+
+    @cached_property
+    def q(self) -> tuple[Poly, ...]:
+        return _table_polys(self.q_tables, self.pow_vars)
 
     def mul_coords(self, a_coords, b_coords, ring: Ring):
         point = list(a_coords) + list(b_coords)
@@ -93,6 +133,10 @@ class CanonicalPolynomials:
 
 def coordinate_names(basis, prefix: str):
     return tuple(f"{prefix}{i}_{j}" for (i, j) in basis.pairs)
+
+
+def _tables(arity, polys) -> tuple:
+    return tuple(BinomialTable.from_dict(arity, to_binomial_basis(poly)) for poly in polys)
 
 
 @lru_cache(maxsize=None)
@@ -114,21 +158,13 @@ def derive_hall_polynomials(rank: int, nclass: int) -> CanonicalPolynomials:
     grp2 = FreeNilpotentGroup(rank, nclass, pow_ring)
     q = grp2.pow_coords(px, pow_ring.variable("y"))
 
-    p_tables = tuple(
-        BinomialTable.from_dict(len(mul_ring.vars), to_binomial_basis(poly)) for poly in p
-    )
-    q_tables = tuple(
-        BinomialTable.from_dict(len(pow_ring.vars), to_binomial_basis(poly)) for poly in q
-    )
     return CanonicalPolynomials(
         rank=rank,
         nclass=nclass,
         mul_vars=mul_ring.vars,
         pow_vars=pow_ring.vars,
-        p=tuple(p),
-        q=tuple(q),
-        p_tables=p_tables,
-        q_tables=q_tables,
+        p_tables=_tables(len(mul_ring.vars), p),
+        q_tables=_tables(len(pow_ring.vars), q),
     )
 
 
@@ -159,12 +195,23 @@ class StructurePolynomials:
     For index pairs B and A with weight sum within the class,
     [u_B^a, u_A^b] = product over pairs t of u_t^(tail[B,A][t](a, b)), the tail
     running in index order and supported on weights >= weight(B) + weight(A).
+    Only the tables are stored; `polys` is a read-only view of them as Polys
+    in (x, y), built on first access.
     """
 
     rank: int
     nclass: int
-    polys: dict  # (pairB, pairA) -> tuple of (pair, Poly in (x, y))
     tables: dict  # (pairB, pairA) -> tuple of (pair, BinomialTable)
+
+    @cached_property
+    def polys(self) -> dict:
+        """(pairB, pairA) -> tuple of (pair, Poly in (x, y))."""
+        distinct = list({table: None for tails in self.tables.values() for _, table in tails})
+        poly_of = dict(zip(distinct, _table_polys(distinct, ("x", "y"))))
+        return {
+            key: tuple((pair, poly_of[table]) for pair, table in tails)
+            for key, tails in self.tables.items()
+        }
 
     def tail_letters(self, high_pair, low_pair, a, b, ring: Ring):
         key = (tuple(high_pair), tuple(low_pair))
@@ -185,11 +232,9 @@ def derive_structure_polys(rank: int, nclass: int) -> StructurePolynomials:
     a = ring2.variable("x")
     b = ring2.variable("y")
 
-    polys = {}
     tables = {}
-    # Most tails repeat: at (3,4), 16 distinct tables serve all 152 tails. A
-    # table determines its polynomial, so equal tables share one (poly, table)
-    # pair, and the result holds each distinct tail once.
+    # Most tails repeat: at (3,4), 16 distinct tables serve all 152 tails, so
+    # equal tables are shared and the result holds each distinct tail once.
     shared = {}
     for eb in basis.entries:
         for ea in basis.entries:
@@ -208,8 +253,6 @@ def derive_structure_polys(rank: int, nclass: int) -> StructurePolynomials:
                         f"weight {target.weight} below the weight sum {floor}"
                     )
                 table = BinomialTable.from_dict(2, to_binomial_basis(poly))
-                poly, table = shared.setdefault(table, (poly, table))
-                entries.append((target.pair, poly, table))
-            polys[(eb.pair, ea.pair)] = tuple((pair, poly) for pair, poly, _ in entries)
-            tables[(eb.pair, ea.pair)] = tuple((pair, table) for pair, _, table in entries)
-    return StructurePolynomials(rank=rank, nclass=nclass, polys=polys, tables=tables)
+                entries.append((target.pair, shared.setdefault(table, table)))
+            tables[(eb.pair, ea.pair)] = tuple(entries)
+    return StructurePolynomials(rank=rank, nclass=nclass, tables=tables)

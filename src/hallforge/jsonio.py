@@ -14,8 +14,8 @@ from .basis import HallBasis, hall_basis
 from .canonical import CanonicalPolynomials
 from .conventions import convention_header
 from .deformation import PolynomialCocycle
-from .errors import ShapeMismatchError
-from .group import GroupElement
+from .errors import ScaleLimitError, ShapeMismatchError
+from .group import ENGINE_WORD_LIMIT, GroupElement, check_engine_scale
 from .lie import GradedLieRing
 from .rings import poly_from_obj, poly_to_obj
 
@@ -76,8 +76,14 @@ def basis_to_obj(basis: HallBasis) -> dict:
 
 
 def basis_from_obj(obj: dict) -> HallBasis:
-    """Parse by rebuilding: the object must match the canonical basis."""
-    basis = hall_basis(*(_field(obj, key, int, "a basis object") for key in ("r", "c")))
+    """Parse by rebuilding: the object must match the canonical basis.
+
+    A configuration past the engine's word limit is refused before any basis
+    is built, so the size an object names cannot exhaust memory.
+    """
+    rank, nclass = (_field(obj, key, int, "a basis object") for key in ("r", "c"))
+    check_engine_scale(rank, nclass)
+    basis = hall_basis(rank, nclass)
     if basis_to_obj(basis) != obj:
         raise ShapeMismatchError("basis object does not match the Hall convention")
     return basis
@@ -219,8 +225,12 @@ def lie_from_obj(obj: dict) -> GradedLieRing:
     from fractions import Fraction
 
     dims = _field(obj, "dims", list, "a Lie ring object")
-    if not all(isinstance(n, int) for n in dims):
-        raise ShapeMismatchError("Lie ring dimensions are written as integers")
+    if not all(isinstance(n, int) and n >= 0 for n in dims):
+        raise ShapeMismatchError("Lie ring dimensions are written as nonnegative integers")
+    if sum(dims) > ENGINE_WORD_LIMIT:
+        raise ScaleLimitError(
+            f"Lie ring of dimension {sum(dims)} exceeds ENGINE_WORD_LIMIT = {ENGINE_WORD_LIMIT}"
+        )
     table = {}
     for row in _field(obj, "table", list, "a Lie ring object"):
         pair = tuple(_field(row, side, int, "a Lie table row") for side in ("left", "right"))

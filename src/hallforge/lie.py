@@ -398,24 +398,31 @@ def endomorphism_pair_space(B: BilinearMapData) -> list:
 
 
 def endo_pair_satisfies(B: BilinearMapData, pair: EndoPair) -> bool:
-    """Direct check of the compatibility equations on all basis pairs."""
+    """Direct check of the compatibility equations on all basis pairs.
+
+    phi1 e_a and phi0 e_t are read off as matrix columns, and f is applied
+    through the sparse tensor, so no dense product is ever formed.
+    """
     m = B.domain_dim
 
-    def apply(mat, vec):
-        return [
-            sum((Fraction(mat[i][j]) * vec[j] for j in range(len(vec))), Fraction(0))
-            for i in range(len(mat))
-        ]
+    def column(mat, j):
+        return {i: row[j] for i, row in enumerate(mat) if row[j]}
 
+    def nonzero(vec):
+        return {i: c for i, c in vec.items() if c}
+
+    cols1 = [column(pair.phi1, a) for a in range(m)]
+    cols0 = [column(pair.phi0, t) for t in range(B.codomain_dim)]
     for a in range(m):
-        ea = _dense({a: 1}, m)
-        pa = apply(pair.phi1, ea)
         for b in range(m):
-            eb = _dense({b: 1}, m)
-            base = apply(pair.phi0, B.value(ea, eb))
-            if B.value(pa, eb) != base:
+            base = {}
+            for t, c in B.tensor.get((a, b), {}).items():
+                for i, v in cols0[t].items():
+                    base[i] = base.get(i, 0) + c * v
+            base = nonzero(base)
+            if nonzero(_contract(B.tensor, cols1[a], {b: 1})) != base:
                 return False
-            if B.value(ea, apply(pair.phi1, eb)) != base:
+            if nonzero(_contract(B.tensor, {a: 1}, cols1[b])) != base:
                 return False
     return True
 

@@ -290,31 +290,6 @@ class Poly:
     def constant_value(self) -> Fraction:
         return Fraction(self._num.get(0, 0), self._den)
 
-    def at_zero(self, index):
-        """Keep only the terms with zero exponent in the given variable."""
-        mask = _FIELD << (EXPONENT_BITS * index)
-        return _reduced(
-            self.vars, {k: c for k, c in self._num.items() if not k & mask}, self._den
-        )
-
-    def shift(self, index):
-        """Substitute variable[index] -> variable[index] + 1."""
-        # an invertible integer change of the numerators: they stay reduced
-        shift = EXPONENT_BITS * index
-        step = 1 << shift
-        out: dict = {}
-        get = out.get
-        for k, c in self._num.items():
-            d = (k >> shift) & _FIELD
-            if not d:
-                out[k] = get(k, 0) + c
-                continue
-            nk = k - d * step
-            for t in range(d + 1):
-                out[nk] = get(nk, 0) + c * math.comb(d, t)
-                nk += step
-        return Poly._trusted(self.vars, {k: c for k, c in out.items() if c}, self._den)
-
     def evaluate(self, point):
         """Evaluate at a point of arbitrary values supporting + and *.
 

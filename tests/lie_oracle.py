@@ -218,6 +218,29 @@ def oracle_width_probe(B, u, s, bound=2):
     return False
 
 
+def oracle_endo_pair_satisfies(B, pair):
+    """Both matrices applied densely to unit vectors, f through oracle_value."""
+    m = B.domain_dim
+
+    def apply(mat, vec):
+        return [
+            sum((Fraction(mat[i][j]) * vec[j] for j in range(len(vec))), Fraction(0))
+            for i in range(len(mat))
+        ]
+
+    for a in range(m):
+        ea = [Fraction(int(i == a)) for i in range(m)]
+        pa = apply(pair.phi1, ea)
+        for b in range(m):
+            eb = [Fraction(int(i == b)) for i in range(m)]
+            base = apply(pair.phi0, oracle_value(B, ea, eb))
+            if oracle_value(B, pa, eb) != base:
+                return False
+            if oracle_value(B, ea, apply(pair.phi1, eb)) != base:
+                return False
+    return True
+
+
 # -- strategies --------------------------------------------------------------------
 
 small_ints = st.integers(-3, 3)
@@ -234,6 +257,12 @@ def sparse_tables(n_pairs, n_targets):
     pairs = st.tuples(st.integers(0, n_pairs - 1), st.integers(0, n_pairs - 1))
     targets = st.dictionaries(st.integers(0, n_targets - 1), small_ints, max_size=3)
     return st.dictionaries(pairs, targets, max_size=2 * n_pairs)
+
+
+def matrices(n):
+    """n x n matrices of Fractions, mostly zero."""
+    entry = st.sampled_from((0, 0, 0, 1, -1, 2)).map(Fraction)
+    return st.lists(st.tuples(*[entry] * n), min_size=n, max_size=n).map(tuple)
 
 
 @st.composite

@@ -1,5 +1,6 @@
 """Tests for symbolic derivation of the product and power polynomials."""
 
+import dataclasses
 from fractions import Fraction
 from random import Random
 
@@ -10,6 +11,7 @@ from poly_oracle import VARS, DensePoly, dense_to_binomial_basis, poly_pairs, ta
 from hallforge.canonical import (
     DESK_SCALE_LIMIT,
     associativity_identity_holds,
+    coordinate_names,
     derive_hall_polynomials,
     derive_structure_polys,
     to_binomial_basis,
@@ -166,6 +168,69 @@ def test_tails_start_above_the_weight_sum():
         floor = basis.entry(high).weight + basis.entry(low).weight
         for pair, _ in entries:
             assert basis.entry(pair).weight >= floor
+
+
+def _engine_polys(rank, nclass):
+    """Product and power polynomials from a fresh engine run over PolyRing."""
+    basis = FreeNilpotentGroup(rank, nclass).basis
+    x_names = coordinate_names(basis, "x")
+    mul_ring = PolyRing(x_names + coordinate_names(basis, "y"))
+    xy = [mul_ring.variable(v) for v in mul_ring.vars]
+    n = len(x_names)
+    p = FreeNilpotentGroup(rank, nclass, mul_ring).mul_coords(xy[:n], xy[n:])
+    pow_ring = PolyRing(x_names + ("y",))
+    xe = [pow_ring.variable(v) for v in pow_ring.vars]
+    q = FreeNilpotentGroup(rank, nclass, pow_ring).pow_coords(xe[:n], xe[n])
+    return tuple(p), tuple(q)
+
+
+def _engine_tails(rank, nclass):
+    """(pairB, pairA) -> the nonzero coordinates of [u_B^x, u_A^y] from the engine."""
+    ring = PolyRing(("x", "y"))
+    grp = FreeNilpotentGroup(rank, nclass, ring)
+    x, y = ring.variable("x"), ring.variable("y")
+    out = {}
+    for eb in grp.basis.entries:
+        for ea in grp.basis.entries:
+            if eb.pair == ea.pair or eb.weight + ea.weight > nclass:
+                continue
+            com = grp.commutator(grp.pow(grp.basic(eb.pair), x), grp.pow(grp.basic(ea.pair), y))
+            out[(eb.pair, ea.pair)] = tuple(
+                (grp.basis.entries[f].pair, poly) for f, poly in enumerate(com.coords) if poly
+            )
+    return out
+
+
+@pytest.mark.parametrize("rank, nclass", [(2, 3), (3, 3), (3, 4)])
+def test_polynomial_views_equal_a_fresh_engine_run(rank, nclass):
+    cp = derive_hall_polynomials(rank, nclass)
+    assert (cp.p, cp.q) == _engine_polys(rank, nclass)
+    assert cp.p is cp.p  # built once, then kept
+
+
+def test_structure_view_equals_engine_tails():
+    st = derive_structure_polys(3, 3)
+    assert st.polys == _engine_tails(3, 3)
+    assert st.polys is st.polys
+
+
+def test_results_hold_tables_only():
+    with pytest.raises(AttributeError):
+        derive_hall_polynomials(2, 2).p = ()
+    fields = {f.name for f in dataclasses.fields(derive_hall_polynomials(2, 2))}
+    assert fields == {"rank", "nclass", "mul_vars", "pow_vars", "p_tables", "q_tables"}
+    fields = {f.name for f in dataclasses.fields(derive_structure_polys(2, 2))}
+    assert fields == {"rank", "nclass", "tables"}
+
+
+@pytest.mark.parametrize("rank, nclass", [(3, 3), (2, 5)])
+def test_conversion_matches_reference_on_derived_polynomials(rank, nclass):
+    p, q = _engine_polys(rank, nclass)
+    tails = [poly for entries in _engine_tails(rank, nclass).values() for _, poly in entries]
+    for poly in p + q + tuple(tails):
+        got = to_binomial_basis(poly)
+        want = dense_to_binomial_basis(DensePoly(poly.vars, poly.terms))
+        assert list(got.items()) == list(want.items())
 
 
 def test_scale_limit_enforced():

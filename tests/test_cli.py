@@ -1,5 +1,6 @@
 """Tests for the command-line interface and its exit-code contract."""
 
+import hashlib
 import json
 
 import pytest
@@ -155,6 +156,23 @@ def test_hallpoly_output_parses(capsys):
     code, out, _ = run_cli(capsys, "hallpoly", "--rank", "2", "--class", "2")
     assert code == 0
     assert canonical_polys_parse_check(json.loads(out))
+
+
+@pytest.mark.parametrize(
+    "rank, nclass, pinned",
+    [
+        (2, 3, "76e67bdadaafba0bc6928233fdca4ee409e48882d06185a3f6e427398424b4b2"),
+        (3, 4, "60458d4cf12b2a48be8d78e74f1cbf73068b0675455a52e1d1b616e22f3253a2"),
+        (4, 3, "0d058ad7015b97ef8cb34816b77ade4aa42e1dade9d4e855a87ab108744443f5"),
+        (2, 5, "3d6878aff3237f39bc53ab5c36458fe3fa41facd958198864aecf6455ac4763e"),
+    ],
+)
+def test_hallpoly_json_digest_pinned(capsys, rank, nclass, pinned):
+    code, out, _ = run_cli(
+        capsys, "hallpoly", "--rank", str(rank), "--class", str(nclass), "--json"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == pinned
 
 
 def test_verify_small_run_exits_zero(capsys):

@@ -9,7 +9,7 @@ import pytest
 from hallforge.basis import hall_basis
 from hallforge.canonical import derive_hall_polynomials
 from hallforge.deformation import PolynomialCocycle, product_cocycle, zero_cocycle
-from hallforge.errors import NotInRingError, ShapeMismatchError
+from hallforge.errors import NotInRingError, ScaleLimitError, ShapeMismatchError
 from hallforge.group import FreeNilpotentGroup
 from hallforge.jsonio import (
     basis_from_obj,
@@ -162,6 +162,22 @@ def test_malformed_basis_and_lie_objects_are_shape_errors(parse, obj):
     assert lie_from_obj(_lie()).table == {(1, 0): {2: 1}}
     with pytest.raises(ShapeMismatchError):
         parse(obj)
+
+
+def test_oversized_basis_and_lie_objects_are_refused_before_building(monkeypatch):
+    from hallforge import jsonio
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("built before the size check")
+
+    monkeypatch.setattr(jsonio, "hall_basis", unreachable)
+    monkeypatch.setattr(jsonio, "GradedLieRing", unreachable)
+    with pytest.raises(ScaleLimitError):
+        basis_from_obj({"r": 400, "c": 2})
+    with pytest.raises(ScaleLimitError):
+        lie_from_obj(_lie(top={"dims": [10**7]}))
+    with pytest.raises(ShapeMismatchError):
+        lie_from_obj(_lie(top={"dims": [10**7, -(10**7)]}))
 
 
 def test_float_coordinates_rejected():

@@ -14,16 +14,19 @@ from lie_oracle import (
     CONFIGS,
     bilinear_maps,
     lie_rings,
+    matrices,
     oracle_bracket,
     oracle_center_basis,
     oracle_centralizer_weight_kernels,
     oracle_check_jacobi,
     oracle_complete_system_check,
+    oracle_endo_pair_satisfies,
     oracle_left_kernel,
     oracle_right_kernel,
     oracle_value,
     oracle_width_probe,
     sign_flipped,
+    small_ints,
     vectors,
 )
 
@@ -307,3 +310,30 @@ def test_bilinear_methods_match_reference(config, data):
 @given(bilinear_maps(), st.data())
 def test_degenerate_bilinear_maps_match_reference(bil, data):
     _check_bilinear(bil, data, (0, 1, 2) if bil.domain_dim <= 2 else (0, 1))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(bilinear_maps(), st.sampled_from(CONFIGS)), st.data())
+def test_endo_pair_check_matches_reference(bil, data):
+    if isinstance(bil, tuple):
+        bil = bilinear_from_lie(free_nilpotent_lie(*bil))
+    m, n = bil.domain_dim, bil.codomain_dim
+    # a scalar pair always satisfies the equations and a drawn pair rarely
+    # does; a scalar pair with one phi1 entry nudged satisfies the left-hand
+    # equations exactly when that row's generator is in the left kernel, and
+    # the right-hand ones when it is in the right kernel
+    c = Fraction(data.draw(small_ints))
+
+    def scalar(k):
+        return [[c * (i == j) for j in range(k)] for i in range(k)]
+
+    nudged = scalar(m)
+    if m:
+        i, j = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, m - 1))
+        nudged[i][j] += 1
+    for pair in (
+        EndoPair(scalar(m), scalar(n)),
+        EndoPair(nudged, scalar(n)),
+        EndoPair(data.draw(matrices(m)), data.draw(matrices(n))),
+    ):
+        assert endo_pair_satisfies(bil, pair) is oracle_endo_pair_satisfies(bil, pair)

@@ -119,18 +119,6 @@ def test_poly_arithmetic():
     assert not (p - p)
 
 
-def test_poly_shift_and_at_zero():
-    ring = PolyRing(("x", "y"))
-    x = ring.variable("x")
-    y = ring.variable("y")
-    p = x * x * y
-    # shifting x -> x+1 then reading the constant slice in x gives y
-    shifted = p.shift(0)
-    assert shifted == (x * x + 2 * x + ring.one) * y
-    assert p.at_zero(0) == Poly.constant(("x", "y"), 0)
-    assert shifted.at_zero(0) == y
-
-
 def test_poly_evaluate_exact():
     ring = PolyRing(("x", "y"))
     x = ring.variable("x")
@@ -271,8 +259,6 @@ def test_poly_power_matches_reference(pa, n):
 @given(poly_pairs(), st.integers(0, len(VARS) - 1))
 def test_poly_rewriting_and_queries_match_reference(pa, i):
     a, da = pa
-    assert same(a.shift(i), da.shift(i))
-    assert same(a.at_zero(i), da.at_zero(i))
     assert same(a.constant_value(), da.constant_value())
     assert same(a.is_constant(), da.is_constant())
     assert same(a.total_degree(), da.total_degree())
