@@ -120,9 +120,24 @@ class HallBasis:
         return got
 
 
-@lru_cache(maxsize=None)
+def check_config_types(rank, nclass) -> None:
+    """Raise BadRankError / OutOfClassError unless rank and class are plain ints.
+
+    bool, float and str are refused before any work: otherwise True would
+    build a group of class True, and a float or a str would fail later with
+    a bare TypeError. The caches keyed on (rank, class) are typed, so an
+    equal value of another type never reaches a cached int result.
+    """
+    if type(rank) is not int:
+        raise BadRankError(f"rank {rank!r} is not an int")
+    if type(nclass) is not int:
+        raise OutOfClassError(f"nilpotency class {nclass!r} is not an int")
+
+
+@lru_cache(maxsize=None, typed=True)
 def hall_basis(rank: int, nclass: int) -> HallBasis:
     """Build the Hall basis for the given rank and nilpotency class."""
+    check_config_types(rank, nclass)
     if rank < 2:
         raise BadRankError(f"rank {rank} needs at least 2 generators")
     if nclass < 1:

@@ -10,7 +10,10 @@ any binomial ring. The results keep only the tables: the polynomials are
 views of them, rebuilt on first access.
 
 Structure polynomials are the special case for [u_high^a, u_low^b]: the tail
-exponents as polynomials in (a, b). They feed the word collector.
+exponents as polynomials in (a, b). They feed the word collector. The series
+of u^a, u^-a, u^b and u^-b are built once per basic element straight from
+their known coordinates, so each commutator costs three series products and
+one self-checking extraction.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
+from .basis import check_config_types
 from .errors import NonIntegerCoefficientError, ScaleLimitError
 from .group import FreeNilpotentGroup
 from .rings import EXPONENT_BITS, _FIELD, BinomialTable, Poly, PolyRing, Ring, _unpack
@@ -27,6 +31,7 @@ DESK_SCALE_LIMIT = 7  # largest rank + class for symbolic derivation
 
 
 def _check_scale(rank, nclass):
+    check_config_types(rank, nclass)
     if rank + nclass > DESK_SCALE_LIMIT:
         raise ScaleLimitError(
             f"rank + class = {rank + nclass} exceeds the desk-scale limit "
@@ -135,11 +140,23 @@ def coordinate_names(basis, prefix: str):
     return tuple(f"{prefix}{i}_{j}" for (i, j) in basis.pairs)
 
 
+# Equal derived tables are one object across all derivations, as equal degree
+# keys are (rings._KEYS): at (3,4), 16 distinct tables serve all 152 structure
+# tails, and deriving a configuration again adds no table. DESK_SCALE_LIMIT
+# bounds how many there can be.
+_TABLES: dict = {}
+
+
+def _table(arity, poly) -> BinomialTable:
+    table = BinomialTable.from_dict(arity, to_binomial_basis(poly))
+    return _TABLES.setdefault(table, table)
+
+
 def _tables(arity, polys) -> tuple:
-    return tuple(BinomialTable.from_dict(arity, to_binomial_basis(poly)) for poly in polys)
+    return tuple(_table(arity, poly) for poly in polys)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def derive_hall_polynomials(rank: int, nclass: int) -> CanonicalPolynomials:
     """Run the engine over symbolic coordinates to obtain p and q exactly."""
     _check_scale(rank, nclass)
@@ -223,27 +240,41 @@ class StructurePolynomials:
         return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def derive_structure_polys(rank: int, nclass: int) -> StructurePolynomials:
     _check_scale(rank, nclass)
     ring2 = PolyRing(("x", "y"))
     grp = FreeNilpotentGroup(rank, nclass, ring2)
     basis = grp.basis
-    a = ring2.variable("x")
-    b = ring2.variable("y")
+
+    def powers(pair, v):
+        """The series of u^v and u^-v, built from their one nonzero coordinate."""
+        coords = [ring2.zero] * len(basis)
+        flat = basis.flat(pair)
+        coords[flat] = v
+        up = grp.series_from_coords(coords)
+        coords[flat] = -v
+        return up, grp.series_from_coords(coords)
+
+    # Powers of basic elements have known coordinates: their series are built
+    # once per entry, with no extraction. Every entry below the class meets
+    # some other entry.
+    below = [e.pair for e in basis.entries if e.weight < nclass]
+    x_powers = {pair: powers(pair, ring2.variable("x")) for pair in below}
+    y_powers = {pair: powers(pair, ring2.variable("y")) for pair in below}
 
     tables = {}
-    # Most tails repeat: at (3,4), 16 distinct tables serve all 152 tails, so
-    # equal tables are shared and the result holds each distinct tail once.
-    shared = {}
     for eb in basis.entries:
         for ea in basis.entries:
             if eb.pair == ea.pair or eb.weight + ea.weight > nclass:
                 continue
-            com = grp.commutator(grp.pow(grp.basic(eb.pair), a), grp.pow(grp.basic(ea.pair), b))
+            bx, bx_inv = x_powers[eb.pair]
+            ay, ay_inv = y_powers[ea.pair]
+            # [u_B^x, u_A^y] = u_B^-x u_A^-y u_B^x u_A^y, extracted once (self-checking)
+            coords = grp.coords_from_series(bx_inv * ay_inv * bx * ay)
             floor = eb.weight + ea.weight
             entries = []
-            for flat, poly in enumerate(com.coords):
+            for flat, poly in enumerate(coords):
                 target = basis.entries[flat]
                 if not poly:
                     continue
@@ -252,7 +283,6 @@ def derive_structure_polys(rank: int, nclass: int) -> StructurePolynomials:
                         f"tail of [{eb.pair}^a, {ea.pair}^b] has support at "
                         f"weight {target.weight} below the weight sum {floor}"
                     )
-                table = BinomialTable.from_dict(2, to_binomial_basis(poly))
-                entries.append((target.pair, shared.setdefault(table, table)))
+                entries.append((target.pair, _table(2, poly)))
             tables[(eb.pair, ea.pair)] = tuple(entries)
     return StructurePolynomials(rank=rank, nclass=nclass, tables=tables)

@@ -31,7 +31,7 @@ from functools import lru_cache
 from random import Random
 
 from . import linalg
-from .basis import HallBasis, hall_basis
+from .basis import HallBasis, check_config_types, hall_basis
 from .errors import NotGroupLikeError, ScaleLimitError, ShapeMismatchError
 from .rings import ZZ, Ring
 from .series import (
@@ -61,8 +61,10 @@ def check_engine_scale(rank: int, nclass: int) -> None:
     """Raise ScaleLimitError when N(rank, class) has more than ENGINE_WORD_LIMIT words.
 
     Counts the words sum_{i <= class} rank^i arithmetically and stops as soon
-    as the limit is passed, so a huge configuration is refused at once.
+    as the limit is passed, so a huge configuration is refused at once. A
+    rank or class that is not an int raises BadRankError / OutOfClassError.
     """
+    check_config_types(rank, nclass)
     if rank < 1:
         return  # hall_basis reports the bad rank
     words, layer = 0, 1
@@ -76,7 +78,7 @@ def check_engine_scale(rank: int, nclass: int) -> None:
         layer *= rank
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _engine_tables(rank: int, nclass: int) -> _EngineTables:
     check_engine_scale(rank, nclass)
     # ring-independent: image coefficients are integers, valid in every ring

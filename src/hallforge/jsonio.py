@@ -25,9 +25,13 @@ def canonical_dumps(obj) -> str:
 
 
 def _field(obj, key: str, kind, what: str):
-    """obj[key] for a JSON object obj whose key holds a value of type kind."""
+    """obj[key] for a JSON object obj whose key holds a value of type kind.
+
+    No field is boolean, so JSON true and false are refused even where an
+    int is expected (bool is an int subtype in Python).
+    """
     value = obj.get(key) if isinstance(obj, dict) else None
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or isinstance(value, bool):
         raise ShapeMismatchError(f"{what} needs a well-typed {key!r} field")
     return value
 
@@ -225,7 +229,7 @@ def lie_from_obj(obj: dict) -> GradedLieRing:
     from fractions import Fraction
 
     dims = _field(obj, "dims", list, "a Lie ring object")
-    if not all(isinstance(n, int) and n >= 0 for n in dims):
+    if not all(type(n) is int and n >= 0 for n in dims):
         raise ShapeMismatchError("Lie ring dimensions are written as nonnegative integers")
     if sum(dims) > ENGINE_WORD_LIMIT:
         raise ScaleLimitError(

@@ -164,7 +164,7 @@ class GradedLieRing:
         return f"GradedLieRing(dims={self.dims}, label={self.label!r})"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def lazard_lie_ring(rank: int, nclass: int) -> GradedLieRing:
     """Structure constants from leading coordinates of group commutators."""
     grp = FreeNilpotentGroup(rank, nclass)
@@ -191,7 +191,7 @@ def lazard_lie_ring(rank: int, nclass: int) -> GradedLieRing:
     return GradedLieRing(basis.counts, table, label=f"lazard({rank},{nclass})")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def free_nilpotent_lie(rank: int, nclass: int) -> GradedLieRing:
     """Structure constants by bracketing Hall Lie elements and re-expanding."""
     tables = _engine_tables(rank, nclass)

@@ -84,6 +84,20 @@ def test_bad_configurations_rejected():
         basis.flat((3, 1))
 
 
+@pytest.mark.parametrize("rank", [3.0, True, "3", None])
+def test_rank_must_be_an_int(rank):
+    with pytest.raises(BadRankError):
+        hall_basis(rank, 2)
+
+
+@pytest.mark.parametrize("nclass", [2.0, True, "3", None])
+def test_class_must_be_an_int(nclass):
+    hall_basis(2, 2)
+    hall_basis(2, 1)  # cached equal keys must not answer for the wrong type
+    with pytest.raises(OutOfClassError):
+        hall_basis(2, nclass)
+
+
 def test_lie_elements_independent_per_weight():
     basis = hall_basis(2, 4)
     for w in range(1, 5):

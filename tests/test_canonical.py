@@ -1,6 +1,7 @@
 """Tests for symbolic derivation of the product and power polynomials."""
 
 import dataclasses
+import hashlib
 from fractions import Fraction
 from random import Random
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from poly_oracle import VARS, DensePoly, dense_to_binomial_basis, poly_pairs, table_dicts
 
+from hallforge import series
 from hallforge.canonical import (
     DESK_SCALE_LIMIT,
     associativity_identity_holds,
@@ -212,6 +214,71 @@ def test_structure_view_equals_engine_tails():
     st = derive_structure_polys(3, 3)
     assert st.polys == _engine_tails(3, 3)
     assert st.polys is st.polys
+
+
+# every configuration with class >= 2 inside the symbolic limit
+STRUCTURE_CONFIGS = (
+    (2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (3, 4), (4, 2), (4, 3), (5, 2)
+)
+
+
+@pytest.mark.parametrize("rank, nclass", STRUCTURE_CONFIGS)
+def test_structure_tables_equal_engine_commutators(rank, nclass):
+    want = [
+        (key, tuple((pair, BinomialTable.from_dict(2, to_binomial_basis(poly))) for pair, poly in tails))
+        for key, tails in _engine_tails(rank, nclass).items()
+    ]
+    got = list(derive_structure_polys(rank, nclass).tables.items())
+    assert [key for key, _ in got] == [key for key, _ in want]
+    for (key, tails), (_, want_tails) in zip(got, want):
+        assert [pair for pair, _ in tails] == [pair for pair, _ in want_tails], key
+        assert [t.coeffs for _, t in tails] == [t.coeffs for _, t in want_tails], key
+
+
+# SHA-256 over every key, tail pair and table coefficient, in order
+STRUCTURE_DIGESTS = {
+    (2, 2): "103f17f4b260955f8019937c182946493a8fa89620f0aff25fdfb50c017d5cd3",
+    (2, 3): "f21be409cb6d9b0c0a94ecafe75785c05e4726687bc54c2d7d2cf692f9ed1fa4",
+    (2, 4): "e3265087ee8bf9509efda7b625efa5edd9391414da4c00839270d2f975c3a512",
+    (2, 5): "a818f6385290a1f4ea1fc8eae70e4736ed86e09e64e122e3bbd7c93a60d96bb7",
+    (3, 2): "23885b1d2f0275a93d0142eacdc23bba821ec78d61b666a93e9c50890490565d",
+    (3, 3): "e01d6d7d9ed9a39ec144219b20a7332de2a60319c6330d59fa447204cc61190a",
+    (3, 4): "dc6ea60eddfd9ebabca76798acc867ef0a7f128e90eff996c198b41ddb040832",
+    (4, 2): "55d319a70920a13db4d714134345721424b7bd9fb49a54b0b716d5516ca81928",
+    (4, 3): "9f8ec27d2530df01017868b9ffd29983b1690eecae6eb311fddfe9b14585195c",
+    (5, 2): "bd416743ff5f794a7bc9f387b6f019859293aa883e6b68da22260ae41970a0dc",
+}
+
+
+def test_structure_tables_pinned():
+    assert tuple(STRUCTURE_DIGESTS) == STRUCTURE_CONFIGS
+    for config, want in STRUCTURE_DIGESTS.items():
+        h = hashlib.sha256()
+        for key, tails in derive_structure_polys(*config).tables.items():
+            h.update(repr(key).encode())
+            for pair, table in tails:
+                h.update(repr((pair, table.coeffs)).encode())
+        assert h.hexdigest() == want, config
+
+
+def test_structure_derivation_extracts_once_per_commutator(monkeypatch):
+    FreeNilpotentGroup(3, 4)  # engine tables built before counting
+    calls = {"extract": 0, "pow": 0, "aug": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    grp = FreeNilpotentGroup
+    monkeypatch.setattr(grp, "coords_from_series", counted("extract", grp.coords_from_series))
+    monkeypatch.setattr(grp, "pow", counted("pow", grp.pow))
+    monkeypatch.setattr(series, "augmentation_powers", counted("aug", series.augmentation_powers))
+    st = derive_structure_polys.__wrapped__(3, 4)  # past the cache, same result
+    assert len(st.tables) == 78
+    assert calls == {"extract": 78, "pow": 0, "aug": 0}
 
 
 def test_results_hold_tables_only():

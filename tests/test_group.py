@@ -23,8 +23,16 @@ from series_oracle import (
 )
 
 from hallforge import group
-from hallforge.errors import NotGroupLikeError, ScaleLimitError, ShapeMismatchError
+from hallforge.canonical import derive_hall_polynomials, derive_structure_polys
+from hallforge.errors import (
+    BadRankError,
+    NotGroupLikeError,
+    OutOfClassError,
+    ScaleLimitError,
+    ShapeMismatchError,
+)
 from hallforge.group import ENGINE_WORD_LIMIT, FreeNilpotentGroup, check_engine_scale
+from hallforge.lie import free_nilpotent_lie, lazard_lie_ring
 from hallforge.oracles import Ut3Oracle
 from hallforge.rings import QQ, ZZ, PolyRing
 from hallforge.series import TruncatedSeries
@@ -200,6 +208,40 @@ def test_engine_scale_guard_counts_words():
     for rank, nclass in ((2, 10), (10, 10), (1, ENGINE_WORD_LIMIT), (10**6, 10**6), (1, 10**18)):
         with pytest.raises(ScaleLimitError):
             check_engine_scale(rank, nclass)
+
+
+@pytest.mark.parametrize(
+    "rank, nclass, error",
+    [
+        (2.0, 2, BadRankError),
+        (True, 2, BadRankError),
+        ("3", 2, BadRankError),
+        (2, 2.0, OutOfClassError),
+        (2, True, OutOfClassError),
+        (2, "3", OutOfClassError),
+    ],
+)
+def test_config_must_be_ints(monkeypatch, rank, nclass, error):
+    builds = (
+        FreeNilpotentGroup,
+        derive_hall_polynomials,
+        derive_structure_polys,
+        lazard_lie_ring,
+        free_nilpotent_lie,
+    )
+    for build in builds:  # cached equal keys must not answer for the wrong type
+        build(2, 2)
+    FreeNilpotentGroup(2, 1)
+    with pytest.raises(error):
+        check_engine_scale(rank, nclass)
+
+    def no_basis(*args):
+        raise AssertionError("hall_basis ran for a refused configuration")
+
+    monkeypatch.setattr(group, "hall_basis", no_basis)
+    for build in builds:
+        with pytest.raises(error):
+            build(rank, nclass)
 
 
 def test_huge_group_refused_before_any_table(monkeypatch):

@@ -140,6 +140,11 @@ def _lie(top={}, row={}, target={}):
         (lie_from_obj, _lie(target={"coeff": None})),
         (lie_from_obj, _lie(target={"coeff": "one"})),
         (lie_from_obj, _lie(target={"coeff": "1/0"})),
+        (basis_from_obj, {**basis_to_obj(hall_basis(2, 1)), "c": True}),
+        (lie_from_obj, _lie(top={"dims": [2, True]})),
+        (lie_from_obj, _lie(row={"left": True})),
+        (lie_from_obj, _lie(target={"index": True})),
+        (lie_from_obj, _lie(target={"coeff": True})),
     ],
     ids=[
         "basis-empty",
@@ -156,6 +161,11 @@ def _lie(top={}, row={}, target={}):
         "lie-no-coeff",
         "lie-word-coeff",
         "lie-zero-denominator",
+        "basis-bool-c",
+        "lie-bool-dim",
+        "lie-row-bool-left",
+        "lie-bool-index",
+        "lie-bool-coeff",
     ],
 )
 def test_malformed_basis_and_lie_objects_are_shape_errors(parse, obj):
