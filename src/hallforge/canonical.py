@@ -9,23 +9,36 @@ is the witness that they are integer-valued and lets them be evaluated inside
 any binomial ring. The results keep only the tables: the polynomials are
 views of them, rebuilt on first access.
 
-Structure polynomials are the special case for [u_high^a, u_low^b]: the tail
-exponents as polynomials in (a, b). They feed the word collector. The series
-of u^a, u^-a, u^b and u^-b are built once per basic element straight from
-their known coordinates, so each commutator costs three series products and
-one self-checking extraction.
-"""
+The weight-c layer (c the class) is central, and there the engine is not
+needed: both derivations use its closed forms.
 
+- Hall polynomials: the weight-c basis elements are central and come last in
+  the order, so g(x) = g(x') u_top^x_top with x' = x without its weight-c
+  coordinates, and p_t = p_t(x', y') + x_t + y_t, q_t = q_t(x', y) + y x_t for
+  every weight-c index t. The engine runs on x' only, from one series S(x'):
+  S(y') is S(x') over the y fields, and the power base is S(x') itself.
+- Structure tails with weight sum c: the commutator map is bilinear into the
+  centre, so [u_B^x, u_A^y] = [u_B, u_A]^(xy); the series of [u_B, u_A] is
+  exactly 1 + L_B L_A - L_A L_B (every other term lies past the class), and
+  one self-checking extraction over the integers gives the tail x y k.
+
+Structure polynomials are the special case for [u_high^a, u_low^b]: the tail
+exponents as polynomials in (a, b). They feed the word collector. Below the
+class, the series of u^a, u^-a, u^b and u^-b are built once per basic element
+of weight at most c - 2 straight from their known coordinates, so each
+commutator costs three series products and one self-checking extraction.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .basis import check_config_types
+from .basis import check_config_types, hall_basis
 from .errors import NonIntegerCoefficientError, ScaleLimitError
 from .group import FreeNilpotentGroup
 from .rings import EXPONENT_BITS, _FIELD, BinomialTable, Poly, PolyRing, Ring, _unpack
+from .series import TruncatedSeries, series_pow
 
 DESK_SCALE_LIMIT = 7  # largest rank + class for symbolic derivation
 
@@ -140,10 +153,10 @@ def coordinate_names(basis, prefix: str):
     return tuple(f"{prefix}{i}_{j}" for (i, j) in basis.pairs)
 
 
-# Equal derived tables are one object across all derivations, as equal degree
-# keys are (rings._KEYS): at (3,4), 16 distinct tables serve all 152 structure
-# tails, and deriving a configuration again adds no table. DESK_SCALE_LIMIT
-# bounds how many there can be.
+# Equal derived tables, and equal structure-tail tuples, are one object across
+# all derivations, as equal degree keys are (rings._KEYS): at (3,4), 16
+# distinct tables serve all 152 structure tails, and deriving a configuration
+# again adds no table. DESK_SCALE_LIMIT bounds how many there can be.
 _TABLES: dict = {}
 
 
@@ -157,23 +170,50 @@ def _tables(arity, polys) -> tuple:
 
 
 @lru_cache(maxsize=None, typed=True)
-def derive_hall_polynomials(rank: int, nclass: int) -> CanonicalPolynomials:
-    """Run the engine over symbolic coordinates to obtain p and q exactly."""
-    _check_scale(rank, nclass)
-    basis = FreeNilpotentGroup(rank, nclass).basis
-
+def _hall_rings(rank: int, nclass: int) -> tuple[PolyRing, PolyRing]:
+    """The product ring (x..., y...) and the power ring (x..., y), built once per configuration."""
+    basis = hall_basis(rank, nclass)
     x_names = coordinate_names(basis, "x")
-    y_names = coordinate_names(basis, "y")
-    mul_ring = PolyRing(x_names + y_names)
-    gx = [mul_ring.variable(n) for n in x_names]
-    gy = [mul_ring.variable(n) for n in y_names]
-    grp = FreeNilpotentGroup(rank, nclass, mul_ring)
-    p = grp.mul_coords(gx, gy)
+    return PolyRing(x_names + coordinate_names(basis, "y")), PolyRing(x_names + ("y",))
 
-    pow_ring = PolyRing(x_names + ("y",))
-    px = [pow_ring.variable(n) for n in x_names]
-    grp2 = FreeNilpotentGroup(rank, nclass, pow_ring)
-    q = grp2.pow_coords(px, pow_ring.variable("y"))
+
+def _moved(s: TruncatedSeries, variables, shift: int = 0) -> TruncatedSeries:
+    """s with every Poly coefficient over `variables`, its packed keys moved up `shift` fields."""
+    bits = shift * EXPONENT_BITS
+    return TruncatedSeries(
+        s.rank,
+        s.cutoff,
+        {
+            w: Poly._trusted(variables, {k << bits: v for k, v in c._num.items()}, c._den)
+            if isinstance(c, Poly)
+            else c
+            for w, c in s.coeffs.items()
+        },
+    )
+
+
+@lru_cache(maxsize=None, typed=True)
+def derive_hall_polynomials(rank: int, nclass: int) -> CanonicalPolynomials:
+    """p and q exactly: the engine below the class, closed forms on the central weight-c layer."""
+    _check_scale(rank, nclass)
+    mul_ring, pow_ring = _hall_rings(rank, nclass)
+    grp = FreeNilpotentGroup(rank, nclass, mul_ring)
+    n = len(grp.basis)
+    top = grp.basis.weight_start(nclass)
+    xy = [mul_ring.variable(v) for v in mul_ring.vars]
+
+    # The weight-c coordinates are central and last, so g(x) = g(x') u_top^x_top
+    # with x' = x without them: p = p(x', y') + x_top + y_top and
+    # q = q(x', y) + y x_top. S(x') serves all three series: over the y fields
+    # for S(y'), and as the power base (the x fields sit alike in both rings).
+    sx = grp.series_from_coords(xy[:top] + [mul_ring.zero] * (n - top))
+    p = list(grp.coords_from_series(sx * _moved(sx, mul_ring.vars, n)))
+    y = pow_ring.variable("y")
+    power = series_pow(_moved(sx, pow_ring.vars), y, pow_ring)
+    q = list(FreeNilpotentGroup(rank, nclass, pow_ring).coords_from_series(power))
+    for t in range(top, n):
+        p[t] = p[t] + xy[t] + xy[n + t]
+        q[t] = q[t] + y * pow_ring.variable(pow_ring.vars[t])
 
     return CanonicalPolynomials(
         rank=rank,
@@ -188,12 +228,8 @@ def derive_hall_polynomials(rank: int, nclass: int) -> CanonicalPolynomials:
 def associativity_identity_holds(cp: CanonicalPolynomials) -> bool:
     """p(p(x,y),z) == p(x,p(y,z)) as exact polynomial identities."""
     n = len(cp.p)
-    basis = FreeNilpotentGroup(cp.rank, cp.nclass).basis
-    names = (
-        coordinate_names(basis, "x")
-        + coordinate_names(basis, "y")
-        + coordinate_names(basis, "z")
-    )
+    basis = hall_basis(cp.rank, cp.nclass)
+    names = _hall_rings(cp.rank, cp.nclass)[0].vars + coordinate_names(basis, "z")
     ring3 = PolyRing(names)
     xs = [ring3.variable(v) for v in names[:n]]
     ys = [ring3.variable(v) for v in names[n : 2 * n]]
@@ -245,7 +281,9 @@ def derive_structure_polys(rank: int, nclass: int) -> StructurePolynomials:
     _check_scale(rank, nclass)
     ring2 = PolyRing(("x", "y"))
     grp = FreeNilpotentGroup(rank, nclass, ring2)
+    zz = FreeNilpotentGroup(rank, nclass)
     basis = grp.basis
+    xy = ring2.variable("x") * ring2.variable("y")
 
     def powers(pair, v):
         """The series of u^v and u^-v, built from their one nonzero coordinate."""
@@ -257,22 +295,29 @@ def derive_structure_polys(rank: int, nclass: int) -> StructurePolynomials:
         return up, grp.series_from_coords(coords)
 
     # Powers of basic elements have known coordinates: their series are built
-    # once per entry, with no extraction. Every entry below the class meets
-    # some other entry.
-    below = [e.pair for e in basis.entries if e.weight < nclass]
+    # once per entry, with no extraction. Only pairs below the class need
+    # them, and each entry of weight <= class - 2 meets a generator there.
+    below = [e.pair for e in basis.entries if e.weight <= nclass - 2]
     x_powers = {pair: powers(pair, ring2.variable("x")) for pair in below}
     y_powers = {pair: powers(pair, ring2.variable("y")) for pair in below}
 
     tables = {}
     for eb in basis.entries:
         for ea in basis.entries:
-            if eb.pair == ea.pair or eb.weight + ea.weight > nclass:
-                continue
-            bx, bx_inv = x_powers[eb.pair]
-            ay, ay_inv = y_powers[ea.pair]
-            # [u_B^x, u_A^y] = u_B^-x u_A^-y u_B^x u_A^y, extracted once (self-checking)
-            coords = grp.coords_from_series(bx_inv * ay_inv * bx * ay)
             floor = eb.weight + ea.weight
+            if eb.pair == ea.pair or floor > nclass:
+                continue
+            if floor == nclass:
+                # The commutator map is bilinear into the centre, so
+                # [u_B^x, u_A^y] = [u_B, u_A]^(xy); the series of [u_B, u_A]
+                # is 1 + L_B L_A - L_A L_B, every higher term lying past the class.
+                lb, la = basis.lie_element(eb), basis.lie_element(ea)
+                coords = [k * xy for k in zz.coords_from_series(1 + (lb * la - la * lb))]
+            else:
+                bx, bx_inv = x_powers[eb.pair]
+                ay, ay_inv = y_powers[ea.pair]
+                # [u_B^x, u_A^y] = u_B^-x u_A^-y u_B^x u_A^y, extracted once (self-checking)
+                coords = grp.coords_from_series(bx_inv * ay_inv * bx * ay)
             entries = []
             for flat, poly in enumerate(coords):
                 target = basis.entries[flat]
@@ -284,5 +329,6 @@ def derive_structure_polys(rank: int, nclass: int) -> StructurePolynomials:
                         f"weight {target.weight} below the weight sum {floor}"
                     )
                 entries.append((target.pair, _table(2, poly)))
-            tables[(eb.pair, ea.pair)] = tuple(entries)
+            tails = tuple(entries)
+            tables[(eb.pair, ea.pair)] = _TABLES.setdefault(tails, tails)
     return StructurePolynomials(rank=rank, nclass=nclass, tables=tables)

@@ -203,10 +203,22 @@ def _engine_tails(rank, nclass):
     return out
 
 
-@pytest.mark.parametrize("rank, nclass", [(2, 3), (3, 3), (3, 4)])
+# every configuration with class >= 2 inside the symbolic limit
+STRUCTURE_CONFIGS = (
+    (2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (3, 4), (4, 2), (4, 3), (5, 2)
+)
+# the structure configurations plus two of class 1, where every coordinate is central
+HALL_CONFIGS = ((2, 1), (3, 1)) + STRUCTURE_CONFIGS
+
+
+@pytest.mark.parametrize("rank, nclass", HALL_CONFIGS)
 def test_polynomial_views_equal_a_fresh_engine_run(rank, nclass):
     cp = derive_hall_polynomials(rank, nclass)
-    assert (cp.p, cp.q) == _engine_polys(rank, nclass)
+    p, q = _engine_polys(rank, nclass)
+    for tables, polys in ((cp.p_tables, p), (cp.q_tables, q)):
+        want = [BinomialTable.from_dict(len(poly.vars), to_binomial_basis(poly)) for poly in polys]
+        assert [t.coeffs for t in tables] == [t.coeffs for t in want]
+    assert (cp.p, cp.q) == (p, q)
     assert cp.p is cp.p  # built once, then kept
 
 
@@ -214,12 +226,6 @@ def test_structure_view_equals_engine_tails():
     st = derive_structure_polys(3, 3)
     assert st.polys == _engine_tails(3, 3)
     assert st.polys is st.polys
-
-
-# every configuration with class >= 2 inside the symbolic limit
-STRUCTURE_CONFIGS = (
-    (2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (3, 4), (4, 2), (4, 3), (5, 2)
-)
 
 
 @pytest.mark.parametrize("rank, nclass", STRUCTURE_CONFIGS)
@@ -261,24 +267,91 @@ def test_structure_tables_pinned():
         assert h.hexdigest() == want, config
 
 
-def test_structure_derivation_extracts_once_per_commutator(monkeypatch):
-    FreeNilpotentGroup(3, 4)  # engine tables built before counting
-    calls = {"extract": 0, "pow": 0, "aug": 0}
+# SHA-256 over the variable names and every p and q table coefficient, in order
+HALL_DIGESTS = {
+    (2, 1): "b4564abe119f95e1b20ba2b88d38841a1760144159443bc6c2c3fa3c37a0b9a1",
+    (3, 1): "88adfe8894e13635afb77f5cb44f566d51c0c68226fe9d53ef9095599d2ad223",
+    (2, 2): "7f8dafa6ec2dd82b4cec4c13be5d41eaed56a2bc7e466fb840984d99f3f39b0d",
+    (2, 3): "897bee7963145b96603faf9ec641bc8f569927f323e5a4ee9fdbc1fe92301945",
+    (2, 4): "ebe5b58c2d8bccc85de941de7a49c49768fe878b70b198b1a0db15f89bb7ef69",
+    (2, 5): "fef8bb77a3fe1297429f54ff7b6af36788f57aeba467e11c7e6d2d184a7c7314",
+    (3, 2): "03570660b77547cc832af5619a424e5e029c1fb2a0d518f10257f0edf39dcbf9",
+    (3, 3): "005e5deaa227f2740ae5a8ff37943496fab1373b7238c7276c7b99967121a8fc",
+    (3, 4): "044a0f48a79bb81841451f37f344a8309cceac95bb6a97fd7663ae2107512ac9",
+    (4, 2): "723d54bb7dfd407094199205117283a2eb34a857c6883c3d740276e40079a9a3",
+    (4, 3): "cda55fd72e88d04a43cd7547086ae3d3fe1bddb26c83e3ca0c92ed4a512ff8e6",
+    (5, 2): "8f4da9137c0194cdc382bfaf8cc360bb72d412d8b48a2ac4906eef5d72a0b7e9",
+}
 
-    def counted(name, fn):
+
+def _hall_digest(cp):
+    h = hashlib.sha256(repr((cp.mul_vars, cp.pow_vars)).encode())
+    for table in cp.p_tables + cp.q_tables:
+        h.update(repr(table.coeffs).encode())
+    return h.hexdigest()
+
+
+def test_hall_tables_pinned():
+    assert tuple(HALL_DIGESTS) == HALL_CONFIGS
+    for config, want in HALL_DIGESTS.items():
+        assert _hall_digest(derive_hall_polynomials(*config)) == want, config
+
+
+def _counted(monkeypatch, owner, names):
+    """Count the calls of owner's named functions; the counts come back as one dict."""
+    calls = {name: 0 for name in names}
+
+    def wrap(name, fn):
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return fn(*args, **kwargs)
 
         return wrapper
 
-    grp = FreeNilpotentGroup
-    monkeypatch.setattr(grp, "coords_from_series", counted("extract", grp.coords_from_series))
-    monkeypatch.setattr(grp, "pow", counted("pow", grp.pow))
-    monkeypatch.setattr(series, "augmentation_powers", counted("aug", series.augmentation_powers))
+    for name in names:
+        monkeypatch.setattr(owner, name, wrap(name, getattr(owner, name)))
+    return calls
+
+
+def test_structure_derivation_extracts_once_per_commutator(monkeypatch):
+    FreeNilpotentGroup(3, 4)  # engine tables built before counting
+    extract = FreeNilpotentGroup.coords_from_series
+    by_ring = {"ZZ": 0, "PolyRing": 0}
+
+    def counted_extract(grp, s):
+        by_ring["ZZ" if grp.ring is ZZ else "PolyRing"] += 1
+        return extract(grp, s)
+
+    monkeypatch.setattr(FreeNilpotentGroup, "coords_from_series", counted_extract)
+    calls = _counted(monkeypatch, FreeNilpotentGroup, ("pow",))
+    calls.update(_counted(monkeypatch, series, ("augmentation_powers",)))
     st = derive_structure_polys.__wrapped__(3, 4)  # past the cache, same result
     assert len(st.tables) == 78
-    assert calls == {"extract": 78, "pow": 0, "aug": 0}
+    # the 54 central tails (weight sum 4) from integer brackets, the 24 others over PolyRing
+    assert by_ring == {"ZZ": 54, "PolyRing": 24}
+    assert calls == {"pow": 0, "augmentation_powers": 0}
+
+
+def test_hall_derivation_builds_one_series(monkeypatch):
+    FreeNilpotentGroup(3, 4)
+    calls = _counted(monkeypatch, FreeNilpotentGroup, ("series_from_coords", "coords_from_series"))
+    derive_hall_polynomials.__wrapped__(3, 4)  # past the cache, same result
+    # S(x') once; one extraction for the product and one for the power
+    assert calls == {"series_from_coords": 1, "coords_from_series": 2}
+
+
+def test_derivations_share_names_and_tails():
+    results = []
+    for _ in range(2):
+        derive_hall_polynomials.cache_clear()
+        derive_structure_polys.cache_clear()
+        results.append((derive_hall_polynomials(3, 4), derive_structure_polys(3, 4)))
+    (cp1, st1), (cp2, st2) = results
+    assert cp1 is not cp2 and st1 is not st2
+    assert cp1.mul_vars is cp2.mul_vars
+    assert cp1.pow_vars is cp2.pow_vars
+    assert st1.tables.keys() == st2.tables.keys()
+    assert all(st1.tables[key] is st2.tables[key] for key in st1.tables)
 
 
 def test_results_hold_tables_only():
