@@ -30,7 +30,7 @@ from .deformation import (
     assemble_extension_cocycle,
     centralizer_extension_check,
     check_cocycle,
-    coboundary_split_integers,
+    coboundary_split,
     iso_from_splittings,
     product_cocycle,
     zero_cocycle,
@@ -149,7 +149,7 @@ __all__ = [
     "centralizer_line_holds",
     "centralizer_weight_kernels",
     "check_cocycle",
-    "coboundary_split_integers",
+    "coboundary_split",
     "commutator_power_identity_holds",
     "compare_graded_lie",
     "complete_system_check",

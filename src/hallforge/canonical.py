@@ -83,6 +83,12 @@ def to_binomial_basis(poly: Poly) -> dict:
     lexicographically smallest offending degrees, if any entry is not an
     integer, i.e. if the polynomial is not integer-valued.
     """
+    nv = len(poly.vars)
+    return dict(sorted((_unpack(key, nv), v) for key, v in _packed_binomial_basis(poly).items()))
+
+
+def _packed_binomial_basis(poly: Poly) -> dict:
+    """to_binomial_basis with the degrees left packed as in Poly keys, unordered."""
     acc: dict = {}
     get = acc.get
     for key, c in poly._num.items():
@@ -104,7 +110,7 @@ def to_binomial_basis(poly: Poly) -> dict:
             f"binomial coefficient {Fraction(acc[first], den)} at "
             f"{_unpack(first, nv)} is not an integer"
         )
-    return dict(sorted((_unpack(key, nv), v // den) for key, v in acc.items() if v))
+    return {key: v // den for key, v in acc.items() if v}
 
 
 def _table_polys(tables, variables) -> tuple:
@@ -156,13 +162,20 @@ def coordinate_names(basis, prefix: str):
 # Equal derived tables, and equal structure-tail tuples, are one object across
 # all derivations, as equal degree keys are (rings._KEYS): at (3,4), 16
 # distinct tables serve all 152 structure tails, and deriving a configuration
-# again adds no table. DESK_SCALE_LIMIT bounds how many there can be.
+# again adds no table. A table is keyed on its arity and the set of its
+# packed (degrees, coefficient) pairs, and built only when that key is new.
+# DESK_SCALE_LIMIT bounds how many there can be.
 _TABLES: dict = {}
 
 
 def _table(arity, poly) -> BinomialTable:
-    table = BinomialTable.from_dict(arity, to_binomial_basis(poly))
-    return _TABLES.setdefault(table, table)
+    packed = _packed_binomial_basis(poly)
+    key = (arity, frozenset(packed.items()))
+    table = _TABLES.get(key)
+    if table is None:
+        coeffs = {_unpack(k, arity): v for k, v in packed.items()}
+        table = _TABLES[key] = BinomialTable.from_dict(arity, coeffs)
+    return table
 
 
 def _tables(arity, polys) -> tuple:

@@ -21,7 +21,7 @@ from .deformation import (
     DeformedGroup,
     assemble_extension_cocycle,
     check_cocycle,
-    coboundary_split_integers,
+    coboundary_split,
     iso_from_splittings,
 )
 from .errors import (
@@ -247,7 +247,7 @@ def _cmd_deform(args) -> int:
         return 0
 
     # action == "iso"
-    splittings = [coboundary_split_integers(f) for f in family]
+    splittings = [coboundary_split(f) for f in family]
     iso = iso_from_splittings(dgrp, splittings)
     try:
         iso.verify(Random(args.seed), samples=args.samples)

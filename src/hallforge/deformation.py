@@ -3,22 +3,25 @@
 A deformation attaches to each generator a symmetric normalized 2-cocycle
 valued in the weight-c coordinate block. The deformed product keeps every
 coordinate below the top weight and adds f^k(a_1k, b_1k) to the top block;
-the result is again a group. Over the integers every such cocycle splits as
-a coboundary, and the splitting gives an explicit coordinate isomorphism
-back to the undeformed group; this module builds both directions and the
-extension cocycle that realizes the deformed group as a central extension.
+the result is again a group. A polynomial cocycle
+f = sum c_ij binom(a, i) binom(b, j) is the coboundary of
+psi(a) = sum_i c_i1 binom(a, i + 1), an identity in every binomial ring, and
+the splitting gives an explicit coordinate isomorphism back to the
+undeformed group over the group's own ring, through which deformed powers
+are taken. This module builds both directions and the extension cocycle that
+realizes the deformed group as a central extension.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from random import Random
 
 from .errors import (
     CocycleViolationError,
     HallforgeError,
     NotAHomomorphismError,
-    NotInRingError,
     ShapeMismatchError,
     SplitFailureError,
 )
@@ -158,8 +161,9 @@ class DeformedGroup(CoordinateGroup):
     """The base group with its top-weight product twisted by cocycles.
 
     Takes one cocycle per generator, each valued in the weight-c block.
-    Only mul, pow by integers, and inv exist here; there is no series
-    image and no general ring power.
+    mul and inv twist the base product directly; pow takes every exponent
+    of the ring through the splitting isomorphism, built on first use.
+    There is no series image.
     """
 
     def __init__(self, base: FreeNilpotentGroup, cocycles, check=True):
@@ -229,79 +233,66 @@ class DeformedGroup(CoordinateGroup):
                 coords[self._top + j] = coords[self._top + j] - v
         return GroupElement(self, tuple(coords))
 
+    @cached_property
+    def _iso(self) -> "SplittingIsomorphism":
+        return SplittingIsomorphism(self, [coboundary_split(f) for f in self.cocycles])
+
     def pow(self, g: GroupElement, exponent) -> GroupElement:
-        """Integer powers by repeated deformed multiplication."""
-        self._own(g)
-        if not isinstance(exponent, int):
-            raise NotInRingError("deformed powers take integer exponents only")
-        if exponent < 0:
-            return self.pow(self.inv(g), -exponent)
-        acc = self.identity()
-        base = g
-        n = exponent
-        while n:
-            if n & 1:
-                acc = self.mul(acc, base)
-            n >>= 1
-            if n:
-                base = self.mul(base, base)
-        return acc
+        """g^exponent = to_deformed(to_base(g)^exponent), for any exponent of the ring.
+
+        Raises SplitFailureError if a cocycle does not split.
+        """
+        return self._iso.to_deformed(self.base.pow(self._iso.to_base(g), exponent))
 
 
-def coboundary_split_integers(cocycle) -> "IntegerSplitting":
-    """Split an integer cocycle as f(a,b) = psi(a+b) - psi(a) - psi(b)."""
-    return IntegerSplitting(cocycle)
+@dataclass(frozen=True)
+class Splitting:
+    """psi with f(a, b) = psi(a + b) - psi(a) - psi(b), one arity-1 table per component.
 
-
-_SPLIT_BOX = range(-12, 13)  # IntegerSplitting checks every pair (a, b) from this box
-
-
-class IntegerSplitting:
-    """The canonical splitting of a symmetric cocycle over the integers.
-
-    psi(0) = 0, psi(n+1) = psi(n) + f(n, 1), psi(n-1) = psi(n) - f(n-1, 1).
-    The coboundary equation for all integers follows from the cocycle
-    identity by induction; the constructor still verifies it on every pair
-    from _SPLIT_BOX and raises if the input was not actually a cocycle.
+    Evaluates inside any binomial ring, like a polynomial cocycle; called on
+    an integer, it gives the integer values.
     """
 
-    def __init__(self, cocycle):
-        self.cocycle = cocycle
-        self.width = cocycle.n_components
-        self._vals = {0: (0,) * self.width}
-        self._hi = 0
-        self._lo = 0
-        for a in _SPLIT_BOX:
-            for b in _SPLIT_BOX:
-                got = self._f(a, b)
-                want = tuple(
-                    s - p - q for s, p, q in zip(self(a + b), self(a), self(b))
-                )
-                if got != want:
-                    raise SplitFailureError(
-                        f"not a symmetric integer cocycle: at ({a}, {b}) the "
-                        f"value {got} differs from the coboundary {want}"
-                    )
+    components: tuple
 
-    def _f(self, a, b):
-        return tuple(int(v) for v in self.cocycle.value(a, b, ZZ))
+    def value(self, a, ring: Ring):
+        return tuple(t.evaluate((a,), ring) for t in self.components)
 
-    def __call__(self, a: int):
-        if not isinstance(a, int):
-            raise NotInRingError("splittings are defined on the integers")
-        while self._hi < a:
-            step = self._f(self._hi, 1)
-            self._vals[self._hi + 1] = tuple(
-                p + s for p, s in zip(self._vals[self._hi], step)
+    def __call__(self, a):
+        return self.value(a, ZZ)
+
+    def coboundary(self, a, b, ring: Ring):
+        """psi(a + b) - psi(a) - psi(b), per component."""
+        sides = zip(self.value(a + b, ring), self.value(a, ring), self.value(b, ring))
+        return tuple(s - p - q for s, p, q in sides)
+
+
+def coboundary_split(f) -> Splitting:
+    """Split a polynomial cocycle in closed form: psi(a) = sum_i c_i1 binom(a, i + 1).
+
+    For a normalized f, psi(a + 1) - psi(a) = f(a, 1) = sum_i c_i1 binom(a, i),
+    which Pascal's rule sums to the closed form. The coboundary equation is
+    then checked as an exact identity over Q[x, y]; it fails, raising
+    SplitFailureError, exactly when f is not a symmetric normalized cocycle.
+    """
+    if not isinstance(f, PolynomialCocycle):
+        raise SplitFailureError("only polynomial cocycles split in closed form")
+    psi = Splitting(
+        tuple(
+            BinomialTable.from_dict(1, {(i + 1,): c for (i, j), c in t.coeffs if j == 1})
+            for t in f.components
+        )
+    )
+    ring2 = PolyRing(("x", "y"))
+    x = ring2.variable("x")
+    y = ring2.variable("y")
+    for idx, (v, w) in enumerate(zip(f.value(x, y, ring2), psi.coboundary(x, y, ring2))):
+        if v != w:
+            raise SplitFailureError(
+                f"component {idx}: f(x, y) is not psi(x+y) - psi(x) - psi(y) for "
+                f"psi = {psi.components[idx].as_dict()}; f is not a symmetric normalized cocycle"
             )
-            self._hi += 1
-        while self._lo > a:
-            step = self._f(self._lo - 1, 1)
-            self._vals[self._lo - 1] = tuple(
-                p - s for p, s in zip(self._vals[self._lo], step)
-            )
-            self._lo -= 1
-        return self._vals[a]
+    return psi
 
 
 def iso_from_splittings(deformed: DeformedGroup, splittings) -> "SplittingIsomorphism":
@@ -309,11 +300,12 @@ def iso_from_splittings(deformed: DeformedGroup, splittings) -> "SplittingIsomor
 
 
 class SplittingIsomorphism:
-    """Coordinate bijection between a deformed group over Z and its base.
+    """Coordinate bijection between a deformed group and its base.
 
     Splitting the cocycles makes the deformation a coboundary, and the map
     that subtracts sum_k psi^k(a_1k) from the top-weight block (identity on
-    everything else) turns the deformed product into the plain one.
+    everything else) turns the deformed product into the plain one. The
+    splittings are evaluated in the group's ring.
     """
 
     def __init__(self, deformed: DeformedGroup, splittings):
@@ -330,7 +322,7 @@ class SplittingIsomorphism:
     def _shift(self, coords, sign: int):
         out = list(coords)
         for k, psi in enumerate(self.splittings):
-            for j, v in enumerate(psi(int(coords[k]))):
+            for j, v in enumerate(psi.value(coords[k], self.deformed.ring)):
                 if v:
                     out[self._top + j] = out[self._top + j] + sign * v
         return out
@@ -441,11 +433,12 @@ class ExtensionCocycle:
 
 
 def centralizer_extension_check(deformed: DeformedGroup, j: int, rng: Random, samples: int) -> dict:
-    """The centralizer of generator j in a deformed group over Z.
+    """The centralizer of generator j in a deformed group.
 
     Its elements are u_1j^a times a central element; the subgroup is abelian,
     and the cocycle its products induce on the exponent a is exactly the
-    generator's deformation component, which splits over the integers.
+    generator's deformation component: on the samples, and on the box
+    -8..8 as the coboundary of the component's closed-form split.
     Samples must be at least 1.
     """
     if samples < 1:
@@ -483,19 +476,14 @@ def centralizer_extension_check(deformed: DeformedGroup, j: int, rng: Random, sa
         return tuple(grp.mul(build(a, [0] * width), build(b, [0] * width)).coords[top:])
 
     try:
-        psi = coboundary_split_integers(SampledCocycle(induced, width))
-        report["splits"] = True
+        psi = coboundary_split(grp.cocycles[j - 1])
     except SplitFailureError:
         report["splits"] = False
         report["ok"] = False
         return report
-
+    report["splits"] = True
     report["split_reproduces"] = all(
-        tuple(
-            s - p - q for s, p, q in zip(psi(a + b), psi(a), psi(b))
-        ) == grp.cocycles[j - 1].value(a, b, grp.ring)
-        for a in range(-8, 9)
-        for b in range(-8, 9)
+        induced(a, b) == psi.coboundary(a, b, grp.ring) for a in range(-8, 9) for b in range(-8, 9)
     )
     report["ok"] = report["abelian"] and report["matches_component"] and report["split_reproduces"]
     return report

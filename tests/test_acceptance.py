@@ -15,7 +15,7 @@ from hallforge.canonical import (
 )
 from hallforge.deformation import (
     DeformedGroup,
-    coboundary_split_integers,
+    coboundary_split,
     iso_from_splittings,
     product_cocycle,
     zero_cocycle,
@@ -165,7 +165,7 @@ def test_criterion_8_abelian_deformation_suite():
         dgrp = DeformedGroup(base, family)
         assert_rows_pass(_axiom_rows(dgrp, rng, 1000, AXIOMS))
 
-        splittings = [coboundary_split_integers(f) for f in family]
+        splittings = [coboundary_split(f) for f in family]
         # the first splitting equals binom(a,2) up to an additive homomorphism
         psi = splittings[0]
 

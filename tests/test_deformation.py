@@ -4,7 +4,10 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from deformation_oracle import IntegerSplitting, coboundary_tables, psi_tables, squaring_pow
 from hallforge.deformation import (
     DeformedGroup,
     PolynomialCocycle,
@@ -12,7 +15,7 @@ from hallforge.deformation import (
     assemble_extension_cocycle,
     centralizer_extension_check,
     check_cocycle,
-    coboundary_split_integers,
+    coboundary_split,
     iso_from_splittings,
     product_cocycle,
     zero_cocycle,
@@ -22,9 +25,10 @@ from hallforge.errors import (
     HallforgeError,
     NotInRingError,
     ShapeMismatchError,
+    SplitFailureError,
 )
 from hallforge.group import CoordinateGroup, FreeNilpotentGroup
-from hallforge.rings import ZZ
+from hallforge.rings import QQ, ZZ, PolyRing
 
 
 def _mixed_cocycle(n_components):
@@ -151,19 +155,19 @@ def test_deformed_pow_integer_exponents_only():
 
 
 def test_product_cocycle_splits_exactly():
-    psi = coboundary_split_integers(product_cocycle(1, 0))
+    psi = coboundary_split(product_cocycle(1, 0))
     for a in range(-15, 16):
         assert psi(a) == (ZZ.binom(a, 2),)
 
 
 def test_mixed_cocycle_splitting_value():
-    psi = coboundary_split_integers(_mixed_cocycle(1))
+    psi = coboundary_split(_mixed_cocycle(1))
     for a in range(-12, 13):
         assert psi(a) == (3 * ZZ.binom(a, 2) + ZZ.binom(a, 3),)
 
 
 def test_splitting_satisfies_coboundary_equation():
-    psi = coboundary_split_integers(_mixed_cocycle(2))
+    psi = coboundary_split(_mixed_cocycle(2))
     f = _mixed_cocycle(2)
     for a in range(-8, 9):
         for b in range(-8, 9):
@@ -179,7 +183,7 @@ def test_iso_round_trips_and_verifies():
     for rank, nclass in ((2, 2), (2, 3)):
         base = FreeNilpotentGroup(rank, nclass)
         dgrp = DeformedGroup(base, _family(base))
-        splittings = [coboundary_split_integers(f) for f in dgrp.cocycles]
+        splittings = [coboundary_split(f) for f in dgrp.cocycles]
         iso = iso_from_splittings(dgrp, splittings)
         iso.verify(rng, samples=100)
         for _ in range(50):
@@ -193,7 +197,7 @@ def test_iso_round_trips_and_verifies():
 def test_iso_verify_rejects_non_positive_samples(samples):
     base = FreeNilpotentGroup(2, 2)
     dgrp = DeformedGroup(base, _family(base))
-    iso = iso_from_splittings(dgrp, [coboundary_split_integers(f) for f in dgrp.cocycles])
+    iso = iso_from_splittings(dgrp, [coboundary_split(f) for f in dgrp.cocycles])
     with pytest.raises(HallforgeError, match="samples"):
         iso.verify(Random(0), samples=samples)
 
@@ -202,7 +206,7 @@ def test_iso_is_a_homomorphism_pointwise():
     rng = Random(88)
     base = FreeNilpotentGroup(2, 2)
     dgrp = DeformedGroup(base, _family(base))
-    splittings = [coboundary_split_integers(f) for f in dgrp.cocycles]
+    splittings = [coboundary_split(f) for f in dgrp.cocycles]
     iso = iso_from_splittings(dgrp, splittings)
     for _ in range(80):
         g = dgrp.random_element(rng)
@@ -262,3 +266,83 @@ def test_group_objects_share_one_element_protocol():
         dgrp.mul(base.identity(), dgrp.identity())
     with pytest.raises(ShapeMismatchError):
         base.mul(dgrp.identity(), base.identity())
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(psi_tables(), st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(-3, 3))
+def test_split_of_a_coboundary_is_its_splitting(tables, entry, c):
+    f = PolynomialCocycle.from_tables(coboundary_tables(tables))
+    psi = coboundary_split(f)
+    assert [t.as_dict() for t in psi.components] == tables
+    oracle = IntegerSplitting(f)
+    assert all(psi(a) == oracle(a) for a in range(-20, 21))
+    # perturb one coefficient: the split fails exactly when the cocycle check does
+    perturbed = coboundary_tables(tables)
+    perturbed[0][entry] = perturbed[0].get(entry, 0) + c
+    g = PolynomialCocycle.from_tables(perturbed)
+    if check_cocycle(g).ok:
+        coboundary_split(g)
+    else:
+        with pytest.raises(SplitFailureError):
+            coboundary_split(g)
+
+
+def test_sampled_cocycles_do_not_split():
+    with pytest.raises(SplitFailureError):
+        coboundary_split(SampledCocycle(lambda a, b: (a * b,), 1))
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ], ids=["ZZ", "QQ"])
+@pytest.mark.parametrize("rank, nclass", [(2, 2), (2, 3), (3, 3)])
+def test_deformed_pow_matches_repeated_squaring(ring, rank, nclass):
+    rng = Random(91)
+    base = FreeNilpotentGroup(rank, nclass, ring)
+    dgrp = DeformedGroup(base, _family(base))
+    for _ in range(8):
+        g = dgrp.random_element(rng)
+        e = rng.randint(-7, 7)
+        got, want = dgrp.pow(g, e).coords, squaring_pow(dgrp, g, e).coords
+        assert [(type(v), v) for v in got] == [(type(v), v) for v in want], (g, e)
+
+
+def test_deformed_square_root_over_rationals():
+    rng = Random(92)
+    base = FreeNilpotentGroup(2, 3, QQ)
+    dgrp = DeformedGroup(base, _family(base))
+    for _ in range(10):
+        g = dgrp.random_element(rng)
+        h = dgrp.pow(g, Fraction(1, 2))
+        assert dgrp.mul(h, h) == g
+
+
+@pytest.mark.parametrize("rank, nclass", [(2, 2), (2, 3), (3, 2)])
+def test_deformed_pow_exponent_law_over_polynomials(rank, nclass):
+    ring = PolyRing(("s", "t"))
+    s, t = ring.variable("s"), ring.variable("t")
+    base = FreeNilpotentGroup(rank, nclass, ring)
+    dgrp = DeformedGroup(base, _family(base))
+    g = dgrp.element(FreeNilpotentGroup(rank, nclass).random_element(Random(93), -3, 3).coords)
+    gs = dgrp.pow(g, s)
+    assert dgrp.mul(gs, dgrp.pow(g, t)) == dgrp.pow(g, s + t)
+    assert dgrp.pow(gs, 2) == dgrp.mul(gs, gs)
+
+
+def test_deformed_pow_needs_a_split():
+    dgrp = _non_cocycle_deformation()
+    with pytest.raises(SplitFailureError):
+        dgrp.pow(dgrp.identity(), 2)
+
+
+def test_iso_verifies_over_rationals():
+    base = FreeNilpotentGroup(2, 2, QQ)
+    dgrp = DeformedGroup(base, [product_cocycle(1, 0), zero_cocycle(1)])
+    iso = iso_from_splittings(dgrp, [coboundary_split(f) for f in dgrp.cocycles])
+    half = Fraction(1, 2)
+    # psi(1/2) = binom(1/2, 2) = -1/8 leaves the top coordinate
+    assert iso.to_base(dgrp.element([half, 0, 0])).coords == (half, 0, Fraction(1, 8))
+    assert iso.verify(Random(0), 50)
+
+
+def test_centralizer_extension_check_reports_a_non_cocycle():
+    report = centralizer_extension_check(_non_cocycle_deformation(), 1, Random(0), 1)
+    assert report["splits"] is False and report["ok"] is False
