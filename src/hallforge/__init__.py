@@ -67,10 +67,10 @@ from .lie import (
     first_difference,
     free_nilpotent_lie,
     lazard_lie_ring,
-    width_probe,
+    weight_two_width,
 )
 from .oracles import Ut3Oracle, witt_dimension
-from .rings import QQ, ZZ, BinomialTable, Poly, PolyRing, Ring, eval_binomial_form
+from .rings import QQ, ZZ, BinomialTable, Poly, PolyRing, Ring
 from .series import (
     TruncatedSeries,
     group_commutator_series,
@@ -158,7 +158,6 @@ __all__ = [
     "derive_structure_polys",
     "endo_pair_satisfies",
     "endomorphism_pair_space",
-    "eval_binomial_form",
     "evaluate_word",
     "first_difference",
     "free_nilpotent_lie",
@@ -176,7 +175,7 @@ __all__ = [
     "series_pow",
     "simple_commutators",
     "to_binomial_basis",
-    "width_probe",
+    "weight_two_width",
     "witt_dimension",
     "zero_cocycle",
 ]

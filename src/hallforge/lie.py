@@ -9,12 +9,13 @@ strongest convention checks in the library.
 
 On top of a graded Lie ring sits the induced bilinear map from the
 quotient by the center into the derived subalgebra, with exact fullness,
-non-degeneracy, completeness and endomorphism-pair computations.
+non-degeneracy, completeness, weight-2 width and endomorphism-pair
+computations.
 
 The bracket and the bilinear map are both sparse (a, b) -> {t: c} tables.
 _contract evaluates f(x, y) on sparse vectors, and _map_rows gives the
 dense linalg rows of x -> f(x, v) or x -> f(v, x) for a fixed v; every
-bracket, kernel and probe system here comes from these two (only the
+bracket and kernel system here comes from these two (only the
 endomorphism-pair system keeps its own row builder). compare_graded_lie is
 exact equality: a sign flip of basis elements is not repaired, and
 first_difference names the first structure constant that differs.
@@ -25,10 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, count, product
 
 from . import linalg
-from .errors import ScaleLimitError, ShapeMismatchError
+from .errors import ShapeMismatchError
 from .group import FreeNilpotentGroup, _engine_tables
 
 
@@ -437,73 +437,42 @@ def complete_system_check(B: BilinearMapData, vectors) -> bool:
     return not _common_kernel(B.tensor, B.domain_dim, maps)
 
 
-# Candidates (first factors, and second factors while widening) one width_probe call may try.
-_WIDTH_PROBE_LIMIT = 2000
+def weight_two_width(B: BilinearMapData, u) -> int:
+    """Exact width of a weight-2 target: the least s with u = f(x_1, y_1) + ... + f(x_s, y_s).
 
-
-def width_probe(B: BilinearMapData, u, s: int, bound: int = 2) -> bool:
-    """Bounded search for u as a sum of at most s bracket values.
-
-    Heuristic by design: the first factor of each summand ranges over the
-    integer box [-bound, bound]^m (the second is solved exactly for the
-    last summand, boxed otherwise). False means not found in the box, not
-    a proof of impossibility. The box is walked lazily, fewest nonzero
-    entries first, so basis witnesses come first; a search that needs more
-    than _WIDTH_PROBE_LIMIT candidates raises ScaleLimitError.
+    On weight 1 x weight 1 -> weight 2 the free bracket is the wedge product
+    into the exterior square of Z^r, so u is an alternating r x r matrix A,
+    read off the tensor on the weight-1 pairs. Its width is rank(A) / 2, over
+    Z and over Q alike, by the alternating normal form. u must vanish outside
+    the weight-2 block, and the layer must be the free one: f(e_a, e_b) =
+    -f(e_b, e_a) = +-e_t on weight 2, with each weight-2 target t reached by
+    exactly one pair a < b. Anything else raises ShapeMismatchError.
     """
-    u = [Fraction(v) for v in u]
+    dims = B.lie.dims
+    r, n2 = dims[0], (dims[1] if len(dims) > 1 else 0)
     if len(u) != B.codomain_dim:
         raise ShapeMismatchError("target vector length mismatch")
-    return _probe(B, u, s, bound, count(1))
+    if any(u[n2:]):
+        raise ShapeMismatchError("target is nonzero outside the weight-2 block")
 
+    def layer(a, b):
+        return {t: c for t, c in B.tensor.get((a, b), {}).items() if t < n2}
 
-def _box(m: int, bound: int):
-    """The nonzero vectors of [-bound, bound]^m, by number of nonzero entries."""
-    values = [v for a in range(1, bound + 1) for v in (a, -a)]
-    for k in range(1, m + 1):
-        for support in combinations(range(m), k):
-            for entries in product(values, repeat=k):
-                vec = [0] * m
-                for i, v in zip(support, entries):
-                    vec[i] = v
-                yield vec
-
-
-def _probe(B: BilinearMapData, u, s: int, bound: int, tried) -> bool:
-    if not any(u):
-        return True
-    if s <= 0:
-        return False
-    m = B.domain_dim
-
-    def candidates():
-        for x in _box(m, bound):
-            if next(tried) > _WIDTH_PROBE_LIMIT:
-                raise ScaleLimitError(
-                    f"width probe passed {_WIDTH_PROBE_LIMIT} candidates in a box of "
-                    f"{(2 * bound + 1) ** m - 1} nonzero vectors"
-                )
-            yield x
-
-    zero = [Fraction(0)] * m
-    for x in candidates():
-        # y -> f(x, y), one row per codomain coordinate, zero rows included
-        got = _map_rows(B.tensor, _sparse(x), m, False)
-        if _consistent([got.get(t, zero) for t in range(B.codomain_dim)], u):
-            return True
-    if s >= 2:
-        for x in candidates():
-            for y in candidates():
-                val = B.value(x, y)
-                if any(val) and _probe(B, [a - b for a, b in zip(u, val)], s - 1, bound, tried):
-                    return True
-    return False
-
-
-def _consistent(rows, rhs) -> bool:
-    plain = [list(r) for r in rows]
-    augmented = [list(r) + [v] for r, v in zip(rows, rhs)]
-    return linalg.rank(plain) == linalg.rank(augmented)
+    wedge = {}  # weight-2 target -> (a, b, c) with a < b and f(e_a, e_b) = c e_t
+    for a in range(r):
+        for b in range(a + 1, r):
+            got = layer(a, b)
+            if len(got) == 1:
+                [(t, c)] = got.items()
+                if abs(c) == 1 and t not in wedge and layer(b, a) == {t: -c}:
+                    wedge[t] = (a, b, c)
+    if len(wedge) != n2 or len(wedge) != r * (r - 1) // 2 or any(layer(a, a) for a in range(r)):
+        raise ShapeMismatchError("the weight-2 layer is not the free one")
+    A = [[Fraction(0)] * r for _ in range(r)]
+    for t, (a, b, c) in wedge.items():
+        A[a][b] = c * Fraction(u[t])
+        A[b][a] = -A[a][b]
+    return linalg.rank(A) // 2
 
 
 # -- centralizer kernels -------------------------------------------------------

@@ -9,7 +9,7 @@ of a(a-1)...(a-k+1) = x * k!.
 
 Integer-valued polynomials are handled through the binomial-product basis:
 an integer coefficient table keyed by per-variable binomial degrees, which
-evaluates inside any binomial ring without leaving it (eval_binomial_form).
+evaluates inside any binomial ring without leaving it (BinomialTable).
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import math
 from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import or_
-from typing import Mapping
 
 from .errors import (
     ArityMismatchError,
@@ -500,33 +499,6 @@ QQ = RationalRing()
 
 
 # -- integer binomial-basis forms --------------------------------------------
-
-
-def eval_binomial_form(coeffs: Mapping, point, ring: Ring):
-    """Evaluate an integer table over the binomial-product basis.
-
-    coeffs maps tuples of per-variable binomial degrees to integers; the value
-    at a point (one ring element per variable) is
-    sum_r coeffs[r] * prod_i binom(point[i], r_i). Keys shorter than the point
-    are padded with zero degrees on the right. Because the coefficients are
-    integers and binom stays inside the ring, evaluation never leaves it.
-    """
-    point = list(point)
-    total = ring.zero
-    for exps, c in coeffs.items():
-        exps = tuple(exps)
-        if len(exps) > len(point):
-            raise ArityMismatchError(
-                f"degree key {exps} is longer than point of length {len(point)}"
-            )
-        if any(r < 0 for r in exps):
-            raise ArityMismatchError(f"negative binomial degree in {exps}")
-        term = ring.from_int(int(c))
-        for x, r in zip(point, exps):
-            if r:
-                term = term * ring.binom(x, r)
-        total = total + term
-    return total
 
 
 # Each distinct flat key, and each distinct tuple of keys, is stored once and

@@ -54,10 +54,10 @@ from .lie import (
     first_difference,
     free_nilpotent_lie,
     lazard_lie_ring,
-    width_probe,
+    weight_two_width,
 )
 from .oracles import witt_dimension
-from .rings import QQ, ZZ, PolyRing, Ring, eval_binomial_form
+from .rings import QQ, ZZ, BinomialTable, PolyRing, Ring
 from .series import TruncatedSeries, group_like_inverse, series_pow
 from .words import (
     Collector,
@@ -514,7 +514,7 @@ def poly_suite(rank, nclass, rng: Random, samples: int | None = None) -> list:
     # n_each points for each of the first six product coordinates, in order
     n_each = _sample_count(samples, 10)
     polys = list(cp.p)[:6]
-    tables = [to_binomial_basis(poly) for poly in polys]
+    tables = [BinomialTable(len(poly.vars), to_binomial_basis(poly).items()) for poly in polys]
     coordinate = iter([f for f in range(len(polys)) for _ in range(n_each)])
 
     def draw_point():
@@ -526,7 +526,7 @@ def poly_suite(rank, nclass, rng: Random, samples: int | None = None) -> list:
         draw_point,
         {
             "poly: binomial form evaluates like the monomial form": lambda f, point: (
-                eval_binomial_form(tables[f], point, QQ) == QQ.coerce(polys[f].evaluate(point))
+                tables[f].evaluate(point, QQ) == QQ.coerce(polys[f].evaluate(point))
             )
         },
     )
@@ -750,16 +750,15 @@ def lie_suite(rank, nclass) -> list:
         )
     )
 
-    probe_ok = True
-    found = False
-    for (a, b), targets in sorted(bil.tensor.items()):
-        if targets:
-            u = [targets.get(t, Fraction(0)) for t in range(bil.codomain_dim)]
-            probe_ok = width_probe(bil, u, 1)
-            found = True
-            break
+    # f(e_1, e_2) + f(e_3, e_4) + ... is an alternating matrix of full rank 2 * (rank // 2)
+    u = [Fraction(0)] * bil.codomain_dim
+    for a in range(0, rank - 1, 2):
+        u = [s + v for s, v in zip(u, bil.value(basis_vectors[a], basis_vectors[a + 1]))]
     out.append(
-        CheckResult("lie: bracket values probe at width one", probe_ok and found)
+        CheckResult(
+            "lie: f(e1,e2) + f(e3,e4) + ... has weight-2 width rank // 2",
+            weight_two_width(bil, u) == rank // 2,
+        )
     )
 
     out.append(

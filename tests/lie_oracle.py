@@ -3,18 +3,20 @@
 These are the dense loops that hallforge.lie used before it was rebuilt on
 one sparse contraction: the bracket and the bilinear value as triple loops
 over dense vectors, Jacobi through two sparse bracket helpers, and every
-kernel and probe system built row by row, one dense row per (vector,
-target), with all-zero rows dropped. The library must return exactly what
-they return. The hypothesis strategies at the end draw small integer tables
-and vectors, and the configurations the differential tests run on.
+kernel system built row by row, one dense row per (vector, target), with
+all-zero rows dropped. The library must return exactly what they return.
+The weight-2 width oracle reads the alternating matrix of a target from the
+Hall basis alone, never from a bracket table. The hypothesis strategies at
+the end draw small integer tables and vectors, and the configurations the
+differential tests run on.
 """
 
 from fractions import Fraction
-from itertools import product
 
 from hypothesis import strategies as st
 
 from hallforge import linalg
+from hallforge.basis import hall_basis
 from hallforge.lie import BilinearMapData, GradedLieRing
 
 # (rank, class) of the real rings the differential tests also run on
@@ -182,40 +184,20 @@ def oracle_complete_system_check(B, vectors):
     return not linalg.nullspace(rows)
 
 
-def oracle_width_probe(B, u, s, bound=2):
-    u = [Fraction(v) for v in u]
-    if not any(u):
-        return True
-    if s <= 0:
-        return False
-    m = B.domain_dim
-    box = [vec for vec in product(range(-bound, bound + 1), repeat=m) if any(vec)]
-    for x in box:
-        rows = []
-        for t in range(B.codomain_dim):
-            rows.append(
-                [
-                    sum(
-                        (Fraction(x[a]) * B.tensor.get((a, b), {}).get(t, Fraction(0))
-                         for a in range(m)),
-                        Fraction(0),
-                    )
-                    for b in range(m)
-                ]
-            )
-        augmented = [row + [v] for row, v in zip(rows, u)]
-        if linalg.rank(rows) == linalg.rank(augmented):
-            return True
-    if s >= 2:
-        for x in box:
-            for y in product(range(-bound, bound + 1), repeat=m):
-                val = oracle_value(B, list(x), list(y))
-                if not any(val):
-                    continue
-                rest = [a - b for a, b in zip(u, val)]
-                if oracle_width_probe(B, rest, s - 1, bound):
-                    return True
-    return False
+def oracle_weight_two_width(rank, nclass, u):
+    """Half the rank of the alternating matrix of a weight-2 target u.
+
+    Codomain coordinate k is the k-th weight-2 Hall entry, whose parts are
+    generators i and j, and whose Lie element is x_i x_j - x_j x_i; so u is
+    sum_k u_k x_i ^ x_j, and A[i][j] = u_k = -A[j][i].
+    """
+    basis = hall_basis(rank, nclass)
+    A = [[Fraction(0)] * rank for _ in range(rank)]
+    for k, flat in enumerate(basis.weight_block(2)):
+        i, j = (part.generator - 1 for part in basis.entries[flat].parts)
+        A[i][j] += u[k]
+        A[j][i] -= u[k]
+    return linalg.rank(A) // 2
 
 
 def oracle_endo_pair_satisfies(B, pair):

@@ -2,9 +2,12 @@
 
 DensePoly is the earlier Poly: one dense exponent tuple per monomial and one
 Fraction per coefficient, every result rebuilt through the checking
-constructor. DenseBinomialTable is the earlier BinomialTable, a sorted tuple
-of (degree tuple, int) pairs evaluated through eval_binomial_form, and
-dense_to_binomial_basis is the earlier to_binomial_basis over DensePoly.
+constructor. eval_binomial_form is the earlier library evaluator of a
+binomial-basis table, one ring.binom per degree of every term, and the
+reference for BinomialTable.evaluate. DenseBinomialTable is the earlier
+BinomialTable, a sorted tuple of (degree tuple, int) pairs evaluated through
+eval_binomial_form, and dense_to_binomial_basis is the earlier
+to_binomial_basis over DensePoly.
 hallforge.rings and hallforge.canonical must give exactly what these give,
 coefficient and value types included. The strategies at the end draw the
 same polynomial as a Poly and as a DensePoly.
@@ -19,7 +22,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from hallforge.errors import ArityMismatchError, MixedRingsError, NonIntegerCoefficientError
-from hallforge.rings import Poly, eval_binomial_form
+from hallforge.rings import Poly
 
 
 class DensePoly:
@@ -221,6 +224,33 @@ class DensePoly:
             bits.append(f"{c}*{mono}" if mono else f"{c}")
         return "Poly(" + " + ".join(bits) + ")"
 
+
+
+def eval_binomial_form(coeffs, point, ring):
+    """Evaluate an integer table over the binomial-product basis.
+
+    coeffs maps tuples of per-variable binomial degrees to integers; the value
+    at a point (one ring element per variable) is
+    sum_r coeffs[r] * prod_i binom(point[i], r_i). Keys shorter than the point
+    are padded with zero degrees on the right. Because the coefficients are
+    integers and binom stays inside the ring, evaluation never leaves it.
+    """
+    point = list(point)
+    total = ring.zero
+    for exps, c in coeffs.items():
+        exps = tuple(exps)
+        if len(exps) > len(point):
+            raise ArityMismatchError(
+                f"degree key {exps} is longer than point of length {len(point)}"
+            )
+        if any(r < 0 for r in exps):
+            raise ArityMismatchError(f"negative binomial degree in {exps}")
+        term = ring.from_int(int(c))
+        for x, r in zip(point, exps):
+            if r:
+                term = term * ring.binom(x, r)
+        total = total + term
+    return total
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,14 @@ from random import Random
 
 import pytest
 from hypothesis import given, settings
-from poly_oracle import VARS, DensePoly, dense_to_binomial_basis, poly_pairs, table_dicts
+from poly_oracle import (
+    VARS,
+    DensePoly,
+    dense_to_binomial_basis,
+    eval_binomial_form,
+    poly_pairs,
+    table_dicts,
+)
 
 from hallforge import series
 from hallforge.canonical import (
@@ -20,7 +27,7 @@ from hallforge.canonical import (
 )
 from hallforge.errors import NonIntegerCoefficientError, ScaleLimitError
 from hallforge.group import FreeNilpotentGroup
-from hallforge.rings import QQ, ZZ, BinomialTable, PolyRing, eval_binomial_form
+from hallforge.rings import QQ, ZZ, BinomialTable, PolyRing
 
 
 def test_weight_one_polynomials_are_linear():

@@ -4,7 +4,6 @@ The differential tests at the end compare the sparse contraction and the
 kernels built from it with the dense reference loops in lie_oracle.py.
 """
 
-import time
 from fractions import Fraction
 
 import pytest
@@ -24,13 +23,13 @@ from lie_oracle import (
     oracle_left_kernel,
     oracle_right_kernel,
     oracle_value,
-    oracle_width_probe,
+    oracle_weight_two_width,
     sign_flipped,
     small_ints,
     vectors,
 )
 
-from hallforge.errors import ScaleLimitError, ShapeMismatchError
+from hallforge.errors import ShapeMismatchError
 from hallforge.lie import (
     EndoPair,
     GradedLieRing,
@@ -44,7 +43,7 @@ from hallforge.lie import (
     first_difference,
     free_nilpotent_lie,
     lazard_lie_ring,
-    width_probe,
+    weight_two_width,
 )
 from hallforge.oracles import witt_dimension
 
@@ -175,48 +174,91 @@ def test_full_basis_is_complete():
         assert complete_system_check(bil, vectors)
 
 
-def test_width_probe_on_image_values():
-    bil = bilinear_from_lie(free_nilpotent_lie(2, 2))
-    u = bil.value([Fraction(2), Fraction(0)], [Fraction(0), Fraction(3)])
-    assert width_probe(bil, u, 1)
-    assert width_probe(bil, [Fraction(0)], 1)
+def _weight_one(bil, vec):
+    """A weight-1 vector as a domain vector of the bilinear map."""
+    return [Fraction(v) for v in vec] + [Fraction(0)] * (bil.domain_dim - len(vec))
 
 
-def test_width_probe_refuses_a_target_of_the_wrong_length():
-    bil = bilinear_from_lie(free_nilpotent_lie(2, 2))
-    with pytest.raises(ShapeMismatchError):
-        width_probe(bil, [Fraction(1), Fraction(0)], 1)
+def _sum_of_values(bil, pairs):
+    u = [Fraction(0)] * bil.codomain_dim
+    for x, y in pairs:
+        u = [s + v for s, v in zip(u, bil.value(_weight_one(bil, x), _weight_one(bil, y)))]
+    return u
 
 
-@pytest.mark.parametrize("rank,nclass", [(4, 3), (3, 4)])
-def test_width_probe_finds_a_bracket_value_in_a_huge_box_at_once(rank, nclass):
-    # the verify lie row's target, f(e_a, e_b) for the first nonzero tensor
-    # entry; the bound-2 box has about 1e7 vectors at (4,3) and 6e9 at (3,4)
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from([(2, 3), (3, 2), (4, 2), (5, 2), (4, 3)]), st.data())
+def test_weight_two_width_matches_the_hall_basis_oracle(config, data):
+    rank, nclass = config
     bil = bilinear_from_lie(free_nilpotent_lie(rank, nclass))
-    targets = next(t for _, t in sorted(bil.tensor.items()) if t)
-    u = [targets.get(t, Fraction(0)) for t in range(bil.codomain_dim)]
-    started = time.monotonic()
-    assert width_probe(bil, u, 1)
-    assert time.monotonic() - started < 1.0
+    s = data.draw(st.integers(0, 3))
+    pairs = [(data.draw(vectors(rank)), data.draw(vectors(rank))) for _ in range(s)]
+    u = _sum_of_values(bil, pairs)
+    width = weight_two_width(bil, u)
+    assert width == oracle_weight_two_width(rank, nclass, u)
+    assert width <= s
 
 
-def test_width_probe_refuses_a_search_past_its_limit():
-    # at (4,2), f is the wedge product Z^4 x Z^4 -> Λ²Z^4 and the all-ones
-    # target has a nonzero Pfaffian, so it is not a single bracket value
-    bil = bilinear_from_lie(free_nilpotent_lie(4, 2))
-    u = [Fraction(1)] * bil.codomain_dim
-    assert not width_probe(bil, u, 1)  # the bound-2 box: 624 candidates
-    with pytest.raises(ScaleLimitError, match="2400 nonzero vectors"):
-        width_probe(bil, u, 1, bound=3)
+@pytest.mark.parametrize("rank", [2, 3, 4, 5, 6])
+def test_weight_two_width_of_the_standard_sum_is_half_the_rank(rank):
+    # f(e1, e2) + f(e3, e4) + ... is the alternating normal form of full rank
+    bil = bilinear_from_lie(free_nilpotent_lie(rank, 2))
+    unit = [[int(i == a) for i in range(rank)] for a in range(rank)]
+    u = _sum_of_values(bil, [(unit[a], unit[a + 1]) for a in range(0, rank - 1, 2)])
+    assert weight_two_width(bil, u) == oracle_weight_two_width(rank, 2, u) == rank // 2
 
 
-def test_width_probe_widens():
+def test_weight_two_width_of_the_all_ones_target():
+    # at (4,2) the all-ones target has a nonzero Pfaffian, so it is no single
+    # bracket value; at (3,2) every target is one
+    for rank, width in ((3, 1), (4, 2)):
+        bil = bilinear_from_lie(free_nilpotent_lie(rank, 2))
+        assert weight_two_width(bil, [1] * bil.codomain_dim) == width
+        assert weight_two_width(bil, [0] * bil.codomain_dim) == 0
+
+
+def test_weight_two_width_reads_the_sign_of_each_bracket():
+    # with one weight-2 basis element negated, f(e1 + e2, e3 + e4) is still a
+    # single bracket value, but its coordinates differ from those of a rank-2
+    # alternating matrix in one sign
+    lie = free_nilpotent_lie(4, 2)
+    [t] = lie.table[(0, 2)]
+    signs = [1] * lie.total_dim
+    signs[t] = -1
+    bil = bilinear_from_lie(sign_flipped(lie, signs))
+    assert weight_two_width(bil, bil.value([1, 1, 0, 0], [0, 0, 1, 1])) == 1
+
+
+def test_weight_two_width_refuses_a_target_of_the_wrong_length():
+    bil = bilinear_from_lie(free_nilpotent_lie(2, 2))
+    with pytest.raises(ShapeMismatchError, match="length"):
+        weight_two_width(bil, [Fraction(1), Fraction(0)])
+
+
+def test_weight_two_width_refuses_a_target_outside_weight_two():
+    # at (2,3) the codomain is one weight-2 and two weight-3 coordinates
     bil = bilinear_from_lie(free_nilpotent_lie(2, 3))
-    u = bil.value(
-        [Fraction(1), Fraction(0), Fraction(0)],
-        [Fraction(0), Fraction(1), Fraction(0)],
-    )
-    assert width_probe(bil, u, 2)
+    with pytest.raises(ShapeMismatchError, match="outside the weight-2 block"):
+        weight_two_width(bil, [Fraction(1), Fraction(0), Fraction(1)])
+
+
+@pytest.mark.parametrize(
+    "dims, table",
+    [
+        ((2, 1), {(1, 0): {2: 2}, (0, 1): {2: -2}}),
+        ((2, 1), {(1, 0): {2: 1}, (0, 1): {2: 1}}),
+        ((3, 2), {(1, 0): {3: 1}, (0, 1): {3: -1}, (2, 0): {4: 1}, (0, 2): {4: -1}}),
+        ((2, 1), {(1, 0): {2: 1}, (0, 1): {2: -1}, (0, 0): {2: 1}}),
+        ((2,), {}),
+    ],
+    ids=["coefficient-two", "not-alternating", "unreached-pair", "diagonal", "no-weight-two"],
+)
+def test_weight_two_width_refuses_a_layer_that_is_not_free(dims, table):
+    # a ring loaded from JSON can carry any table; each of these has the top
+    # block as its center, so its bilinear data builds
+    bil = bilinear_from_lie(GradedLieRing(dims, table))
+    with pytest.raises(ShapeMismatchError, match="not the free one"):
+        weight_two_width(bil, [0] * bil.codomain_dim)
 
 
 @pytest.mark.parametrize(
@@ -286,7 +328,7 @@ def test_real_rings_match_reference(rank, nclass):
     assert bil.right_kernel() == oracle_right_kernel(bil) == []
 
 
-def _check_bilinear(bil, data, probe_sizes):
+def _check_bilinear(bil, data):
     m = bil.domain_dim
     x, y = data.draw(vectors(m)), data.draw(vectors(m))
     assert _typed(bil.value(x, y)) == _typed(oracle_value(bil, x, y))
@@ -294,22 +336,18 @@ def _check_bilinear(bil, data, probe_sizes):
     assert bil.right_kernel() == oracle_right_kernel(bil)
     system = data.draw(st.lists(vectors(m), max_size=3))
     assert complete_system_check(bil, system) == oracle_complete_system_check(bil, system)
-    # u is either a bracket value, reachable at width one, or arbitrary
-    u = data.draw(st.one_of(st.just(oracle_value(bil, x, y)), vectors(bil.codomain_dim)))
-    s = data.draw(st.sampled_from(probe_sizes))
-    assert width_probe(bil, u, s, bound=1) == oracle_width_probe(bil, u, s, bound=1)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.sampled_from(CONFIGS), st.data())
 def test_bilinear_methods_match_reference(config, data):
-    _check_bilinear(bilinear_from_lie(free_nilpotent_lie(*config)), data, (0, 1))
+    _check_bilinear(bilinear_from_lie(free_nilpotent_lie(*config)), data)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(bilinear_maps(), st.data())
 def test_degenerate_bilinear_maps_match_reference(bil, data):
-    _check_bilinear(bil, data, (0, 1, 2) if bil.domain_dim <= 2 else (0, 1))
+    _check_bilinear(bil, data)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

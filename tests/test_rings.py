@@ -17,6 +17,7 @@ from poly_oracle import (
     DenseBinomialTable,
     DensePoly,
     dense_poly_to_obj,
+    eval_binomial_form,
     poly_pairs,
     table_dicts,
 )
@@ -29,7 +30,6 @@ from hallforge.rings import (
     BinomialTable,
     Poly,
     PolyRing,
-    eval_binomial_form,
     poly_from_obj,
     poly_to_obj,
 )

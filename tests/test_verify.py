@@ -11,7 +11,9 @@ from random import Random
 import pytest
 from lie_oracle import sign_flipped
 
+import hallforge
 from hallforge import verify
+from hallforge.canonical import to_binomial_basis
 from hallforge.cli import main
 from hallforge.deformation import (
     DeformedGroup,
@@ -22,8 +24,8 @@ from hallforge.deformation import (
 )
 from hallforge.errors import HallforgeError
 from hallforge.group import FreeNilpotentGroup
-from hallforge.lie import free_nilpotent_lie
-from hallforge.rings import QQ, ZZ, IntegerRing, eval_binomial_form
+from hallforge.lie import free_nilpotent_lie, weight_two_width
+from hallforge.rings import QQ, ZZ, IntegerRing
 from hallforge.series import series_pow
 from hallforge.verify import (
     CheckResult,
@@ -155,6 +157,18 @@ def _off_by_one(f):
     return lambda *args: f(*args) + 1
 
 
+def _plus_one(to_table):
+    """to_table with 1 added to the constant term of every binomial-basis table."""
+
+    def shifted(poly):
+        table = dict(to_table(poly))
+        zero = (0,) * len(poly.vars)
+        table[zero] = table.get(zero, 0) + 1
+        return table
+
+    return shifted
+
+
 # one sampled row per suite, broken through the library call its law makes
 BROKEN_ROWS = [
     (
@@ -187,7 +201,7 @@ BROKEN_ROWS = [
     ),
     (
         lambda rng: poly_suite(2, 3, rng, 3),
-        lambda mp: mp.setattr(verify, "eval_binomial_form", _off_by_one(eval_binomial_form)),
+        lambda mp: mp.setattr(verify, "to_binomial_basis", _plus_one(to_binomial_basis)),
         "poly: binomial form evaluates like the monomial form",
         r"f=0, point=\[-?\d(, -?\d)*\]",
     ),
@@ -219,6 +233,22 @@ def test_lie_suite_names_the_first_differing_constant(monkeypatch):
     row = rows["lie: group and algebra structure constants agree"]
     assert not row.ok
     assert row.detail == "first difference: [e_1, e_0] at e_2: group side -1, algebra side 1"
+
+
+@pytest.mark.parametrize("rank", [2, 4])
+def test_lie_width_row_fails_on_a_wrong_width(monkeypatch, rank):
+    row = "lie: f(e1,e2) + f(e3,e4) + ... has weight-2 width rank // 2"
+    assert {r.name: r for r in lie_suite(rank, 2)}[row].ok
+    monkeypatch.setattr(verify, "weight_two_width", _off_by_one(weight_two_width))
+    failed = {r.name: r for r in lie_suite(rank, 2)}[row]
+    assert not failed.ok and failed.detail == ""
+
+
+def test_every_public_name_resolves():
+    # the lazy verify names included; a name removed from a module must leave __all__ too
+    missing = [name for name in hallforge.__all__ if not hasattr(hallforge, name)]
+    assert missing == []
+    assert len(set(hallforge.__all__)) == len(hallforge.__all__)
 
 
 def test_package_import_leaves_verify_unloaded():
@@ -279,16 +309,19 @@ def test_default_counts_draw_pinned_amounts_of_randomness():
     _assert_rng_states(DEFAULT_RNG_STATE_PINS)
 
 
+# SHA-256 of `verify ... --json`; each test is named by its arguments alone
+VERIFY_DIGESTS = (
+    ("--rank 2 --class 2 --seed 0", "932d9da1fb78875f5a1309d16ed66e7fb45f6c03f58379d703c45a1f4c7949d8"),
+    ("--rank 2 --class 3 --seed 0 --samples 5", "eaa3f1b183042aaa65b627ffd0c0ff77ebd6c2b37731f4b732af7f8b4c056ac9"),
+    ("--rank 2 --class 3 --seed 7 --samples 5", "10a2b3004827ea3a689266a55b67647a160e32a189c3e31d293faa40753158c2"),
+    ("--rank 3 --class 2 --seed 0 --samples 5", "790e2ca80619ece8ab0cd0e75cc4ec454e4d707d5d8fba4e72be1928634f62f6"),
+    ("--rank 3 --class 2 --seed 7 --ring q --samples 5", "968c658654d29c47bce787478099acce302a9dd578a097eb1c5b7cdd600cb639"),
+    ("--rank 2 --class 4 --seed 0 --samples 5", "9bad9c435b082f924495a3d2f9096ee479b5736ba1c0675e9d64d494837d4428"),
+)
+
+
 @pytest.mark.parametrize(
-    "args, pinned",
-    [
-        ("--rank 2 --class 2 --seed 0", "ccf4baaf085f63f71429e0da665fd80dc25b901d7c12338e207891ec56222754"),
-        ("--rank 2 --class 3 --seed 0 --samples 5", "0894a2feb8c28edaf18ef1b5938c61228e76705b281d6bc3886998bfc18fbd19"),
-        ("--rank 2 --class 3 --seed 7 --samples 5", "2e5bc5c8d674a817411d84b7e5543f9ea84fc40904a065327f2752a66ac52f9c"),
-        ("--rank 3 --class 2 --seed 0 --samples 5", "bd85345f6264b8bad42b318b26fd1c08cc4463959e78505f392c4935d1e05a82"),
-        ("--rank 3 --class 2 --seed 7 --ring q --samples 5", "11841ddef0063fb258afae28f7ed54cd06f8d51b2edec6dbdcb2c187b64938de"),
-        ("--rank 2 --class 4 --seed 0 --samples 5", "fe22591626b46667e9d8f0de882a79ea5ae47b62f44245b3681645c6e3c9907c"),
-    ],
+    "args, pinned", [pytest.param(args, pinned, id=args) for args, pinned in VERIFY_DIGESTS]
 )
 def test_verify_json_digest_pinned(capsys, args, pinned):
     assert main(["verify", *args.split(), "--json"]) == 0
