@@ -290,6 +290,21 @@ class StructurePolynomials:
 
 
 @lru_cache(maxsize=None, typed=True)
+def _structure_pairs(rank: int, nclass: int) -> tuple:
+    """The ((pairB, pairA), B, A) triples of the structure tables, built once per configuration.
+
+    B and A run over the basis in index order, B != A, with weight sum within the class.
+    """
+    entries = hall_basis(rank, nclass).entries
+    return tuple(
+        ((eb.pair, ea.pair), eb, ea)
+        for eb in entries
+        for ea in entries
+        if eb.pair != ea.pair and eb.weight + ea.weight <= nclass
+    )
+
+
+@lru_cache(maxsize=None, typed=True)
 def derive_structure_polys(rank: int, nclass: int) -> StructurePolynomials:
     _check_scale(rank, nclass)
     ring2 = PolyRing(("x", "y"))
@@ -315,33 +330,30 @@ def derive_structure_polys(rank: int, nclass: int) -> StructurePolynomials:
     y_powers = {pair: powers(pair, ring2.variable("y")) for pair in below}
 
     tables = {}
-    for eb in basis.entries:
-        for ea in basis.entries:
-            floor = eb.weight + ea.weight
-            if eb.pair == ea.pair or floor > nclass:
+    for key, eb, ea in _structure_pairs(rank, nclass):
+        floor = eb.weight + ea.weight
+        if floor == nclass:
+            # The commutator map is bilinear into the centre, so
+            # [u_B^x, u_A^y] = [u_B, u_A]^(xy); the series of [u_B, u_A]
+            # is 1 + L_B L_A - L_A L_B, every higher term lying past the class.
+            lb, la = basis.lie_element(eb), basis.lie_element(ea)
+            coords = [k * xy for k in zz.coords_from_series(1 + (lb * la - la * lb))]
+        else:
+            bx, bx_inv = x_powers[eb.pair]
+            ay, ay_inv = y_powers[ea.pair]
+            # [u_B^x, u_A^y] = u_B^-x u_A^-y u_B^x u_A^y, extracted once (self-checking)
+            coords = grp.coords_from_series(bx_inv * ay_inv * bx * ay)
+        entries = []
+        for flat, poly in enumerate(coords):
+            target = basis.entries[flat]
+            if not poly:
                 continue
-            if floor == nclass:
-                # The commutator map is bilinear into the centre, so
-                # [u_B^x, u_A^y] = [u_B, u_A]^(xy); the series of [u_B, u_A]
-                # is 1 + L_B L_A - L_A L_B, every higher term lying past the class.
-                lb, la = basis.lie_element(eb), basis.lie_element(ea)
-                coords = [k * xy for k in zz.coords_from_series(1 + (lb * la - la * lb))]
-            else:
-                bx, bx_inv = x_powers[eb.pair]
-                ay, ay_inv = y_powers[ea.pair]
-                # [u_B^x, u_A^y] = u_B^-x u_A^-y u_B^x u_A^y, extracted once (self-checking)
-                coords = grp.coords_from_series(bx_inv * ay_inv * bx * ay)
-            entries = []
-            for flat, poly in enumerate(coords):
-                target = basis.entries[flat]
-                if not poly:
-                    continue
-                if target.weight < floor:
-                    raise RuntimeError(
-                        f"tail of [{eb.pair}^a, {ea.pair}^b] has support at "
-                        f"weight {target.weight} below the weight sum {floor}"
-                    )
-                entries.append((target.pair, _table(2, poly)))
-            tails = tuple(entries)
-            tables[(eb.pair, ea.pair)] = _TABLES.setdefault(tails, tails)
+            if target.weight < floor:
+                raise RuntimeError(
+                    f"tail of [{eb.pair}^a, {ea.pair}^b] has support at "
+                    f"weight {target.weight} below the weight sum {floor}"
+                )
+            entries.append((target.pair, _table(2, poly)))
+        tails = tuple(entries)
+        tables[key] = _TABLES.setdefault(tails, tails)
     return StructurePolynomials(rank=rank, nclass=nclass, tables=tables)

@@ -14,6 +14,13 @@ the weight-i Lie elements are independent; the solved block is stripped and
 the next weight repeats. The final residue must be exactly 1, which makes
 every extraction self-checking.
 
+The solve reads the series only at one pivot word per weight-i basis entry.
+Its inverse matrix is stored as sparse integer rows, (pivot index, entry)
+pairs over the nonzero entries; an entry that is not integral would stay a
+Fraction, but every configuration the engine accepts has an integral
+inverse with few nonzero entries per row, so each coordinate costs a few
+products. The free Lie ring re-expands brackets with the same solve.
+
 Construction multiplies the powers u_j^(a_j) of the nonzero coordinates in
 order, with the degree-aware series product; every power comes from the
 augmentation powers cached per basis entry in the engine tables.
@@ -54,7 +61,26 @@ class _EngineTables:
     images: tuple  # embedding image per basis entry
     augs: tuple  # augmentation power list per basis entry
     pivot_words: tuple  # per weight: tuple of words
-    solvers: tuple  # per weight: inverse matrix rows (Fractions)
+    solvers: tuple  # per weight: inverse matrix rows as (pivot index, nonzero entry) pairs
+
+    def solve(self, i: int, comp) -> list:
+        """The weight-i coordinates of a word -> value dict, as raw sums in basis order.
+
+        Entry j is sum_k q_jk * comp[pivot_words[i-1][k]] over the nonzero
+        solver entries q_jk and nonzero values; words that are not weight-i
+        pivots are not read, so comp may hold other degrees. A row with no
+        nonzero term gives the int 0.
+        """
+        vals = [comp.get(w, 0) for w in self.pivot_words[i - 1]]
+        out = []
+        for row in self.solvers[i - 1]:
+            acc = 0
+            for k, q in row:
+                v = vals[k]
+                if v:
+                    acc = acc + q * v
+            out.append(acc)
+        return out
 
 
 def check_engine_scale(rank: int, nclass: int) -> None:
@@ -100,7 +126,11 @@ def _engine_tables(rank: int, nclass: int) -> _EngineTables:
             )
         chosen = rows[: len(lies)]
         pivot_words.append(tuple(words[k] for k in chosen))
-        solvers.append(tuple(tuple(r) for r in linalg.invert([matrix[k] for k in chosen])))
+        inverse = linalg.invert([matrix[k] for k in chosen])
+        solvers.append(tuple(
+            tuple((k, q.numerator if q.denominator == 1 else q) for k, q in enumerate(row) if q)
+            for row in inverse
+        ))
     return _EngineTables(basis, images, augs, tuple(pivot_words), tuple(solvers))
 
 
@@ -232,15 +262,7 @@ class FreeNilpotentGroup(CoordinateGroup):
         ring = self.ring
         coords = []
         for i in range(1, self.nclass + 1):
-            comp = s.degree_component(i)
-            vals = [comp.get(w, 0) for w in t.pivot_words[i - 1]]
-            block = []
-            for row in t.solvers[i - 1]:
-                acc = 0
-                for q, v in zip(row, vals):
-                    if v:
-                        acc = acc + q * v
-                block.append(ring.coerce(acc))
+            block = [ring.coerce(acc) for acc in t.solve(i, s.coeffs)]
             start = self.basis.weight_start(i)
             for j, a in enumerate(block):
                 if not a:

@@ -205,10 +205,7 @@ def free_nilpotent_lie(rank: int, nclass: int) -> GradedLieRing:
             lb = basis.lie_element(eb)
             prod = la * lb - lb * la
             w = ea.weight + eb.weight
-            vals = [Fraction(prod.coeff(word)) for word in tables.pivot_words[w - 1]]
-            coeffs = []
-            for row in tables.solvers[w - 1]:
-                coeffs.append(sum((q * v for q, v in zip(row, vals)), Fraction(0)))
+            coeffs = tables.solve(w, prod.coeffs)
             # the solver matches pivot words only; confirm the full expansion
             block = basis.weight_block(w)
             residual = prod

@@ -15,6 +15,7 @@ evaluates inside any binomial ring without leaving it (BinomialTable).
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import or_
@@ -521,6 +522,11 @@ class BinomialTable:
     __slots__ = ("arity", "keys", "values")
 
     def __init__(self, arity, coeffs):
+        if isinstance(coeffs, Mapping):
+            raise ArityMismatchError(
+                "BinomialTable takes (degrees, coefficient) pairs, not a mapping; "
+                "use BinomialTable.from_dict for a dict"
+            )
         keys = []
         values = []
         for exps, c in coeffs:

@@ -5,15 +5,24 @@ cutoff test in the inner loop. oracle_series_pow is its earlier power: one
 scaled series per binomial term, added series by series. oracle_inverse is
 its earlier inverse, the geometric series summed term by term. The
 construction and extraction loops here are the engine's own, run over these
-three. The engine in hallforge.series and hallforge.group must return exactly
-what they return, coefficient types included. The hypothesis strategies at
-the end draw small values over ZZ, QQ and a two-variable PolyRing, at (2,3),
-(3,3) and (2,4).
+three. Extraction solves each weight with its own dense Fraction inverse
+(oracle_solvers), built from the Hall Lie elements at the engine's pivot
+words and multiplied entry by entry; it does not read the engine's sparse
+solver rows. The engine in hallforge.series and hallforge.group must return
+exactly what they return, coefficient types included. The hypothesis
+strategies at the end draw small values over ZZ, QQ and a two-variable
+PolyRing, at (2,3), (3,3) and (2,4).
 """
+
+from fractions import Fraction
+from functools import lru_cache
 
 from hypothesis import strategies as st
 
+from hallforge import linalg
+from hallforge.basis import hall_basis
 from hallforge.errors import NotGroupLikeError
+from hallforge.group import _engine_tables
 from hallforge.rings import QQ, ZZ, Poly, PolyRing
 from hallforge.series import TruncatedSeries
 
@@ -87,15 +96,28 @@ def oracle_series_from_coords(grp, coords):
     return s
 
 
+@lru_cache(maxsize=None)
+def oracle_solvers(rank, nclass):
+    """Per weight, the dense Fraction inverse of the Hall Lie elements read at the pivot words."""
+    basis = hall_basis(rank, nclass)
+    pivots = _engine_tables(rank, nclass).pivot_words
+    out = []
+    for i in range(1, nclass + 1):
+        lies = [basis.lie_element(basis.entries[f]) for f in basis.weight_block(i)]
+        out.append(linalg.invert([[Fraction(lie.coeff(w)) for lie in lies] for w in pivots[i - 1]]))
+    return tuple(out)
+
+
 def oracle_coords_from_series(grp, s):
     t = grp._tables
     ring = grp.ring
+    solvers = oracle_solvers(grp.rank, grp.nclass)
     coords = []
     for i in range(1, grp.nclass + 1):
         comp = s.degree_component(i)
         vals = [comp.get(w, 0) for w in t.pivot_words[i - 1]]
         block = []
-        for row in t.solvers[i - 1]:
+        for row in solvers[i - 1]:
             acc = 0
             for q, v in zip(row, vals):
                 if v:

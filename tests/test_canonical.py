@@ -16,7 +16,7 @@ from poly_oracle import (
     table_dicts,
 )
 
-from hallforge import series
+from hallforge import canonical, series
 from hallforge.canonical import (
     DESK_SCALE_LIMIT,
     associativity_identity_holds,
@@ -359,6 +359,18 @@ def test_derivations_share_names_and_tails():
     assert cp1.pow_vars is cp2.pow_vars
     assert st1.tables.keys() == st2.tables.keys()
     assert all(st1.tables[key] is st2.tables[key] for key in st1.tables)
+
+
+def test_structure_keys_are_built_once_per_configuration():
+    canonical._structure_pairs.cache_clear()
+    results = []
+    for _ in range(2):
+        derive_structure_polys.cache_clear()
+        results.append(derive_structure_polys(3, 4))
+    st1, st2 = results
+    assert st1 is not st2
+    assert list(st1.tables) == list(st2.tables)
+    assert all(k1 is k2 for k1, k2 in zip(st1.tables, st2.tables))
 
 
 def test_results_hold_tables_only():

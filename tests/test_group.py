@@ -4,6 +4,7 @@ The differential tests at the end compare construction and the engine's
 mul/pow/inv with the reference loops in series_oracle.py.
 """
 
+import itertools
 from random import Random
 
 import pytest
@@ -255,6 +256,39 @@ def test_huge_group_refused_before_any_table(monkeypatch):
         group._engine_tables(2, 10**9)
     with pytest.raises(ScaleLimitError):
         FreeNilpotentGroup(1, 10**12)
+
+
+def test_solver_entries_are_nonzero_ints_up_to_400_words():
+    # every class >= 2 configuration with at most 400 words; weight 1 is in each
+    configs = [
+        (r, c)
+        for r in range(2, 20)
+        for c in range(2, 9)
+        if sum(r**i for i in range(c + 1)) <= 400
+    ]
+    assert len(configs) == 31
+    for rank, nclass in configs:
+        t = group._engine_tables(rank, nclass)
+        for i, rows in enumerate(t.solvers, start=1):
+            assert len(rows) == len(t.pivot_words[i - 1]) == len(t.basis.weight_block(i))
+            for row in rows:
+                assert row and [k for k, _ in row] == sorted({k for k, _ in row})
+                assert all(type(q) is int and q for _, q in row), (rank, nclass, i, row)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.name)
+@pytest.mark.parametrize("rank, nclass", [(2, 4), (3, 3)])
+def test_extraction_refuses_a_tampered_word_off_the_pivots(ring, rank, nclass):
+    grp = FreeNilpotentGroup(rank, nclass, ring)
+    s = grp.to_series(grp.random_element(Random(rank * 10 + nclass)))
+    pivots = grp._tables.pivot_words
+    for i in range(2, nclass + 1):
+        words = itertools.product(range(1, rank + 1), repeat=i)
+        off = next(w for w in words if w not in pivots[i - 1])
+        coeffs = dict(s.coeffs)
+        coeffs[off] = ring.coerce(coeffs.get(off, 0)) + 1
+        with pytest.raises(NotGroupLikeError):
+            grp.coords_from_series(TruncatedSeries(rank, nclass, coeffs))
 
 
 # -- differential properties against the reference loops ----------------------

@@ -72,7 +72,7 @@ def test_axioms_both_constructions():
 
 
 def test_group_and_algebra_sides_agree():
-    for rank, nclass in ((2, 2), (2, 3), (3, 2), (2, 4)):
+    for rank, nclass in ((2, 2), (2, 3), (3, 2), (2, 4), (3, 3), (2, 5), (4, 2), (3, 4)):
         assert compare_graded_lie(
             lazard_lie_ring(rank, nclass), free_nilpotent_lie(rank, nclass)
         )

@@ -153,6 +153,14 @@ def test_binomial_table_round_trip():
     assert BinomialTable.from_dict(2, {}).is_zero()
 
 
+@pytest.mark.parametrize("arity", [1, 2, 3])
+def test_binomial_table_refuses_a_mapping(arity):
+    table = {(1,) + (0,) * (arity - 1): 3}
+    with pytest.raises(ArityMismatchError, match="BinomialTable.from_dict"):
+        BinomialTable(arity, table)
+    assert BinomialTable(arity, table.items()) == BinomialTable.from_dict(arity, table)
+
+
 def test_poly_json_round_trip():
     ring = PolyRing(("x", "y"))
     x = ring.variable("x")
