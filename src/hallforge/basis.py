@@ -11,6 +11,9 @@ Each basic commutator maps into the truncated free associative algebra in
 two ways: as a Lie element (iterated ring commutator, homogeneous of its
 weight) and as a group embedding image (iterated group commutator of the
 series 1 + x_j, a group-like series with integer coefficients).
+
+hall_basis refuses, before building anything, a configuration with more
+than ENGINE_WORD_LIMIT words sum_{i <= class} rank^i; the engine shares it.
 """
 
 from __future__ import annotations
@@ -18,8 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .errors import BadRankError, OutOfClassError
+from .errors import BadRankError, OutOfClassError, ScaleLimitError
 from .series import TruncatedSeries, group_commutator_series
+
+
+# far above every configuration the tests and the benchmark build: (3,4) has
+# 121 words and (3,5) 364; (2,10) has 2047 and is refused
+ENGINE_WORD_LIMIT = 2000
 
 
 @dataclass(frozen=True)
@@ -73,7 +81,7 @@ class HallBasis:
             i, j = pair
         except (TypeError, ValueError):
             raise OutOfClassError(f"basis index {pair!r} is not a pair") from None
-        if not (isinstance(i, int) and isinstance(j, int)):
+        if not (type(i) is int and type(j) is int):
             raise OutOfClassError(f"basis index {pair!r} is not a pair of integers")
         if not (1 <= i <= self.nclass and 1 <= j <= self.counts[i - 1]):
             raise OutOfClassError(f"no basis entry with index {pair}")
@@ -134,6 +142,27 @@ def check_config_types(rank, nclass) -> None:
         raise OutOfClassError(f"nilpotency class {nclass!r} is not an int")
 
 
+def check_engine_scale(rank: int, nclass: int) -> None:
+    """Raise ScaleLimitError when N(rank, class) has more than ENGINE_WORD_LIMIT words.
+
+    Counts the words sum_{i <= class} rank^i arithmetically and stops as soon
+    as the limit is passed, so a huge configuration is refused at once. A
+    rank or class that is not an int raises BadRankError / OutOfClassError.
+    """
+    check_config_types(rank, nclass)
+    if rank < 1:
+        return  # hall_basis reports the bad rank
+    words, layer = 0, 1
+    for _ in range(nclass + 1):
+        words += layer
+        if words > ENGINE_WORD_LIMIT:
+            raise ScaleLimitError(
+                f"N({rank},{nclass}) has more than {ENGINE_WORD_LIMIT} words up to "
+                f"length {nclass}, the most a Hall basis or the series engine takes"
+            )
+        layer *= rank
+
+
 @lru_cache(maxsize=None, typed=True)
 def hall_basis(rank: int, nclass: int) -> HallBasis:
     """Build the Hall basis for the given rank and nilpotency class."""
@@ -142,6 +171,7 @@ def hall_basis(rank: int, nclass: int) -> HallBasis:
         raise BadRankError(f"rank {rank} needs at least 2 generators")
     if nclass < 1:
         raise OutOfClassError(f"nilpotency class {nclass} must be at least 1")
+    check_engine_scale(rank, nclass)
 
     entries: list[BasicCommutator] = []
     counts = [0] * nclass

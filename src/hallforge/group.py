@@ -25,8 +25,8 @@ Construction multiplies the powers u_j^(a_j) of the nonzero coordinates in
 order, with the degree-aware series product; every power comes from the
 augmentation powers cached per basis entry in the engine tables.
 
-The engine refuses configurations whose word count sum_{i <= class} rank^i
-exceeds ENGINE_WORD_LIMIT, before the Hall basis or any table is built.
+The engine refuses configurations past ENGINE_WORD_LIMIT words before any
+table is built, with check_engine_scale from hallforge.basis (re-exported).
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ from functools import lru_cache
 from random import Random
 
 from . import linalg
-from .basis import HallBasis, check_config_types, hall_basis
-from .errors import NotGroupLikeError, ScaleLimitError, ShapeMismatchError
+from .basis import ENGINE_WORD_LIMIT, HallBasis, check_engine_scale, hall_basis
+from .errors import NotGroupLikeError, ShapeMismatchError
 from .rings import ZZ, Ring
 from .series import (
     TruncatedSeries,
@@ -48,11 +48,6 @@ from .series import (
     group_like_inverse,
     series_pow,
 )
-
-
-# far above every configuration the tests and the benchmark build: (3,4) has
-# 121 words and (3,5) 364; (2,10) has 2047 and is refused
-ENGINE_WORD_LIMIT = 2000
 
 
 @dataclass(frozen=True)
@@ -81,27 +76,6 @@ class _EngineTables:
                     acc = acc + q * v
             out.append(acc)
         return out
-
-
-def check_engine_scale(rank: int, nclass: int) -> None:
-    """Raise ScaleLimitError when N(rank, class) has more than ENGINE_WORD_LIMIT words.
-
-    Counts the words sum_{i <= class} rank^i arithmetically and stops as soon
-    as the limit is passed, so a huge configuration is refused at once. A
-    rank or class that is not an int raises BadRankError / OutOfClassError.
-    """
-    check_config_types(rank, nclass)
-    if rank < 1:
-        return  # hall_basis reports the bad rank
-    words, layer = 0, 1
-    for _ in range(nclass + 1):
-        words += layer
-        if words > ENGINE_WORD_LIMIT:
-            raise ScaleLimitError(
-                f"N({rank},{nclass}) has more than {ENGINE_WORD_LIMIT} words up to "
-                f"length {nclass}; the series engine is limited to that many"
-            )
-        layer *= rank
 
 
 @lru_cache(maxsize=None, typed=True)

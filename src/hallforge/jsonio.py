@@ -4,6 +4,10 @@ All producers go through canonical_dumps so identical data serializes to
 identical bytes: keys sorted, compact separators, lists emitted in a
 documented deterministic order. Coordinates travel as decimal strings
 ("p/q" for non-integer rationals) so arbitrary precision survives.
+
+Only the forms the command line reads have readers. Size limits live where
+objects are built: hallforge.basis refuses oversized configurations, and
+hallforge.rings refuses exponents and degrees above MAX_EXPONENT.
 """
 
 from __future__ import annotations
@@ -14,10 +18,10 @@ from .basis import HallBasis, hall_basis
 from .canonical import CanonicalPolynomials
 from .conventions import convention_header
 from .deformation import PolynomialCocycle
-from .errors import ScaleLimitError, ShapeMismatchError
-from .group import ENGINE_WORD_LIMIT, GroupElement, check_engine_scale
+from .errors import ShapeMismatchError
+from .group import GroupElement
 from .lie import GradedLieRing
-from .rings import poly_from_obj, poly_to_obj
+from .rings import BinomialTable, Poly
 
 
 def canonical_dumps(obj) -> str:
@@ -49,9 +53,10 @@ def element_to_obj(group, g: GroupElement) -> dict:
 
 def element_from_obj(group, obj: dict) -> GroupElement:
     coords = _field(obj, "coords", list, "an element object")
-    if obj.get("r") != group.rank or obj.get("c") != group.nclass:
+    rank, nclass = (_field(obj, key, int, "an element object") for key in ("r", "c"))
+    if rank != group.rank or nclass != group.nclass:
         raise ShapeMismatchError(
-            f"element is for rank {obj.get('r')}, class {obj.get('c')}; "
+            f"element is for rank {rank}, class {nclass}; "
             f"the group has rank {group.rank}, class {group.nclass}"
         )
     if not all(isinstance(s, str) for s in coords):
@@ -79,27 +84,7 @@ def basis_to_obj(basis: HallBasis) -> dict:
     }
 
 
-def basis_from_obj(obj: dict) -> HallBasis:
-    """Parse by rebuilding: the object must match the canonical basis.
-
-    A configuration past the engine's word limit is refused before any basis
-    is built, so the size an object names cannot exhaust memory.
-    """
-    rank, nclass = (_field(obj, key, int, "a basis object") for key in ("r", "c"))
-    check_engine_scale(rank, nclass)
-    basis = hall_basis(rank, nclass)
-    if basis_to_obj(basis) != obj:
-        raise ShapeMismatchError("basis object does not match the Hall convention")
-    return basis
-
-
 # -- words ---------------------------------------------------------------------
-
-
-def word_to_obj(group, letters) -> list:
-    return [
-        {"index": list(pair), "exp": group.ring.format(e)} for pair, e in letters
-    ]
 
 
 def word_from_obj(group, obj) -> list:
@@ -112,7 +97,18 @@ def word_from_obj(group, obj) -> list:
     return out
 
 
-# -- binomial tables and cocycles ----------------------------------------------
+# -- polynomials, binomial tables and cocycles ---------------------------------
+
+
+def poly_to_obj(p: Poly) -> dict:
+    """Variables header plus terms with decimal-string coefficients."""
+    return {
+        "variables": list(p.vars),
+        "terms": [
+            {"exps": list(e), "num": str(c.numerator), "den": str(c.denominator)}
+            for e, c in sorted(p.terms.items())
+        ],
+    }
 
 
 def table_to_obj(table) -> list:
@@ -122,8 +118,6 @@ def table_to_obj(table) -> list:
 
 
 def table_from_dict_obj(obj, arity: int):
-    from .rings import BinomialTable
-
     if not isinstance(obj, list):
         raise ShapeMismatchError("a binomial table is a JSON list of terms")
     entries = {}
@@ -135,16 +129,6 @@ def table_from_dict_obj(obj, arity: int):
         except ValueError:
             raise ShapeMismatchError(f"table coefficient {coeff!r} is not an integer") from None
     return BinomialTable.from_dict(arity, entries)
-
-
-def cocycle_family_to_obj(rank: int, nclass: int, cocycles) -> dict:
-    return {
-        "r": rank,
-        "c": nclass,
-        "cocycles": [
-            [table_to_obj(t) for t in f.components] for f in cocycles
-        ],
-    }
 
 
 def cocycle_family_from_obj(obj: dict) -> tuple:
@@ -192,20 +176,6 @@ def canonical_polys_to_obj(cp: CanonicalPolynomials) -> dict:
     }
 
 
-def canonical_polys_parse_check(obj: dict) -> bool:
-    """Round-trip check: every polynomial entry parses back to equal data."""
-    for key in ("p", "q"):
-        arity = len(obj["mul_vars" if key == "p" else "pow_vars"])
-        for item in obj[key]:
-            poly = poly_from_obj(item["monomial"])
-            if poly_to_obj(poly) != item["monomial"]:
-                return False
-            table = table_from_dict_obj(item["binomial"], arity)
-            if table_to_obj(table) != item["binomial"]:
-                return False
-    return True
-
-
 # -- graded Lie rings ----------------------------------------------------------
 
 
@@ -223,26 +193,3 @@ def lie_to_obj(L: GradedLieRing) -> dict:
             }
         )
     return {"dims": list(L.dims), "label": L.label, "table": rows}
-
-
-def lie_from_obj(obj: dict) -> GradedLieRing:
-    from fractions import Fraction
-
-    dims = _field(obj, "dims", list, "a Lie ring object")
-    if not all(type(n) is int and n >= 0 for n in dims):
-        raise ShapeMismatchError("Lie ring dimensions are written as nonnegative integers")
-    if sum(dims) > ENGINE_WORD_LIMIT:
-        raise ScaleLimitError(
-            f"Lie ring of dimension {sum(dims)} exceeds ENGINE_WORD_LIMIT = {ENGINE_WORD_LIMIT}"
-        )
-    table = {}
-    for row in _field(obj, "table", list, "a Lie ring object"):
-        pair = tuple(_field(row, side, int, "a Lie table row") for side in ("left", "right"))
-        table[pair] = {}
-        for t in _field(row, "targets", list, "a Lie table row"):
-            coeff = _field(t, "coeff", (str, int), "a Lie table target")
-            try:
-                table[pair][_field(t, "index", int, "a Lie table target")] = Fraction(coeff)
-            except (ValueError, ZeroDivisionError):
-                raise ShapeMismatchError(f"Lie coefficient {coeff!r} is not a rational") from None
-    return GradedLieRing(dims, table, label=_field(obj, "label", str, "a Lie ring object"))

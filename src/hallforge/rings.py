@@ -280,10 +280,6 @@ class Poly:
         nv = len(self.vars)
         return max((sum(_unpack(k, nv)) for k in self._num), default=0)
 
-    def degree_in(self, index):
-        shift = EXPONENT_BITS * index
-        return max(((k >> shift) & _FIELD for k in self._num), default=0)
-
     def is_constant(self):
         return not any(self._num)
 
@@ -515,7 +511,8 @@ class BinomialTable:
     of term j as a flat (variable, degree, variable, degree, ...) tuple, and
     values[j] is its integer coefficient. `coeffs` is the dense view, a
     tuple of (degree tuple, int) pairs; from_dict sorts it. The degrees are
-    checked once, on construction, and evaluation reads the sparse keys
+    checked once, on construction: each is an int from 0 to MAX_EXPONENT, the
+    bound Poly puts on its exponents. Evaluation reads the sparse keys
     directly, computing each binom(point[v], r) once per call.
     """
 
@@ -535,12 +532,16 @@ class BinomialTable:
                 raise ArityMismatchError(f"key {e} in table of arity {arity}")
             flat = []
             for v, r in enumerate(e):
-                if not isinstance(r, int) or r < 0:
+                if type(r) is not int or r < 0:
                     raise ArityMismatchError(
                         f"binomial degree {r!r} in {e} is not a nonnegative integer"
                     )
+                if r > MAX_EXPONENT:
+                    raise ScaleLimitError(
+                        f"binomial degree {r} in {e} exceeds MAX_EXPONENT = {MAX_EXPONENT}"
+                    )
                 if r:
-                    flat += (v, int(r))
+                    flat += (v, r)
             flat = tuple(flat)
             keys.append(_KEYS.setdefault(flat, flat))
             values.append(int(c))
@@ -606,25 +607,3 @@ class BinomialTable:
 
     def __repr__(self):
         return f"BinomialTable(arity={self.arity!r}, coeffs={self.coeffs!r})"
-
-
-# -- polynomial serialization -------------------------------------------------
-
-
-def poly_to_obj(p: Poly) -> dict:
-    """JSON-ready form: variables header plus terms with decimal-string coefficients."""
-    return {
-        "variables": list(p.vars),
-        "terms": [
-            {"exps": list(e), "num": str(c.numerator), "den": str(c.denominator)}
-            for e, c in sorted(p.terms.items())
-        ],
-    }
-
-
-def poly_from_obj(obj: dict) -> Poly:
-    variables = tuple(obj["variables"])
-    terms = {}
-    for t in obj["terms"]:
-        terms[tuple(t["exps"])] = Fraction(int(t["num"]), int(t["den"]))
-    return Poly(variables, terms)

@@ -77,13 +77,6 @@ class TruncatedSeries:
     def is_group_like(self):
         return self.constant_term == 1
 
-    def degree_component(self, i):
-        """Coefficients of the words of length exactly i."""
-        return {w: c for w, c in self.coeffs.items() if len(w) == i}
-
-    def min_degree(self):
-        return min((len(w) for w in self.coeffs), default=self.cutoff + 1)
-
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):

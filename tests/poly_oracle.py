@@ -7,7 +7,10 @@ binomial-basis table, one ring.binom per degree of every term, and the
 reference for BinomialTable.evaluate. DenseBinomialTable is the earlier
 BinomialTable, a sorted tuple of (degree tuple, int) pairs evaluated through
 eval_binomial_form, and dense_to_binomial_basis is the earlier
-to_binomial_basis over DensePoly.
+to_binomial_basis over DensePoly. poly_from_obj reads the JSON form of a
+Poly, and canonical_polys_parse_check reads back every entry of a
+`hallpoly --json` object; the command line writes these forms but never
+reads them.
 hallforge.rings and hallforge.canonical must give exactly what these give,
 coefficient and value types included. The strategies at the end draw the
 same polynomial as a Poly and as a DensePoly.
@@ -22,6 +25,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from hallforge.errors import ArityMismatchError, MixedRingsError, NonIntegerCoefficientError
+from hallforge.jsonio import poly_to_obj, table_from_dict_obj, table_to_obj
 from hallforge.rings import Poly
 
 
@@ -154,9 +158,6 @@ class DensePoly:
 
     def total_degree(self):
         return max((sum(e) for e in self.terms), default=0)
-
-    def degree_in(self, index):
-        return max((e[index] for e in self.terms), default=0)
 
     def is_constant(self):
         return all(not any(e) for e in self.terms)
@@ -297,12 +298,26 @@ def dense_poly_to_obj(p: DensePoly) -> dict:
     }
 
 
-def dense_poly_from_obj(obj: dict) -> DensePoly:
+def poly_from_obj(obj: dict) -> Poly:
     variables = tuple(obj["variables"])
     terms = {}
     for t in obj["terms"]:
         terms[tuple(t["exps"])] = Fraction(int(t["num"]), int(t["den"]))
-    return DensePoly(variables, terms)
+    return Poly(variables, terms)
+
+
+def canonical_polys_parse_check(obj: dict) -> bool:
+    """Round-trip check: every polynomial entry parses back to equal data."""
+    for key in ("p", "q"):
+        arity = len(obj["mul_vars" if key == "p" else "pow_vars"])
+        for item in obj[key]:
+            poly = poly_from_obj(item["monomial"])
+            if poly_to_obj(poly) != item["monomial"]:
+                return False
+            table = table_from_dict_obj(item["binomial"], arity)
+            if table_to_obj(table) != item["binomial"]:
+                return False
+    return True
 
 
 def dense_to_binomial_basis(poly: DensePoly) -> dict:

@@ -8,10 +8,11 @@ construction and extraction loops here are the engine's own, run over these
 three. Extraction solves each weight with its own dense Fraction inverse
 (oracle_solvers), built from the Hall Lie elements at the engine's pivot
 words and multiplied entry by entry; it does not read the engine's sparse
-solver rows. The engine in hallforge.series and hallforge.group must return
-exactly what they return, coefficient types included. The hypothesis
-strategies at the end draw small values over ZZ, QQ and a two-variable
-PolyRing, at (2,3), (3,3) and (2,4).
+solver rows. degree_component and min_degree, the series queries only the
+tests use, live here too. The engine in hallforge.series and hallforge.group
+must return exactly what they return, coefficient types included. The
+hypothesis strategies at the end draw small values over ZZ, QQ and a
+two-variable PolyRing, at (2,3), (3,3) and (2,4).
 """
 
 from fractions import Fraction
@@ -96,6 +97,15 @@ def oracle_series_from_coords(grp, coords):
     return s
 
 
+def degree_component(s, i):
+    """Coefficients of the words of length exactly i."""
+    return {w: c for w, c in s.coeffs.items() if len(w) == i}
+
+
+def min_degree(s):
+    return min((len(w) for w in s.coeffs), default=s.cutoff + 1)
+
+
 @lru_cache(maxsize=None)
 def oracle_solvers(rank, nclass):
     """Per weight, the dense Fraction inverse of the Hall Lie elements read at the pivot words."""
@@ -114,7 +124,7 @@ def oracle_coords_from_series(grp, s):
     solvers = oracle_solvers(grp.rank, grp.nclass)
     coords = []
     for i in range(1, grp.nclass + 1):
-        comp = s.degree_component(i)
+        comp = degree_component(s, i)
         vals = [comp.get(w, 0) for w in t.pivot_words[i - 1]]
         block = []
         for row in solvers[i - 1]:

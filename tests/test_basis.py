@@ -3,10 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from series_oracle import min_degree
 
 from hallforge import linalg
 from hallforge.basis import hall_basis
-from hallforge.errors import BadRankError, OutOfClassError
+from hallforge.errors import BadRankError, OutOfClassError, ScaleLimitError
 from hallforge.oracles import witt_dimension
 
 
@@ -84,6 +85,24 @@ def test_bad_configurations_rejected():
         basis.flat((3, 1))
 
 
+@pytest.mark.parametrize("pair", [(True, 1), (1, True)])
+def test_flat_refuses_boolean_indices(pair):
+    # True == 1, so a boolean index would otherwise name a real entry
+    with pytest.raises(OutOfClassError):
+        hall_basis(2, 2).flat(pair)
+
+
+def test_refuses_oversized_configurations():
+    # words sum_{i <= class} rank^i: (2,9) 1023, (44,2) 1981, (2,10) 2047, (45,2) 2071
+    assert len(hall_basis(2, 9)) == sum(witt_dimension(2, w) for w in range(1, 10))
+    assert len(hall_basis(44, 2)) == 44 + 44 * 43 // 2
+    for rank, nclass in ((2, 10), (45, 2)):
+        with pytest.raises(ScaleLimitError):
+            hall_basis(rank, nclass)
+    with pytest.raises(BadRankError):
+        hall_basis(1, 2)
+
+
 @pytest.mark.parametrize("rank", [3.0, True, "3", None])
 def test_rank_must_be_an_int(rank):
     with pytest.raises(BadRankError):
@@ -132,6 +151,6 @@ def test_embedding_image_is_group_like():
     for e in basis.entries:
         img = basis.embedding_image(e)
         assert img.coeff(()) == 1
-        assert img.min_degree() == 0
+        assert min_degree(img) == 0
         stripped = img - 1
-        assert stripped.min_degree() == e.weight
+        assert min_degree(stripped) == e.weight

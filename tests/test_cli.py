@@ -4,10 +4,10 @@ import hashlib
 import json
 
 import pytest
+from poly_oracle import canonical_polys_parse_check
 
 from hallforge.cli import main
 from hallforge.deformation import ExtensionCocycle
-from hallforge.jsonio import canonical_polys_parse_check
 
 
 def run_cli(capsys, *argv):
@@ -129,6 +129,7 @@ ZERO = '{"r":2,"c":2,"coords":["0","0","0"]}'
         (["collect", '[{"index":[1],"exp":"1"}]'], None),
         (["collect", '[{"index":["1","1"],"exp":"1"}]'], None),
         (["collect", '[{"index":[1,1],"exp":1}]'], None),
+        (["collect", '[{"index":[true,1],"exp":"1"},{"index":[1,true],"exp":"2"}]'], None),
         (["mul", '{"r":2,"c":2,"coords":[[1],"0","0"]}', ZERO], None),
         (["mul", "[1]", "[2]"], None),
         (["deform", "check"], {"r": 2, "c": 2, "cocycles": [[[{"deg": [1, 1], "coeff": "1"}]], [[]]]}),
@@ -137,7 +138,7 @@ ZERO = '{"r":2,"c":2,"coords":["0","0","0"]}'
         (["deform", "check"], [1]),
     ],
     ids=[
-        "letter-key", "letter-list", "short-index", "string-index", "number-exp",
+        "letter-key", "letter-list", "short-index", "string-index", "number-exp", "bool-index",
         "nested-coord", "element-list", "term-key", "term-coeff", "component-object", "file-list",
     ],
 )
@@ -171,6 +172,24 @@ def test_hallpoly_json_digest_pinned(capsys, rank, nclass, pinned):
     code, out, _ = run_cli(
         capsys, "hallpoly", "--rank", str(rank), "--class", str(nclass), "--json"
     )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == pinned
+
+
+# the basis and Lie-ring objects are written, never read back, so their
+# bytes are pinned instead
+@pytest.mark.parametrize(
+    "command, rank, nclass, pinned",
+    [
+        ("basis", 2, 5, "4afda2d1aa8b76a43cb43b9f5939db6de2a9382c3c14707039a01b50bfab9441"),
+        ("basis", 3, 3, "2087ccd5746c7c02f269b77425754d0d09a4ad90f5d55dd5e26166b22ba73d36"),
+        ("lie", 2, 3, "bcd9c4e4f49d9367a1b37e14ad36a6e2048a2666ab9f6e1d26218612ca521b35"),
+        ("lie", 3, 3, "995d70fd4c55cb84c476f79b6d7f96ebaf9cadd8b5605596550cfffceab669fb"),
+    ],
+)
+def test_writer_json_digest_pinned(capsys, command, rank, nclass, pinned):
+    tail = ("constants", "--json") if command == "lie" else ("--json",)
+    code, out, _ = run_cli(capsys, command, "--rank", str(rank), "--class", str(nclass), *tail)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == pinned
 

@@ -24,11 +24,12 @@ from hallforge.errors import (
     CocycleViolationError,
     HallforgeError,
     NotInRingError,
+    ScaleLimitError,
     ShapeMismatchError,
     SplitFailureError,
 )
 from hallforge.group import CoordinateGroup, FreeNilpotentGroup
-from hallforge.rings import QQ, ZZ, PolyRing
+from hallforge.rings import MAX_EXPONENT, QQ, ZZ, PolyRing
 
 
 def _mixed_cocycle(n_components):
@@ -62,6 +63,14 @@ def test_non_cocycle_rejected():
     # binom(a,2) b alone fails the cocycle identity at x = y = z = 1
     bad = PolynomialCocycle.from_tables([{(2, 1): 1}])
     assert not check_cocycle(bad).ok
+
+
+def test_cocycle_table_degrees_are_bounded():
+    # a binomial degree d costs about d^2 work per evaluation, so it is capped
+    top = PolynomialCocycle.from_tables([{(MAX_EXPONENT, 1): 1}])
+    assert top.value(-1, 2, ZZ) == (-2,)
+    with pytest.raises(ScaleLimitError):
+        PolynomialCocycle.from_tables([{(MAX_EXPONENT + 1, 0): 1}])
 
 
 def test_sampled_cocycle_check():

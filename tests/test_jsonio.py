@@ -5,26 +5,24 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from poly_oracle import canonical_polys_parse_check
 
 from hallforge.basis import hall_basis
 from hallforge.canonical import derive_hall_polynomials
 from hallforge.deformation import PolynomialCocycle, product_cocycle, zero_cocycle
-from hallforge.errors import NotInRingError, ScaleLimitError, ShapeMismatchError
+from hallforge.errors import NotInRingError, ShapeMismatchError
 from hallforge.group import FreeNilpotentGroup
 from hallforge.jsonio import (
-    basis_from_obj,
     basis_to_obj,
     canonical_dumps,
-    canonical_polys_parse_check,
     canonical_polys_to_obj,
     cocycle_family_from_obj,
-    cocycle_family_to_obj,
     element_from_obj,
     element_to_obj,
-    lie_from_obj,
     lie_to_obj,
+    table_from_dict_obj,
+    table_to_obj,
     word_from_obj,
-    word_to_obj,
 )
 from hallforge.lie import compare_graded_lie, free_nilpotent_lie, lazard_lie_ring
 from hallforge.rings import QQ
@@ -65,28 +63,35 @@ def test_element_from_obj_validates():
         element_from_obj(g, {"r": 2, "c": 2, "coords": ["0", "0"]})
 
 
+def _label(tree):
+    """The label of a basic commutator, rebuilt from its tree form."""
+    if isinstance(tree, int):
+        return f"x{tree}"
+    return f"[{_label(tree[0])},{_label(tree[1])}]"
+
+
 def test_basis_round_trip():
+    # the written object decodes back to the basis: pairs, weights, labels, trees
     for rank, nclass in ((2, 3), (3, 2), (2, 5)):
         basis = hall_basis(rank, nclass)
-        obj = basis_to_obj(basis)
-        assert basis_from_obj(obj) is hall_basis(rank, nclass)
-    bad = basis_to_obj(hall_basis(2, 2))
-    bad["entries"][2]["tree"] = [1, 2]
-    with pytest.raises(ShapeMismatchError):
-        basis_from_obj(bad)
+        obj = json.loads(canonical_dumps(basis_to_obj(basis)))
+        assert (obj["r"], obj["c"], obj["counts"]) == (rank, nclass, list(basis.counts))
+        assert [tuple(e["index"]) for e in obj["entries"]] == list(basis.pairs)
+        for e, entry in zip(obj["entries"], basis.entries):
+            assert e["weight"] == entry.weight == e["index"][0]
+            assert e["label"] == _label(e["tree"]) == entry.label()
 
 
 def test_word_round_trip():
     g = FreeNilpotentGroup(2, 3)
-    word = [((1, 1), 2), ((2, 1), -3), ((1, 2), 1)]
-    obj = word_to_obj(g, word)
-    assert word_from_obj(g, obj) == word
+    text = '[{"index":[1,1],"exp":"2"},{"index":[2,1],"exp":"-3"},{"index":[1,2],"exp":"1"}]'
+    assert word_from_obj(g, json.loads(text)) == [((1, 1), 2), ((2, 1), -3), ((1, 2), 1)]
 
 
 def test_cocycle_family_round_trip():
     fam = (product_cocycle(2, 1, scale=3), zero_cocycle(2))
-    obj = cocycle_family_to_obj(2, 3, fam)
-    back = cocycle_family_from_obj(obj)
+    obj = {"r": 2, "c": 3, "cocycles": [[table_to_obj(t) for t in f.components] for f in fam]}
+    back = cocycle_family_from_obj(json.loads(canonical_dumps(obj)))
     assert back == fam
     assert isinstance(back[0], PolynomialCocycle)
 
@@ -101,93 +106,98 @@ def test_canonical_polys_obj_checks_out():
 
 
 def test_lie_round_trip():
+    # the written rows decode back to the structure constants
     for rank, nclass in ((2, 2), (2, 3), (3, 2)):
         lie = lazard_lie_ring(rank, nclass)
-        back = lie_from_obj(lie_to_obj(lie))
-        assert back.dims == lie.dims
-        assert back.table == lie.table
-        assert compare_graded_lie(back, free_nilpotent_lie(rank, nclass))
+        obj = json.loads(canonical_dumps(lie_to_obj(lie)))
+        table = {
+            (row["left"], row["right"]): {t["index"]: Fraction(t["coeff"]) for t in row["targets"]}
+            for row in obj["table"]
+        }
+        assert obj["dims"] == list(lie.dims) and obj["label"] == lie.label
+        assert table == lie.table
+        assert compare_graded_lie(lie, free_nilpotent_lie(rank, nclass))
 
 
-TARGET = {"index": 2, "coeff": "1"}
-ROW = {"left": 1, "right": 0, "targets": [TARGET]}
-LIE = {"dims": [2, 1], "label": "", "table": [ROW]}
+G21 = FreeNilpotentGroup(2, 1)
+DROP = object()
 
 
-def _lie(top={}, row={}, target={}):
-    """The one-row Lie object LIE with keys replaced; a value of None drops the key."""
-
-    def put(base, changes):
-        return {k: v for k, v in {**base, **changes}.items() if v is not None}
-
-    return put(LIE, {"table": [put(ROW, {"targets": [put(TARGET, target)], **row})], **top})
+def _put(base, changes):
+    """base with keys replaced; a value of DROP drops the key, None is JSON null."""
+    return {k: v for k, v in {**base, **changes}.items() if v is not DROP}
 
 
+def _element(changes={}):
+    return element_from_obj(G21, _put({"r": 2, "c": 1, "coords": ["0", "0"]}, changes))
+
+
+def _word(changes={}):
+    return word_from_obj(G21, [_put({"index": [1, 1], "exp": "1"}, changes)])
+
+
+def _table(changes={}):
+    return table_from_dict_obj([_put({"degrees": [1, 1], "coeff": "1"}, changes)], 2)
+
+
+def _cocycles(value=[]):
+    return cocycle_family_from_obj({} if value is DROP else {"cocycles": value})
+
+
+# each case is one malformation of one field: every reader applies the same
+# field rule, so no field may be missing, ill-typed or boolean
 @pytest.mark.parametrize(
-    "parse, obj",
+    "parse, arg",
     [
-        (basis_from_obj, {}),
-        (basis_from_obj, {"r": 2}),
-        (basis_from_obj, {"r": [2], "c": 2}),
-        (basis_from_obj, {"r": 2, "c": None}),
-        (lie_from_obj, _lie(top={"table": None})),
-        (lie_from_obj, _lie(top={"label": None})),
-        (lie_from_obj, _lie(top={"dims": "21"})),
-        (lie_from_obj, _lie(top={"dims": ["2", "1"]})),
-        (lie_from_obj, _lie(row={"targets": None})),
-        (lie_from_obj, _lie(row={"left": "1"})),
-        (lie_from_obj, _lie(target={"index": "2"})),
-        (lie_from_obj, _lie(target={"coeff": None})),
-        (lie_from_obj, _lie(target={"coeff": "one"})),
-        (lie_from_obj, _lie(target={"coeff": "1/0"})),
-        (basis_from_obj, {**basis_to_obj(hall_basis(2, 1)), "c": True}),
-        (lie_from_obj, _lie(top={"dims": [2, True]})),
-        (lie_from_obj, _lie(row={"left": True})),
-        (lie_from_obj, _lie(target={"index": True})),
-        (lie_from_obj, _lie(target={"coeff": True})),
+        (_element, {"r": DROP, "c": DROP, "coords": DROP}),
+        (_element, {"c": DROP}),
+        (_element, {"c": None}),
+        (_element, {"r": [2]}),
+        (_element, {"c": True}),
+        (_element, {"r": True}),
+        (_word, {"exp": DROP}),
+        (_word, {"index": DROP}),
+        (_word, {"index": "11"}),
+        (_word, {"exp": True}),
+        (_table, {"coeff": DROP}),
+        (_table, {"coeff": "one"}),
+        (_table, {"coeff": "1/0"}),
+        (_table, {"coeff": True}),
+        (_table, {"degrees": True}),
+        (_table, {"degrees": "11"}),
+        (_cocycles, DROP),
+        (_cocycles, "11"),
+        (_cocycles, ["11"]),
+        (_cocycles, True),
     ],
     ids=[
-        "basis-empty",
-        "basis-no-c",
-        "basis-list-r",
-        "basis-null-c",
-        "lie-no-table",
-        "lie-no-label",
-        "lie-string-dims",
-        "lie-string-dim",
-        "lie-row-no-targets",
-        "lie-row-string-left",
-        "lie-string-index",
-        "lie-no-coeff",
-        "lie-word-coeff",
-        "lie-zero-denominator",
-        "basis-bool-c",
-        "lie-bool-dim",
-        "lie-row-bool-left",
-        "lie-bool-index",
-        "lie-bool-coeff",
+        "element-empty",
+        "element-no-c",
+        "element-null-c",
+        "element-list-r",
+        "element-bool-c",
+        "element-bool-r",
+        "letter-no-exp",
+        "letter-no-index",
+        "letter-string-index",
+        "letter-bool-exp",
+        "table-no-coeff",
+        "table-word-coeff",
+        "table-zero-denominator",
+        "table-bool-coeff",
+        "table-bool-degrees",
+        "table-string-degrees",
+        "cocycles-missing",
+        "cocycles-string",
+        "cocycles-string-component",
+        "cocycles-bool",
     ],
 )
-def test_malformed_basis_and_lie_objects_are_shape_errors(parse, obj):
-    assert lie_from_obj(_lie()).table == {(1, 0): {2: 1}}
+def test_malformed_objects_are_shape_errors(parse, arg):
+    assert _element() == G21.identity() and _word() == [((1, 1), 1)]
+    assert _table().as_dict() == {(1, 1): 1} and _cocycles() == ()
     with pytest.raises(ShapeMismatchError):
-        parse(obj)
-
-
-def test_oversized_basis_and_lie_objects_are_refused_before_building(monkeypatch):
-    from hallforge import jsonio
-
-    def unreachable(*args, **kwargs):
-        raise AssertionError("built before the size check")
-
-    monkeypatch.setattr(jsonio, "hall_basis", unreachable)
-    monkeypatch.setattr(jsonio, "GradedLieRing", unreachable)
-    with pytest.raises(ScaleLimitError):
-        basis_from_obj({"r": 400, "c": 2})
-    with pytest.raises(ScaleLimitError):
-        lie_from_obj(_lie(top={"dims": [10**7]}))
-    with pytest.raises(ShapeMismatchError):
-        lie_from_obj(_lie(top={"dims": [10**7, -(10**7)]}))
+        parse(arg)
 
 
 def test_float_coordinates_rejected():
