@@ -34,6 +34,7 @@ from .errors import (
 )
 from .group import FreeNilpotentGroup
 from .jsonio import (
+    _field,
     basis_to_obj,
     canonical_dumps,
     canonical_polys_to_obj,
@@ -196,10 +197,11 @@ def _cmd_deform(args) -> int:
         raise ShapeMismatchError("deformations are served over the integers")
     obj = _load_json("@" + args.cocycle)
     family = cocycle_family_from_obj(obj)
-    if obj.get("r") != rank or obj.get("c") != nclass:
+    file_rank, file_class = (_field(obj, key, int, "a cocycle file") for key in ("r", "c"))
+    if (file_rank, file_class) != (rank, nclass):
         raise ShapeMismatchError(
             "cocycle file is for another configuration "
-            f"(file says rank {obj.get('r')}, class {obj.get('c')})"
+            f"(file says rank {file_rank}, class {file_class})"
         )
     if len(family) != rank:
         raise ShapeMismatchError(

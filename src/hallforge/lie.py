@@ -14,18 +14,20 @@ computations.
 
 The bracket and the bilinear map are both sparse (a, b) -> {t: c} tables.
 _contract evaluates f(x, y) on sparse vectors, and _map_rows gives the
-dense linalg rows of x -> f(x, v) or x -> f(v, x) for a fixed v; every
-bracket and kernel system here comes from these two (only the
-endomorphism-pair system keeps its own row builder). compare_graded_lie is
+sparse linalg rows of x -> f(x, v) or x -> f(v, x); no dense row is formed.
+Results are read-only and shared by value (_SHARED). compare_graded_lie is
 exact equality: a sign flip of basis elements is not repaired, and
 first_difference names the first structure constant that differs.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, product
+from types import MappingProxyType
 
 from . import linalg
 from .errors import ShapeMismatchError
@@ -33,8 +35,9 @@ from .group import FreeNilpotentGroup, _engine_tables
 
 
 def _sparse(vec) -> dict:
-    """The nonzero entries of a dense vector, as {index: Fraction}."""
-    return {i: Fraction(c) for i, c in enumerate(vec) if c}
+    """The nonzero entries of a dense sequence or a sparse mapping, as {index: Fraction}."""
+    items = vec.items() if hasattr(vec, "items") else enumerate(vec)
+    return {i: Fraction(c) for i, c in items if c}
 
 
 def _dense(vec: dict, n: int) -> list:
@@ -53,51 +56,65 @@ def _contract(table, x: dict, y: dict) -> dict:
     return out
 
 
-def _map_rows(table, v: dict, n: int, v_right: bool) -> dict:
-    """Rows of x -> f(x, v) (v_right) or x -> f(v, x), keyed by target.
+def _combine(coeffs: dict, vectors) -> dict:
+    """sum of c * vectors[i] over {i: c} in coeffs, on sparse dicts; zeros may remain."""
+    out = {}
+    for i, c in coeffs.items():
+        for j, v in vectors[i].items():
+            out[j] = out.get(j, 0) + c * v
+    return out
 
-    Each row is dense over the n coordinates of x. A target that f never
-    reaches from v gets no row; a row that cancels to zero is kept.
-    """
-    rows = {}
-    for (a, b), targets in table.items():
-        col, key = (a, b) if v_right else (b, a)
-        cv = v.get(key)
-        if cv:
-            for t, c in targets.items():
-                if t not in rows:
-                    rows[t] = [Fraction(0)] * n
-                rows[t][col] += cv * c
-    return rows
+
+def _map_rows(table, maps) -> list:
+    """Rows of x -> f(x, v) (v_right) or x -> f(v, x): one {target: row} dict per
+    (v, v_right) in maps, a row for each target that f reaches from v (empty if
+    it cancels). The table is indexed by its fixed factor once for all maps."""
+    index = {}
+    for side in {v_right for _, v_right in maps}:
+        for (a, b), targets in table.items():
+            col, key = (a, b) if side else (b, a)
+            index.setdefault((side, key), []).append((col, targets))
+    out = []
+    for v, v_right in maps:
+        rows = {}
+        for key, cv in v.items():
+            for col, targets in index.get((v_right, key), ()):
+                for t, c in targets.items():
+                    row = rows.setdefault(t, {})
+                    row[col] = row.get(col, 0) + cv * c
+        out.append({t: _sparse(row) for t, row in rows.items()})
+    return out
 
 
 def _common_kernel(table, n: int, maps) -> list:
     """Basis of {x : f(x, v) = 0 (v_right) or f(v, x) = 0, for all (v, v_right) in maps}."""
-    rows = [row for v, v_right in maps for row in _map_rows(table, v, n, v_right).values()]
-    return linalg.nullspace(rows or [[Fraction(0)] * n])
+    return linalg.kernel([row for rows in _map_rows(table, maps) for row in rows.values()], n)
+
+
+# Equal results are one object: each is built in full, then swapped for the live one
+# under its key, which covers all the object holds (value types too, never an id()).
+_SHARED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 class GradedLieRing:
     """Weight-graded Lie ring with an exact sparse structure-constant table.
 
     table maps a pair of flat basis indices to a sparse dict over flat
-    target indices; missing pairs bracket to zero. Values are exact
-    rationals (integers in every shipped construction).
+    target indices; missing pairs bracket to zero. Values are exact rationals
+    (integers in every shipped construction). Table and rows are read-only.
     """
+
+    __slots__ = ("dims", "label", "total_dim", "weight_of", "_starts", "table", "__weakref__")
 
     def __init__(self, dims, table, label=""):
         self.dims = tuple(dims)
         self.label = label
         self.total_dim = sum(self.dims)
-        self.weight_of = []
-        for w, n in enumerate(self.dims, start=1):
-            self.weight_of.extend([w] * n)
-        self._starts = [0]
-        for n in self.dims:
-            self._starts.append(self._starts[-1] + n)
-        self.table = {
-            pair: dict(targets) for pair, targets in table.items() if targets
-        }
+        self.weight_of = tuple(w for w, n in enumerate(self.dims, start=1) for _ in range(n))
+        self._starts = tuple(accumulate(self.dims, initial=0))
+        self.table = MappingProxyType({
+            pair: MappingProxyType(dict(targets)) for pair, targets in table.items() if targets
+        })
         for (a, b), targets in self.table.items():
             if not all(0 <= i < self.total_dim for i in (a, b, *targets)):
                 raise ShapeMismatchError(f"table entry {(a, b)}: {targets} leaves the basis")
@@ -160,35 +177,42 @@ class GradedLieRing:
             not v[i] for v in kernel for i in range(self.total_dim) if i not in top
         )
 
+    def _key(self):
+        """Everything the ring holds: dims, label and the table with its value types."""
+        table = tuple((pair, tuple((t, type(c), c) for t, c in row.items()))
+                      for pair, row in self.table.items())
+        return (GradedLieRing, self.dims, self.label, table)
+
     def __repr__(self):
         return f"GradedLieRing(dims={self.dims}, label={self.label!r})"
+
+
+def _ring(basis, nclass: int, label: str, bracket) -> GradedLieRing:
+    """The shared ring: bracket(ea, eb, w) gives the targets of basic a != b, w <= nclass."""
+    table = {}
+    for a, ea in enumerate(basis.entries):
+        for b, eb in enumerate(basis.entries):
+            if a != b and ea.weight + eb.weight <= nclass:
+                targets = bracket(ea, eb, ea.weight + eb.weight)
+                if targets:
+                    table[(a, b)] = targets
+    lie = GradedLieRing(basis.counts, table, label)
+    return _SHARED.setdefault(lie._key(), lie)
 
 
 @lru_cache(maxsize=None, typed=True)
 def lazard_lie_ring(rank: int, nclass: int) -> GradedLieRing:
     """Structure constants from leading coordinates of group commutators."""
     grp = FreeNilpotentGroup(rank, nclass)
-    basis = grp.basis
-    table = {}
-    for a, ea in enumerate(basis.entries):
-        for b, eb in enumerate(basis.entries):
-            if a == b or ea.weight + eb.weight > nclass:
-                continue
-            com = grp.commutator(grp.basic(ea.pair), grp.basic(eb.pair))
-            w = ea.weight + eb.weight
-            if grp.gamma_weight(com) < w:
-                raise RuntimeError(
-                    f"commutator of weights {ea.weight} and {eb.weight} has "
-                    f"coordinates below weight {w}"
-                )
-            targets = {}
-            for t in basis.weight_block(w):
-                v = com.coords[t]
-                if v:
-                    targets[t] = int(v)
-            if targets:
-                table[(a, b)] = targets
-    return GradedLieRing(basis.counts, table, label=f"lazard({rank},{nclass})")
+
+    def bracket(ea, eb, w):
+        com = grp.commutator(grp.basic(ea.pair), grp.basic(eb.pair))
+        if grp.gamma_weight(com) < w:
+            raise RuntimeError(f"commutator of weights {ea.weight} and {eb.weight} "
+                               f"has coordinates below weight {w}")
+        return {t: int(com.coords[t]) for t in grp.basis.weight_block(w) if com.coords[t]}
+
+    return _ring(grp.basis, nclass, f"lazard({rank},{nclass})", bracket)
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -196,39 +220,26 @@ def free_nilpotent_lie(rank: int, nclass: int) -> GradedLieRing:
     """Structure constants by bracketing Hall Lie elements and re-expanding."""
     tables = _engine_tables(rank, nclass)
     basis = tables.basis
-    table = {}
-    for a, ea in enumerate(basis.entries):
-        for b, eb in enumerate(basis.entries):
-            if a == b or ea.weight + eb.weight > nclass:
-                continue
-            la = basis.lie_element(ea)
-            lb = basis.lie_element(eb)
-            prod = la * lb - lb * la
-            w = ea.weight + eb.weight
-            coeffs = tables.solve(w, prod.coeffs)
-            # the solver matches pivot words only; confirm the full expansion
-            block = basis.weight_block(w)
-            residual = prod
-            for c, flat in zip(coeffs, block):
-                if c:
-                    residual = residual - c * basis.lie_element(basis.entries[flat])
-            if residual.coeffs:
-                raise RuntimeError(
-                    f"bracket of {ea.pair} and {eb.pair} is not in the "
-                    f"weight-{w} Hall span"
-                )
-            targets = {}
-            for c, flat in zip(coeffs, block):
-                if c:
-                    if c.denominator != 1:
-                        raise RuntimeError(
-                            f"non-integer structure constant {c} at "
-                            f"({ea.pair}, {eb.pair})"
-                        )
-                    targets[flat] = int(c)
-            if targets:
-                table[(a, b)] = targets
-    return GradedLieRing(basis.counts, table, label=f"free({rank},{nclass})")
+
+    def bracket(ea, eb, w):
+        la, lb = basis.lie_element(ea), basis.lie_element(eb)
+        prod = la * lb - lb * la
+        coeffs = tables.solve(w, prod.coeffs)
+        # the solver matches pivot words only; confirm the full expansion
+        block = basis.weight_block(w)
+        residual = prod
+        for c, flat in zip(coeffs, block):
+            if c:
+                residual = residual - c * basis.lie_element(basis.entries[flat])
+        if residual.coeffs:
+            raise RuntimeError(f"bracket of {ea.pair} and {eb.pair} is not in the "
+                               f"weight-{w} Hall span")
+        for c in coeffs:
+            if c.denominator != 1:
+                raise RuntimeError(f"non-integer structure constant {c} at ({ea.pair}, {eb.pair})")
+        return {flat: int(c) for c, flat in zip(coeffs, block) if c}
+
+    return _ring(basis, nclass, f"free({rank},{nclass})", bracket)
 
 
 def first_difference(A: GradedLieRing, B: GradedLieRing):
@@ -264,8 +275,11 @@ class BilinearMapData:
     """The bracket as a map (quotient by center) x (same) -> derived subring.
 
     Domain basis: weights below the class; codomain basis: weights 2 and up.
-    tensor[(a, b)][t] gives the codomain coefficients on domain basis pairs.
+    tensor[(a, b)][t] (read-only) gives the codomain coefficients on domain pairs.
     """
+
+    __slots__ = ("lie", "domain_flats", "codomain_flats", "domain_dim", "codomain_dim",
+                 "tensor", "__weakref__")
 
     def __init__(self, lie: GradedLieRing):
         if not lie.center_is_top_block():
@@ -274,23 +288,17 @@ class BilinearMapData:
             )
         self.lie = lie
         c = lie.nclass
-        self.domain_flats = [
-            i for i in range(lie.total_dim) if lie.weight_of[i] < c
-        ]
-        self.codomain_flats = [
-            i for i in range(lie.total_dim) if lie.weight_of[i] >= 2
-        ]
+        self.domain_flats = tuple(i for i in range(lie.total_dim) if lie.weight_of[i] < c)
+        self.codomain_flats = tuple(i for i in range(lie.total_dim) if lie.weight_of[i] >= 2)
         self.domain_dim = len(self.domain_flats)
         self.codomain_dim = len(self.codomain_flats)
-        self._co_index = {flat: k for k, flat in enumerate(self.codomain_flats)}
-        self.tensor = {}
-        for a, fa in enumerate(self.domain_flats):
-            for b, fb in enumerate(self.domain_flats):
-                got = lie.table.get((fa, fb))
-                if got:
-                    self.tensor[(a, b)] = {
-                        self._co_index[t]: Fraction(c) for t, c in got.items()
-                    }
+        co_index = {flat: k for k, flat in enumerate(self.codomain_flats)}
+        self.tensor = MappingProxyType({
+            (a, b): MappingProxyType({co_index[t]: Fraction(c) for t, c in got.items()})
+            for a, fa in enumerate(self.domain_flats)
+            for b, fb in enumerate(self.domain_flats)
+            if (got := lie.table.get((fa, fb)))
+        })
 
     def value(self, x, y):
         """f(x, y) for dense domain vectors, as a dense codomain vector."""
@@ -298,10 +306,14 @@ class BilinearMapData:
             raise ShapeMismatchError("domain vector length mismatch")
         return _dense(_contract(self.tensor, _sparse(x), _sparse(y)), self.codomain_dim)
 
+    def _value_basis(self) -> list:
+        """The first domain pairs (a, b), in tensor order, whose values are independent."""
+        pairs = list(self.tensor)
+        return [pairs[i] for i in linalg._eliminate([_sparse(self.tensor[p]) for p in pairs])[1]]
+
     def is_full(self) -> bool:
         """The image values span the whole codomain (exact rank)."""
-        rows = [_dense(targets, self.codomain_dim) for targets in self.tensor.values()]
-        return linalg.rank(rows) == self.codomain_dim
+        return len(self._value_basis()) == self.codomain_dim
 
     def left_kernel(self):
         """Basis of {x : f(x, e_b) = 0 for all b}."""
@@ -320,12 +332,14 @@ class BilinearMapData:
 
 
 def bilinear_from_lie(lie: GradedLieRing) -> BilinearMapData:
-    return BilinearMapData(lie)
+    return _SHARED.setdefault((BilinearMapData, lie._key()), BilinearMapData(lie))
 
 
 @dataclass(frozen=True)
 class EndoPair:
     """A pair of matrices (on the domain, on the codomain) compatible with f."""
+
+    __slots__ = ("phi1", "phi0", "__weakref__")
 
     phi1: tuple  # domain_dim x domain_dim, rows of Fractions
     phi0: tuple  # codomain_dim x codomain_dim
@@ -347,50 +361,48 @@ class EndoPair:
 
 
 def endomorphism_pair_space(B: BilinearMapData) -> list:
-    """Nullspace basis of the compatibility system on matrix pairs.
+    """Basis of the pairs (phi1, phi0) with f(phi1 x, y) = phi0 f(x, y) = f(x, phi1 y).
 
-    The system states f(phi1 x, y) = phi0 f(x, y) = f(x, phi1 y) on all
-    basis pairs. For the bilinear data of a free nilpotent Lie ring the
-    space is one-dimensional and consists of the scalar pairs: every
-    compatible endomorphism pair acts by a single scalar over Q.
+    Defined for a full map only (else ShapeMismatchError), so phi1 fixes
+    phi0: the values T_k of the B._value_basis() pairs (a_k, b_k) are the rows
+    of an invertible M, and phi0 T_k = f(phi1 e_a_k, e_b_k) =: F_k. With
+    T(a, b) = sum_k c_k T_k, each basis pair gives sparse equations
+    f(phi1 e_a, e_b) = sum_k c_k F_k = f(e_a, phi1 e_b) over the m^2 entries
+    of phi1 (row-major); their nullspace is the basis, with phi0 e_t =
+    sum_k (M^-1)[t][k] F_k. For a free nilpotent Lie ring: the scalar line.
     """
     m, n = B.domain_dim, B.codomain_dim
-    nun = m * m + n * n
+    chosen = B._value_basis()
+    if len(chosen) != n:
+        raise ShapeMismatchError("compatible pairs need a full map, whose values span the codomain")
+    # reducing [M | I] leaves row t of M^-1 beside pivot t
+    reduced, _ = linalg._eliminate([{**_sparse(B.tensor[p]), n + k: Fraction(1)}
+                                    for k, p in enumerate(chosen)])
+    minv = [{c - n: x for c, x in reduced[t].items() if c >= n} for t in range(n)]
+    lefts = _map_rows(B.tensor, [({b: 1}, True) for b in range(m)])  # [b][w] = {s: T(s, b)_w}
+    rights = _map_rows(B.tensor, [({a: 1}, False) for a in range(m)])  # [a][w] = {s: T(a, s)_w}
 
-    def p1(i, j):
-        return i * m + j
+    def image(rows, j):  # f(phi1 e_j, e_b) from lefts[b], f(e_a, phi1 e_j) from rights[a]
+        return {w: {s * m + j: c for s, c in row.items()} for w, row in rows.items()}
 
-    def p0(i, j):
-        return m * m + i * n + j
-
-    def tens(a, b, t):
-        return B.tensor.get((a, b), {}).get(t, Fraction(0))
-
+    base = [image(lefts[b], a) for a, b in chosen]
     rows = []
-    for a in range(m):
-        for b in range(m):
-            for w in range(n):
-                row = [Fraction(0)] * nun
-                for s in range(m):
-                    row[p1(s, a)] += tens(s, b, w)
-                for v in range(n):
-                    row[p0(w, v)] -= tens(a, b, v)
-                if any(row):
-                    rows.append(row)
-                row = [Fraction(0)] * nun
-                for s in range(m):
-                    row[p1(s, b)] += tens(a, s, w)
-                for v in range(n):
-                    row[p0(w, v)] -= tens(a, b, v)
-                if any(row):
-                    rows.append(row)
-    if not rows:
-        rows = [[Fraction(0)] * nun]
-    out = []
-    for vec in linalg.nullspace(rows):
-        phi1 = tuple(tuple(vec[p1(i, j)] for j in range(m)) for i in range(m))
-        phi0 = tuple(tuple(vec[p0(i, j)] for j in range(n)) for i in range(n))
-        out.append(EndoPair(phi1, phi0))
+    for a, b in product(range(m), repeat=2):
+        coords = _combine(B.tensor.get((a, b), {}), minv)
+        for eq in (image(lefts[b], a), image(rights[a], b)):
+            for k, ck in coords.items():
+                for w, brow in base[k].items():
+                    row = eq.setdefault(w, {})
+                    for col, v in brow.items():
+                        row[col] = row.get(col, 0) - ck * v
+            rows += ({c: x for c, x in r.items() if x} for r in eq.values())  # Fractions
+    zero, out = Fraction(0), []
+    for vec in linalg.kernel(rows, m * m):
+        phi1 = tuple(tuple(vec[i * m : (i + 1) * m]) for i in range(m))
+        F = [{w: sum(v * vec[c] for c, v in row.items()) for w, row in bk.items()} for bk in base]
+        cols = [_combine(minv[t], F) for t in range(n)]
+        phi0 = tuple(tuple(col.get(w, zero) for col in cols) for w in range(n))
+        out.append(_SHARED.setdefault((EndoPair, phi1, phi0), EndoPair(phi1, phi0)))
     return out
 
 
@@ -401,26 +413,14 @@ def endo_pair_satisfies(B: BilinearMapData, pair: EndoPair) -> bool:
     through the sparse tensor, so no dense product is ever formed.
     """
     m = B.domain_dim
-
-    def column(mat, j):
-        return {i: row[j] for i, row in enumerate(mat) if row[j]}
-
-    def nonzero(vec):
-        return {i: c for i, c in vec.items() if c}
-
-    cols1 = [column(pair.phi1, a) for a in range(m)]
-    cols0 = [column(pair.phi0, t) for t in range(B.codomain_dim)]
-    for a in range(m):
-        for b in range(m):
-            base = {}
-            for t, c in B.tensor.get((a, b), {}).items():
-                for i, v in cols0[t].items():
-                    base[i] = base.get(i, 0) + c * v
-            base = nonzero(base)
-            if nonzero(_contract(B.tensor, cols1[a], {b: 1})) != base:
-                return False
-            if nonzero(_contract(B.tensor, {a: 1}, cols1[b])) != base:
-                return False
+    cols1 = [_sparse([row[a] for row in pair.phi1]) for a in range(m)]
+    cols0 = [_sparse([row[t] for row in pair.phi0]) for t in range(B.codomain_dim)]
+    for a, b in product(range(m), repeat=2):
+        base = _sparse(_combine(B.tensor.get((a, b), {}), cols0))
+        if _sparse(_contract(B.tensor, cols1[a], {b: 1})) != base:
+            return False
+        if _sparse(_contract(B.tensor, {a: 1}, cols1[b])) != base:
+            return False
     return True
 
 
@@ -465,11 +465,10 @@ def weight_two_width(B: BilinearMapData, u) -> int:
                     wedge[t] = (a, b, c)
     if len(wedge) != n2 or len(wedge) != r * (r - 1) // 2 or any(layer(a, a) for a in range(r)):
         raise ShapeMismatchError("the weight-2 layer is not the free one")
-    A = [[Fraction(0)] * r for _ in range(r)]
+    A = [{} for _ in range(r)]
     for t, (a, b, c) in wedge.items():
-        A[a][b] = c * Fraction(u[t])
-        A[b][a] = -A[a][b]
-    return linalg.rank(A) // 2
+        A[a][b], A[b][a] = c * Fraction(u[t]), -c * Fraction(u[t])
+    return len(linalg._eliminate([_sparse(row) for row in A])[0]) // 2
 
 
 # -- centralizer kernels -------------------------------------------------------
@@ -485,13 +484,14 @@ def centralizer_weight_kernels(lie: GradedLieRing, j: int) -> list:
     if not 1 <= j <= lie.dims[0]:
         raise ShapeMismatchError(f"no weight-1 basis element {j}")
     gen = lie.weight_start(1) + (j - 1)
-    rows = _map_rows(lie.table, {gen: 1}, lie.total_dim, True)
+    [rows] = _map_rows(lie.table, [({gen: 1}, True)])
     out = []
     for w in range(1, lie.nclass):
         block = lie.weight_block(w)
         targets = lie.weight_block(w + 1)
-        sub = [row[block.start : block.stop] for t, row in rows.items() if t in targets]
-        out.append(linalg.nullspace(sub or [[Fraction(0)] * len(block)]))
+        sub = [{c - block.start: x for c, x in row.items() if c in block}
+               for t, row in rows.items() if t in targets]
+        out.append(linalg.kernel(sub, len(block)))
     return out
 
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from hallforge import linalg
 from hallforge.basis import hall_basis
-from hallforge.lie import BilinearMapData, GradedLieRing
+from hallforge.lie import BilinearMapData, EndoPair, GradedLieRing
 
 # (rank, class) of the real rings the differential tests also run on
 CONFIGS = ((2, 3), (3, 2), (2, 4))
@@ -198,6 +198,56 @@ def oracle_weight_two_width(rank, nclass, u):
         A[i][j] += u[k]
         A[j][i] -= u[k]
     return linalg.rank(A) // 2
+
+
+def endomorphism_system(B):
+    """The dense rows of f(phi1 x, y) = phi0 f(x, y) = f(x, phi1 y) on all basis pairs.
+
+    Columns: phi1 row-major, then phi0 row-major. All-zero rows are dropped;
+    with none left, one zero row stands for the empty system.
+    """
+    m, n = B.domain_dim, B.codomain_dim
+    nun = m * m + n * n
+
+    def p1(i, j):
+        return i * m + j
+
+    def p0(i, j):
+        return m * m + i * n + j
+
+    def tens(a, b, t):
+        return B.tensor.get((a, b), {}).get(t, Fraction(0))
+
+    rows = []
+    for a in range(m):
+        for b in range(m):
+            for w in range(n):
+                row = [Fraction(0)] * nun
+                for s in range(m):
+                    row[p1(s, a)] += tens(s, b, w)
+                for v in range(n):
+                    row[p0(w, v)] -= tens(a, b, v)
+                if any(row):
+                    rows.append(row)
+                row = [Fraction(0)] * nun
+                for s in range(m):
+                    row[p1(s, b)] += tens(a, s, w)
+                for v in range(n):
+                    row[p0(w, v)] -= tens(a, b, v)
+                if any(row):
+                    rows.append(row)
+    return rows or [[Fraction(0)] * nun]
+
+
+def oracle_endomorphism_pair_space(B):
+    """Nullspace basis of the dense system, split into (phi1, phi0) pairs."""
+    m, n = B.domain_dim, B.codomain_dim
+    out = []
+    for vec in linalg.nullspace(endomorphism_system(B)):
+        phi1 = tuple(tuple(vec[i * m + j] for j in range(m)) for i in range(m))
+        phi0 = tuple(tuple(vec[m * m + i * n + j] for j in range(n)) for i in range(n))
+        out.append(EndoPair(phi1, phi0))
+    return out
 
 
 def oracle_endo_pair_satisfies(B, pair):

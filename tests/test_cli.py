@@ -136,10 +136,14 @@ ZERO = '{"r":2,"c":2,"coords":["0","0","0"]}'
         (["deform", "check"], {"r": 2, "c": 2, "cocycles": [[[{"degrees": [1, 1], "coeff": "x"}]], [[]]]}),
         (["deform", "check"], {"r": 2, "c": 2, "cocycles": [[{}], [[]]]}),
         (["deform", "check"], [1]),
+        (["deform", "check"], {"r": 2.0, "c": 2, "cocycles": [[[]], [[]]]}),
+        (["deform", "check"], {"r": 2, "c": 2.0, "cocycles": [[[]], [[]]]}),
+        (["deform", "check"], {"r": 2, "c": True, "cocycles": [[[]], [[]]]}),
     ],
     ids=[
         "letter-key", "letter-list", "short-index", "string-index", "number-exp", "bool-index",
         "nested-coord", "element-list", "term-key", "term-coeff", "component-object", "file-list",
+        "float-rank", "float-class", "bool-class",
     ],
 )
 def test_malformed_json_fields_exit_two(tmp_path, capsys, argv, cocycle):

@@ -1,9 +1,13 @@
 """Tests for graded Lie rings, bilinear data, and endomorphism pairs.
 
-The differential tests at the end compare the sparse contraction and the
-kernels built from it with the dense reference loops in lie_oracle.py.
+The differential tests at the end compare the sparse contraction, the
+kernels built from it and the compatible-pair solve with the dense
+reference loops in lie_oracle.py.
 """
 
+import gc
+import weakref
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -20,6 +24,7 @@ from lie_oracle import (
     oracle_check_jacobi,
     oracle_complete_system_check,
     oracle_endo_pair_satisfies,
+    oracle_endomorphism_pair_space,
     oracle_left_kernel,
     oracle_right_kernel,
     oracle_value,
@@ -29,6 +34,8 @@ from lie_oracle import (
     vectors,
 )
 
+from hallforge import lie as lie_module
+from hallforge import linalg
 from hallforge.errors import ShapeMismatchError
 from hallforge.lie import (
     EndoPair,
@@ -133,6 +140,25 @@ def test_endomorphism_pairs_are_the_scalar_line():
         pairs = endomorphism_pair_space(bil)
         assert len(pairs) == 1
         assert pairs[0].scalar_value() is not None
+
+
+@pytest.mark.parametrize("rank,nclass", [(4, 4), (3, 5), (5, 3)])
+def test_endomorphism_pairs_at_scale_are_the_scalar_line(rank, nclass):
+    # the dense system over (phi1, phi0) would have 13,360 to 51,986 rows of
+    # 2725 to 8296 columns here; the solve over phi1 alone takes a fraction
+    # of a second
+    bil = bilinear_from_lie(free_nilpotent_lie(rank, nclass))
+    [pair] = endomorphism_pair_space(bil)
+    assert pair.scalar_value() == 1
+    assert endo_pair_satisfies(bil, pair)
+
+
+def test_compatible_pairs_need_a_full_map():
+    # flat 3, of weight 2, is central, but no bracket reaches it
+    bil = bilinear_from_lie(GradedLieRing((2, 2), {(1, 0): {2: 1}, (0, 1): {2: -1}}))
+    assert not bil.is_full()
+    with pytest.raises(ShapeMismatchError, match="full map"):
+        endomorphism_pair_space(bil)
 
 
 def test_identity_pair_satisfies_compatibility():
@@ -375,3 +401,89 @@ def test_endo_pair_check_matches_reference(bil, data):
         EndoPair(data.draw(matrices(m)), data.draw(matrices(n))),
     ):
         assert endo_pair_satisfies(bil, pair) is oracle_endo_pair_satisfies(bil, pair)
+
+
+def _typed_pairs(pairs):
+    return [[_typed(row) for mat in (p.phi1, p.phi0) for row in mat] for p in pairs]
+
+
+@pytest.mark.parametrize("rank,nclass", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 5), (4, 2)])
+def test_endomorphism_pairs_match_the_dense_system(rank, nclass):
+    bil = bilinear_from_lie(free_nilpotent_lie(rank, nclass))
+    pairs = endomorphism_pair_space(bil)
+    assert _typed_pairs(pairs) == _typed_pairs(oracle_endomorphism_pair_space(bil))
+
+
+def _flat(pairs):
+    return [[v for mat in (p.phi1, p.phi0) for row in mat for v in row] for p in pairs]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(bilinear_maps())
+def test_endomorphism_pair_span_matches_the_dense_system(bil):
+    # compatible pairs are defined for full maps only; on those the basis may
+    # differ from the dense system's, but the span may not
+    n = bil.codomain_dim
+    dense_values = [[targets.get(t, 0) for t in range(n)] for targets in bil.tensor.values()]
+    if linalg.rank(dense_values) < n:
+        with pytest.raises(ShapeMismatchError):
+            endomorphism_pair_space(bil)
+        return
+    got = _flat(endomorphism_pair_space(bil))
+    assert linalg.rref(got) == linalg.rref(_flat(oracle_endomorphism_pair_space(bil)))
+
+
+# -- shared, read-only results ------------------------------------------------------
+
+
+def _cold_results(rank, nclass):
+    lazard_lie_ring.cache_clear()
+    free_nilpotent_lie.cache_clear()
+    lazard, free = lazard_lie_ring(rank, nclass), free_nilpotent_lie(rank, nclass)
+    bil = bilinear_from_lie(free)
+    return [lazard, free, bil, *endomorphism_pair_space(bil)]
+
+
+def test_equal_results_are_one_object():
+    first, second = _cold_results(3, 2), _cold_results(3, 2)
+    assert len(first) == len(second) == 4
+    assert all(a is b for a, b in zip(first, second))
+    lazard, free, bil, _ = first
+    # same table, another label: another ring
+    assert compare_graded_lie(lazard, free) and lazard is not free
+    # an equal ring built by hand shares the bilinear data; other value types do not
+    assert bilinear_from_lie(GradedLieRing(free.dims, free.table, free.label)) is bil
+    as_fractions = {p: {t: Fraction(c) for t, c in row.items()} for p, row in free.table.items()}
+    other = bilinear_from_lie(GradedLieRing(free.dims, as_fractions, free.label))
+    assert other is not bil and other.tensor == bil.tensor
+
+
+def test_results_are_read_only():
+    lie = free_nilpotent_lie(2, 3)
+    bil = bilinear_from_lie(lie)
+    [pair] = endomorphism_pair_space(bil)
+    with pytest.raises(TypeError):
+        lie.table[(0, 0)] = {1: 1}
+    with pytest.raises(TypeError):
+        lie.table[(1, 0)][2] = 5
+    with pytest.raises(TypeError):
+        bil.tensor[(0, 0)] = {0: Fraction(1)}
+    with pytest.raises(TypeError):
+        bil.tensor[(1, 0)][0] = Fraction(5)
+    with pytest.raises(AttributeError):
+        lie.extra = 1
+    with pytest.raises(FrozenInstanceError):
+        pair.phi1 = ()
+
+
+def test_intern_table_drops_results_nobody_keeps():
+    free_nilpotent_lie.cache_clear()
+    lie = free_nilpotent_lie(2, 2)
+    key = lie._key()
+    assert lie_module._SHARED[key] is lie
+    ref = weakref.ref(lie)
+    del lie
+    free_nilpotent_lie.cache_clear()
+    gc.collect()
+    assert ref() is None
+    assert key not in lie_module._SHARED

@@ -10,9 +10,10 @@ from random import Random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from lie_oracle import endomorphism_system
 
 from hallforge import linalg
-from hallforge.lie import bilinear_from_lie, endomorphism_pair_space, free_nilpotent_lie
+from hallforge.lie import bilinear_from_lie, free_nilpotent_lie
 
 
 # -- dense reference ------------------------------------------------------------
@@ -175,17 +176,10 @@ def test_matches_dense_reference(rows):
 
 
 @pytest.mark.parametrize("rank, nclass", [(3, 3), (2, 5)])
-def test_endomorphism_system_nullspace_matches_dense(rank, nclass, monkeypatch):
+def test_endomorphism_system_nullspace_matches_dense(rank, nclass):
+    # the dense compatible-pair system of the test oracle: many sparse rows
+    # over m^2 + n^2 columns, the largest system the dense reference solves here
     bil = bilinear_from_lie(free_nilpotent_lie(rank, nclass))
-    systems = []
-    solve = linalg.nullspace
-
-    def capture(rows):
-        systems.append(rows)
-        return solve(rows)
-
-    monkeypatch.setattr(linalg, "nullspace", capture)
-    endomorphism_pair_space(bil)
-    [rows] = systems
+    rows = endomorphism_system(bil)
     assert len(rows[0]) == bil.domain_dim ** 2 + bil.codomain_dim ** 2
-    assert solve(rows) == _oracle_nullspace(rows)
+    assert linalg.nullspace(rows) == _oracle_nullspace(rows)
