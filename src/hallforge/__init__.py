@@ -26,12 +26,8 @@ from .deformation import (
     CocycleReport,
     DeformedGroup,
     PolynomialCocycle,
-    SampledCocycle,
-    assemble_extension_cocycle,
-    centralizer_extension_check,
     check_cocycle,
     coboundary_split,
-    iso_from_splittings,
     product_cocycle,
     zero_cocycle,
 )
@@ -44,7 +40,6 @@ from .errors import (
     MixedRingsError,
     NonBinomialError,
     NonIntegerCoefficientError,
-    NotAHomomorphismError,
     NotGroupLikeError,
     NotInRingError,
     OutOfClassError,
@@ -125,7 +120,6 @@ __all__ = [
     "MixedRingsError",
     "NonBinomialError",
     "NonIntegerCoefficientError",
-    "NotAHomomorphismError",
     "NotGroupLikeError",
     "NotInRingError",
     "OutOfClassError",
@@ -134,7 +128,6 @@ __all__ = [
     "PolynomialCocycle",
     "QQ",
     "Ring",
-    "SampledCocycle",
     "ScaleLimitError",
     "ShapeMismatchError",
     "SplitFailureError",
@@ -142,10 +135,8 @@ __all__ = [
     "TruncatedSeries",
     "Ut3Oracle",
     "ZZ",
-    "assemble_extension_cocycle",
     "associativity_identity_holds",
     "bilinear_from_lie",
-    "centralizer_extension_check",
     "centralizer_line_holds",
     "centralizer_weight_kernels",
     "check_cocycle",
@@ -164,7 +155,6 @@ __all__ = [
     "group_commutator_series",
     "group_like_inverse",
     "hall_basis",
-    "iso_from_splittings",
     "lazard_lie_ring",
     "normalize_word",
     "petresco_identity_holds",

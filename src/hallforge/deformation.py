@@ -10,21 +10,19 @@ the splitting gives an explicit coordinate isomorphism back to the
 undeformed group over the group's own ring, through which deformed powers
 are taken. This module builds both directions and the extension cocycle that
 realizes the deformed group as a central extension.
+
+Cocycles are PolynomialCocycle tables only, checked as exact identities.
+The module holds the algebra: maps, and laws that each take one sample's
+inputs and return whether they hold there. It draws nothing; the sampled
+checks of these laws are hallforge.verify's, through its one sampler.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from random import Random
 
-from .errors import (
-    CocycleViolationError,
-    HallforgeError,
-    NotAHomomorphismError,
-    ShapeMismatchError,
-    SplitFailureError,
-)
+from .errors import CocycleViolationError, ShapeMismatchError, SplitFailureError
 from .group import CoordinateGroup, FreeNilpotentGroup, GroupElement
 from .rings import ZZ, BinomialTable, PolyRing, Ring
 
@@ -54,9 +52,6 @@ class PolynomialCocycle:
     def value(self, a, b, ring: Ring):
         return tuple(t.evaluate((a, b), ring) for t in self.components)
 
-    def is_zero(self):
-        return all(t.is_zero() for t in self.components)
-
     def __eq__(self, other):
         if not isinstance(other, PolynomialCocycle):
             return NotImplemented
@@ -79,91 +74,42 @@ def product_cocycle(n_components: int, j: int, scale: int = 1) -> PolynomialCocy
     return PolynomialCocycle.from_tables(tables)
 
 
-class SampledCocycle:
-    """Cocycle given by an arbitrary callable (a, b) -> coordinate tuple.
-
-    Only checkable on samples; used for maps read off from a group product
-    rather than given in closed form.
-    """
-
-    def __init__(self, fn, n_components: int):
-        self.fn = fn
-        self.n_components = n_components
-
-    def value(self, a, b, ring: Ring):
-        out = tuple(ring.coerce(v) for v in self.fn(a, b))
-        if len(out) != self.n_components:
-            raise ShapeMismatchError(
-                f"cocycle callable returned {len(out)} components, "
-                f"expected {self.n_components}"
-            )
-        return out
-
-
 @dataclass(frozen=True)
 class CocycleReport:
     ok: bool
-    mode: str  # "symbolic" or "sampled"
     failures: tuple
 
 
-def check_cocycle(f, ring: Ring = ZZ, budget: int = 200, rng: Random | None = None) -> CocycleReport:
-    """Cocycle identity, symmetry, and normalization.
-
-    Polynomial cocycles are checked as exact identities over Q[x,y,z]; the
-    ring argument matters only for sampled cocycles, which are checked on
-    `budget` random triples; that budget must be at least 1.
-    """
+def check_cocycle(f) -> CocycleReport:
+    """Cocycle identity, symmetry and normalization, as exact identities over Q[x,y,z]."""
+    if not isinstance(f, PolynomialCocycle):
+        raise ShapeMismatchError(f"a cocycle is a PolynomialCocycle, not {type(f).__name__}")
     failures = []
-    if isinstance(f, PolynomialCocycle):
-        ring3 = PolyRing(("x", "y", "z"))
-        x = ring3.variable("x")
-        y = ring3.variable("y")
-        z = ring3.variable("z")
-        zero = ring3.zero
-        for idx, t in enumerate(f.components):
-            def F(a, b, t=t):
-                return t.evaluate((a, b), ring3)
+    ring3 = PolyRing(("x", "y", "z"))
+    x = ring3.variable("x")
+    y = ring3.variable("y")
+    z = ring3.variable("z")
+    zero = ring3.zero
+    for idx, t in enumerate(f.components):
+        def F(a, b, t=t):
+            return t.evaluate((a, b), ring3)
 
-            if F(x + y, z) + F(x, y) != F(x, y + z) + F(y, z):
-                failures.append(f"component {idx}: cocycle identity fails")
-            if F(x, y) != F(y, x):
-                failures.append(f"component {idx}: not symmetric")
-            if F(zero, x) != zero or F(x, zero) != zero:
-                failures.append(f"component {idx}: not normalized")
-        return CocycleReport(ok=not failures, mode="symbolic", failures=tuple(failures))
-
-    if budget < 1:
-        raise HallforgeError(f"a sampled cocycle check needs a budget of at least 1, got {budget}")
-    rng = rng or Random(0)
-    zero = ring.zero
-    for _ in range(budget):
-        a = ring.random_element(rng)
-        b = ring.random_element(rng)
-        c = ring.random_element(rng)
-        lhs = f.value(a + b, c, ring)
-        mid = f.value(a, b, ring)
-        rhs = f.value(a, b + c, ring)
-        end = f.value(b, c, ring)
-        if any(l + m != r + e for l, m, r, e in zip(lhs, mid, rhs, end)):
-            failures.append(f"cocycle identity fails at ({a}, {b}, {c})")
-            break
-        if f.value(a, b, ring) != f.value(b, a, ring):
-            failures.append(f"not symmetric at ({a}, {b})")
-            break
-        if any(v != zero for v in f.value(zero, a, ring)):
-            failures.append(f"not normalized at {a}")
-            break
-    return CocycleReport(ok=not failures, mode="sampled", failures=tuple(failures))
+        if F(x + y, z) + F(x, y) != F(x, y + z) + F(y, z):
+            failures.append(f"component {idx}: cocycle identity fails")
+        if F(x, y) != F(y, x):
+            failures.append(f"component {idx}: not symmetric")
+        if F(zero, x) != zero or F(x, zero) != zero:
+            failures.append(f"component {idx}: not normalized")
+    return CocycleReport(ok=not failures, failures=tuple(failures))
 
 
 class DeformedGroup(CoordinateGroup):
     """The base group with its top-weight product twisted by cocycles.
 
-    Takes one cocycle per generator, each valued in the weight-c block.
-    mul and inv twist the base product directly; pow takes every exponent
-    of the ring through the splitting isomorphism, built on first use.
-    There is no series image.
+    Takes one PolynomialCocycle per generator, each valued in the weight-c
+    block. mul and inv twist the base product directly; pow takes every
+    exponent of the ring through `splitting`, the isomorphism to the base
+    group, built on first use. There is no series image.
     """
 
     def __init__(self, base: FreeNilpotentGroup, cocycles, check=True):
@@ -174,13 +120,17 @@ class DeformedGroup(CoordinateGroup):
             )
         n_c = base.basis.counts[-1]
         for k, f in enumerate(cocycles):
+            if not isinstance(f, PolynomialCocycle):
+                raise ShapeMismatchError(
+                    f"cocycle {k + 1} is a {type(f).__name__}, not a PolynomialCocycle"
+                )
             if f.n_components != n_c:
                 raise ShapeMismatchError(
                     f"cocycle {k + 1} has {f.n_components} components, "
                     f"the weight-{base.nclass} block has {n_c}"
                 )
             if check:
-                report = check_cocycle(f, base.ring)
+                report = check_cocycle(f)
                 if not report.ok:
                     raise CocycleViolationError(
                         f"cocycle {k + 1}: " + "; ".join(report.failures)
@@ -234,15 +184,46 @@ class DeformedGroup(CoordinateGroup):
         return GroupElement(self, tuple(coords))
 
     @cached_property
-    def _iso(self) -> "SplittingIsomorphism":
-        return SplittingIsomorphism(self, [coboundary_split(f) for f in self.cocycles])
+    def splitting(self) -> "SplittingIsomorphism":
+        """The isomorphism to the base group; SplitFailureError if a cocycle does not split."""
+        return SplittingIsomorphism(self)
 
     def pow(self, g: GroupElement, exponent) -> GroupElement:
-        """g^exponent = to_deformed(to_base(g)^exponent), for any exponent of the ring.
+        """g^exponent = to_deformed(to_base(g)^exponent), for any exponent of the ring."""
+        iso = self.splitting
+        return iso.to_deformed(self.base.pow(iso.to_base(g), exponent))
 
-        Raises SplitFailureError if a cocycle does not split.
+    def _centralizer_element(self, j: int, a, z) -> GroupElement:
+        """u_1j^a times the central element with top block z."""
+        coords = [self.ring.zero] * self._top + list(z)
+        coords[self.basis.flat((1, j))] = a
+        return self.element(coords)
+
+    def centralizer_law_holds(self, j: int, a, b, z1, z2) -> bool:
+        """u_1j^a z1 and u_1j^b z2 commute, and their product has top block z1 + z2 + f^j(a, b).
+
+        So the centralizer of generator j is an abelian extension, by the
+        generator's deformation component.
         """
-        return self._iso.to_deformed(self.base.pow(self._iso.to_base(g), exponent))
+        x, y = self._centralizer_element(j, a, z1), self._centralizer_element(j, b, z2)
+        xy = self.mul(x, y)
+        got = tuple(v - p - q for v, p, q in zip(xy.coords[self._top :], z1, z2))
+        return xy == self.mul(y, x) and got == self.cocycles[j - 1].value(a, b, self.ring)
+
+    def centralizer_split_holds(self, j: int) -> bool:
+        """f^j splits as psi, and u_1j^a u_1j^b has top block psi(a+b)-psi(a)-psi(b) on -8..8."""
+        try:
+            psi = coboundary_split(self.cocycles[j - 1])
+        except SplitFailureError:
+            return False
+        u, box = self._centralizer_element, range(-8, 9)
+        nil = [self.ring.zero] * len(psi.components)
+        return all(
+            self.mul(u(j, a, nil), u(j, b, nil)).coords[self._top :]
+            == psi.coboundary(a, b, self.ring)
+            for a in box
+            for b in box
+        )
 
 
 @dataclass(frozen=True)
@@ -295,28 +276,20 @@ def coboundary_split(f) -> Splitting:
     return psi
 
 
-def iso_from_splittings(deformed: DeformedGroup, splittings) -> "SplittingIsomorphism":
-    return SplittingIsomorphism(deformed, splittings)
-
-
 class SplittingIsomorphism:
     """Coordinate bijection between a deformed group and its base.
 
     Splitting the cocycles makes the deformation a coboundary, and the map
     that subtracts sum_k psi^k(a_1k) from the top-weight block (identity on
     everything else) turns the deformed product into the plain one. The
-    splittings are evaluated in the group's ring.
+    closed-form splittings are evaluated in the group's ring; building the
+    map raises SplitFailureError if a cocycle does not split.
     """
 
-    def __init__(self, deformed: DeformedGroup, splittings):
-        splittings = tuple(splittings)
-        if len(splittings) != deformed.rank:
-            raise ShapeMismatchError(
-                f"{len(splittings)} splittings for {deformed.rank} generators"
-            )
+    def __init__(self, deformed: DeformedGroup):
         self.deformed = deformed
         self.base = deformed.base
-        self.splittings = splittings
+        self.splittings = tuple(coboundary_split(f) for f in deformed.cocycles)
         self._top = deformed._top
 
     def _shift(self, coords, sign: int):
@@ -335,30 +308,14 @@ class SplittingIsomorphism:
         self.base._own(g)
         return self.deformed.element(self._shift(g.coords, +1))
 
-    def verify(self, rng: Random, samples: int) -> bool:
-        """Homomorphism and two-sided round trips on random samples (at least 1)."""
-        if samples < 1:
-            raise HallforgeError(f"samples must be at least 1, got {samples}")
-        for _ in range(samples):
-            g = self.deformed.random_element(rng)
-            h = self.deformed.random_element(rng)
-            lhs = self.to_base(self.deformed.mul(g, h))
-            rhs = self.base.mul(self.to_base(g), self.to_base(h))
-            if lhs != rhs:
-                raise NotAHomomorphismError(
-                    f"image of a product differs from the product of images "
-                    f"at {list(g.coords)} * {list(h.coords)}"
-                )
-            if self.to_deformed(self.to_base(g)) != g:
-                raise NotAHomomorphismError("round trip through the base fails")
-            x = self.base.random_element(rng)
-            if self.to_base(self.to_deformed(x)) != x:
-                raise NotAHomomorphismError("round trip through the deformation fails")
-        return True
-
-
-def assemble_extension_cocycle(deformed: DeformedGroup) -> "ExtensionCocycle":
-    return ExtensionCocycle(deformed)
+    def holds_at(self, g: GroupElement, h: GroupElement, x: GroupElement) -> bool:
+        """Homomorphism at g, h of the deformed group; round trips from g and from x of the base."""
+        to_base, to_deformed = self.to_base, self.to_deformed
+        return (
+            to_base(self.deformed.mul(g, h)) == self.base.mul(to_base(g), to_base(h))
+            and to_deformed(to_base(g)) == g
+            and to_base(to_deformed(x)) == x
+        )
 
 
 class ExtensionCocycle:
@@ -419,71 +376,3 @@ class ExtensionCocycle:
             for z, w, v in zip(g.coords[self._top :], h.coords[self._top :], kval)
         ]
         return self.deformed.element(tuple(lower) + tuple(top))
-
-    def matches_deformed_mul(self, rng: Random, samples: int) -> bool:
-        """Extension build against the deformed product on random pairs (at least 1)."""
-        if samples < 1:
-            raise HallforgeError(f"samples must be at least 1, got {samples}")
-        for _ in range(samples):
-            g = self.deformed.random_element(rng)
-            h = self.deformed.random_element(rng)
-            if self.extension_mul(g, h) != self.deformed.mul(g, h):
-                return False
-        return True
-
-
-def centralizer_extension_check(deformed: DeformedGroup, j: int, rng: Random, samples: int) -> dict:
-    """The centralizer of generator j in a deformed group.
-
-    Its elements are u_1j^a times a central element; the subgroup is abelian,
-    and the cocycle its products induce on the exponent a is exactly the
-    generator's deformation component: on the samples, and on the box
-    -8..8 as the coboundary of the component's closed-form split.
-    Samples must be at least 1.
-    """
-    if samples < 1:
-        raise HallforgeError(f"samples must be at least 1, got {samples}")
-    grp = deformed
-    flat = grp.basis.flat((1, j))
-    top = grp._top
-    width = grp.dimension - top
-
-    def build(a, z):
-        coords = [grp.ring.zero] * grp.dimension
-        coords[flat] = a
-        for s in range(width):
-            coords[top + s] = z[s]
-        return grp.element(coords)
-
-    report = {"abelian": True, "matches_component": True}
-
-    for _ in range(samples):
-        a = rng.randint(-9, 9)
-        b = rng.randint(-9, 9)
-        z1 = [rng.randint(-9, 9) for _ in range(width)]
-        z2 = [rng.randint(-9, 9) for _ in range(width)]
-        x, y = build(a, z1), build(b, z2)
-        if grp.mul(x, y) != grp.mul(y, x):
-            report["abelian"] = False
-        got = tuple(
-            v - z - w
-            for v, z, w in zip(grp.mul(x, y).coords[top:], z1, z2)
-        )
-        if got != grp.cocycles[j - 1].value(a, b, grp.ring):
-            report["matches_component"] = False
-
-    def induced(a, b):
-        return tuple(grp.mul(build(a, [0] * width), build(b, [0] * width)).coords[top:])
-
-    try:
-        psi = coboundary_split(grp.cocycles[j - 1])
-    except SplitFailureError:
-        report["splits"] = False
-        report["ok"] = False
-        return report
-    report["splits"] = True
-    report["split_reproduces"] = all(
-        induced(a, b) == psi.coboundary(a, b, grp.ring) for a in range(-8, 9) for b in range(-8, 9)
-    )
-    report["ok"] = report["abelian"] and report["matches_component"] and report["split_reproduces"]
-    return report

@@ -49,10 +49,6 @@ class SplitFailureError(HallforgeError):
     """Coboundary splitting failed to reproduce the input cocycle."""
 
 
-class NotAHomomorphismError(HallforgeError):
-    """Verification found inputs where a claimed homomorphism fails."""
-
-
 class OutOfClassError(HallforgeError):
     """Requested weight lies outside 1..nilpotency class."""
 

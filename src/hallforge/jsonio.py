@@ -18,10 +18,10 @@ from .basis import HallBasis, hall_basis
 from .canonical import CanonicalPolynomials
 from .conventions import convention_header
 from .deformation import PolynomialCocycle
-from .errors import ShapeMismatchError
+from .errors import NotInRingError, ShapeMismatchError
 from .group import GroupElement
 from .lie import GradedLieRing
-from .rings import BinomialTable, Poly
+from .rings import ZZ, BinomialTable, Poly
 
 
 def canonical_dumps(obj) -> str:
@@ -125,8 +125,8 @@ def table_from_dict_obj(obj, arity: int):
         degrees = tuple(_field(item, "degrees", list, "a table term"))
         coeff = _field(item, "coeff", (str, int), "a table term")
         try:
-            entries[degrees] = int(coeff)
-        except ValueError:
+            entries[degrees] = coeff if isinstance(coeff, int) else ZZ.parse(coeff)
+        except NotInRingError:
             raise ShapeMismatchError(f"table coefficient {coeff!r} is not an integer") from None
     return BinomialTable.from_dict(arity, entries)
 

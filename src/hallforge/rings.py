@@ -15,6 +15,7 @@ evaluates inside any binomial ring without leaving it (BinomialTable).
 from __future__ import annotations
 
 import math
+import re
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -375,13 +376,28 @@ class Ring:
         raise NotImplementedError
 
     def format(self, a) -> str:
-        return str(self.coerce(a))
+        try:
+            return str(self.coerce(a))
+        except ValueError:  # an int of more digits than sys.get_int_max_str_digits()
+            raise ScaleLimitError(f"a value in {self.name} has too many digits to write") from None
 
     def parse(self, s: str):
         raise NotInRingError(f"ring {self.name} has no string form")
 
     def __repr__(self):
         return f"Ring({self.name})"
+
+
+# the forms format writes: ASCII digits after an optional minus, then "/q" for a non-integer
+_NUMBER = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _parse_int(s: str) -> int:
+    """int(s) for a string of ASCII digits; ScaleLimitError where Python refuses that many."""
+    try:
+        return int(s)
+    except ValueError:
+        raise ScaleLimitError(f"an integer of {len(s)} digits is too long to read") from None
 
 
 class IntegerRing(Ring):
@@ -413,10 +429,11 @@ class IntegerRing(Ring):
         return rng.randint(lo, hi)
 
     def parse(self, s):
-        try:
-            return int(s)
-        except ValueError as exc:
-            raise NotInRingError(f"{s!r} is not an integer") from exc
+        """The integer a string of ASCII digits with an optional leading minus writes."""
+        found = _NUMBER.fullmatch(s)
+        if not found or found[2] is not None:
+            raise NotInRingError(f"{s!r} is not an integer")
+        return _parse_int(s)
 
 
 class RationalRing(Ring):
@@ -439,10 +456,12 @@ class RationalRing(Ring):
         return Fraction(rng.randint(lo, hi), rng.randint(1, 4))
 
     def parse(self, s):
-        try:
-            return Fraction(s)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise NotInRingError(f"{s!r} is not a rational") from exc
+        """The rational an integer string or a "p/q" string with q > 0 writes."""
+        found = _NUMBER.fullmatch(s)
+        den = _parse_int(found[2] or "1") if found else 0
+        if not den:
+            raise NotInRingError(f"{s!r} is not a rational")
+        return Fraction(_parse_int(found[1]), den)
 
 
 class PolyRing(Ring):
@@ -593,9 +612,6 @@ class BinomialTable:
                 term = term * b
             total = total + term
         return total
-
-    def is_zero(self):
-        return not self.values
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -13,6 +13,11 @@ the results. Every law runs on every sample, so a failing row draws as
 much as a passing one and leaves the later rows' samples unchanged. A
 failing row names its first counterexample, the drawn inputs of the first
 sample on which it failed.
+
+The library modules hold the laws, each evaluated on one sample's inputs;
+the loops over samples are all here. iso_rows and extension_rows, the
+sampled rows of a deformation's splitting isomorphism and extension
+build, serve both this table and `deform iso`.
 """
 
 from __future__ import annotations
@@ -32,17 +37,16 @@ from .canonical import (
 )
 from .deformation import (
     DeformedGroup,
+    ExtensionCocycle,
     PolynomialCocycle,
-    assemble_extension_cocycle,
-    centralizer_extension_check,
+    SplittingIsomorphism,
     check_cocycle,
     coboundary_split,
-    iso_from_splittings,
     product_cocycle,
     zero_cocycle,
 )
 from .group import FreeNilpotentGroup
-from .errors import HallforgeError, NotAHomomorphismError
+from .errors import HallforgeError
 from .lie import (
     EndoPair,
     bilinear_from_lie,
@@ -581,6 +585,29 @@ def poly_suite(rank, nclass, rng: Random, samples: int | None = None) -> list:
 # -- deformation suite --------------------------------------------------------
 
 
+def iso_rows(iso: SplittingIsomorphism, rng: Random, n: int) -> list:
+    """The splitting isomorphism on n sampled g, h of the deformed group and x of its base."""
+    return _sampled_rows(
+        n,
+        lambda: {**_elements(iso.deformed, rng, "gh"), **_elements(iso.base, rng, "x")},
+        {"deform: splitting isomorphism verified": iso.holds_at},
+    )
+
+
+def extension_rows(ext: ExtensionCocycle, rng: Random, n: int) -> list:
+    """The extension build against the deformed product on n sampled pairs g, h."""
+    dgrp = ext.deformed
+    return _sampled_rows(
+        n,
+        lambda: _elements(dgrp, rng, "gh"),
+        {
+            "deform: extension build matches the deformed product": (
+                lambda g, h: ext.extension_mul(g, h) == dgrp.mul(g, h)
+            )
+        },
+    )
+
+
 def deformation_suite(rank, nclass, rng: Random, samples: int | None = None) -> list:
     out = []
     base = FreeNilpotentGroup(rank, nclass, ZZ)
@@ -644,15 +671,9 @@ def deformation_suite(rank, nclass, rng: Random, samples: int | None = None) -> 
         )
     )
 
-    splittings = [coboundary_split(f) for f in family]
-    iso = iso_from_splittings(dgrp, splittings)
-    try:
-        iso.verify(rng, samples=_sample_count(samples, 200))
-        out.append(CheckResult("deform: splitting isomorphism verified", True))
-    except NotAHomomorphismError as exc:
-        out.append(CheckResult("deform: splitting isomorphism verified", False, str(exc)))
+    out += iso_rows(dgrp.splitting, rng, _sample_count(samples, 200))
 
-    ext = assemble_extension_cocycle(dgrp)
+    ext = ExtensionCocycle(dgrp)
     out += _sampled_rows(
         _sample_count(samples, 500),
         lambda: _elements(dgrp, rng, "ghk"),
@@ -667,18 +688,23 @@ def deformation_suite(rank, nclass, rng: Random, samples: int | None = None) -> 
         lambda: _elements(dgrp, rng, "g"),
         {"deform: extension cocycle normalized": lambda g: ext.is_normalized_at(g.coords)},
     )
-    out.append(
-        CheckResult(
-            "deform: extension build matches the deformed product",
-            ext.matches_deformed_mul(rng, samples=_sample_count(samples, 100)),
-        )
-    )
+    out += extension_rows(ext, rng, _sample_count(samples, 100))
 
-    ok = all(
-        centralizer_extension_check(dgrp, j, rng, samples=_sample_count(samples, 40))["ok"]
-        for j in range(1, rank + 1)
-    )
-    out.append(CheckResult("deform: generator centralizers are abelian extensions", ok))
+    # n_each samples for each generator in turn, then the split of each on a fixed box
+    n_each = _sample_count(samples, 40)
+    generator = iter([j for j in range(1, rank + 1) for _ in range(n_each)])
+
+    def draw_centralizer():
+        sample = {"j": next(generator), "a": rng.randint(-9, 9), "b": rng.randint(-9, 9)}
+        return {**sample, **{z: [rng.randint(-9, 9) for _ in range(n_c)] for z in ("z1", "z2")}}
+
+    name = "deform: generator centralizers are abelian extensions"
+    [row] = _sampled_rows(n_each * rank, draw_centralizer, {name: dgrp.centralizer_law_holds})
+    unsplit = [j for j in range(1, rank + 1) if not dgrp.centralizer_split_holds(j)]
+    if row.ok and unsplit:
+        detail = f"generators {unsplit}: the split does not give the products on the box -8..8"
+        row = CheckResult(name, False, detail)
+    out.append(row)
     return out
 
 
@@ -779,7 +805,8 @@ def centralizer_structure_check(grp: FreeNilpotentGroup, j: int, rng: Random, sa
     Verifies: built centralizer elements commute; every sampled element
     either fails to commute or decomposes exactly as u_1j^a * z with z in
     the weight-class block; and the center is exactly that block. Each
-    check runs on `samples` samples, which must be at least 1.
+    check runs on `samples` samples, which must be at least 1. "detail" is
+    the first failing check's counterexample, empty if all hold.
     """
     u = grp.generator(j)
     one = grp.identity()
@@ -822,6 +849,7 @@ def centralizer_structure_check(grp: FreeNilpotentGroup, j: int, rng: Random, sa
     for row in rows:
         report[row.name] = row.ok
     report["ok"] = all(row.ok for row in rows)
+    report["detail"] = next((row.detail for row in rows if not row.ok), "")
     return report
 
 
@@ -834,6 +862,7 @@ def centralizer_suite(rank, nclass, ring: Ring, rng: Random, samples: int | None
             CheckResult(
                 f"centralizer: generator {j} decomposes as its powers times the center",
                 report["ok"],
+                report["detail"],
             )
         )
     return out

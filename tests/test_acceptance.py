@@ -16,7 +16,6 @@ from hallforge.canonical import (
 from hallforge.deformation import (
     DeformedGroup,
     coboundary_split,
-    iso_from_splittings,
     product_cocycle,
     zero_cocycle,
 )
@@ -31,7 +30,7 @@ from hallforge.lie import (
 )
 from hallforge.oracles import Ut3Oracle
 from hallforge.rings import ZZ, PolyRing
-from hallforge.verify import _axiom_rows, _collection_rows, centralizer_structure_check
+from hallforge.verify import _axiom_rows, _collection_rows, centralizer_structure_check, iso_rows
 from hallforge.words import (
     Collector,
     commutator_power_identity_holds,
@@ -181,8 +180,7 @@ def test_criterion_8_abelian_deformation_suite():
                     x + y for x, y in zip(diff(a), diff(b))
                 )
 
-        iso = iso_from_splittings(dgrp, splittings)
-        iso.verify(rng, samples=1000)
+        assert_rows_pass(iso_rows(dgrp.splitting, rng, 1000))
 
         zgrp = DeformedGroup(base, [zero_cocycle(n_c)] * rank)
         for _ in range(200):

@@ -2,12 +2,14 @@
 
 import hashlib
 import json
+import re
 
 import pytest
 from poly_oracle import canonical_polys_parse_check
 
+from hallforge import cli
 from hallforge.cli import main
-from hallforge.deformation import ExtensionCocycle
+from hallforge.deformation import SplittingIsomorphism
 
 
 def run_cli(capsys, *argv):
@@ -78,6 +80,38 @@ def test_pow_rational_exponent(capsys):
     assert json.loads(out)["coords"] == ["1/2", "1/2", "-1/8"]
 
 
+def test_pow_result_too_long_to_write_exits_two(capsys):
+    # the top coordinate of the result has about 8000 digits, past Python's int-to-str limit
+    element = '{"r":2,"c":2,"coords":["1","1","0"]}'
+    code, out, err = run_cli(capsys, "pow", "--rank", "2", "--class", "2", element, "9" * 4000)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "digits" in err
+
+
+def test_json_integer_literal_too_long_to_read_exits_two(tmp_path, capsys):
+    path = tmp_path / "cocycle.json"
+    path.write_text('{"r": 2, "c": 2, "cocycles": [[[{"degrees": [1, 1], "coeff": ' + "9" * 5000 + "}]], [[]]]}")
+    code, out, err = run_cli(capsys, "deform", "--rank", "2", "--class", "2", "--cocycle", str(path), "check")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", ["1_000", " 7 ", "+5", "\u0663", "1e3", "1e20000000"])
+def test_non_written_number_forms_exit_two(tmp_path, capsys, text):
+    element = '{"r":2,"c":2,"coords":["1","1","0"]}'
+    for ring in ("z", "q"):
+        code, out, err = run_cli(capsys, "pow", "--rank", "2", "--class", "2", "--ring", ring, element, text)
+        assert code == 2 and out == "" and err.startswith("error:"), ring
+        coords = json.dumps({"r": 2, "c": 2, "coords": [text, "0", "0"]})
+        code, out, err = run_cli(capsys, "inv", "--rank", "2", "--class", "2", "--ring", ring, coords)
+        assert code == 2 and out == "" and err.startswith("error:"), ring
+    cocycle = {"r": 2, "c": 2, "cocycles": [[[{"degrees": [1, 1], "coeff": text}]], [[]]]}
+    path = tmp_path / "cocycle.json"
+    path.write_text(json.dumps(cocycle), encoding="utf-8")
+    code, out, err = run_cli(capsys, "deform", "--rank", "2", "--class", "2", "--cocycle", str(path), "check")
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
 def test_collect_word(capsys):
     word = '[{"index":[1,2],"exp":"1"},{"index":[1,1],"exp":"1"}]'
     code, out, _ = run_cli(
@@ -139,11 +173,13 @@ ZERO = '{"r":2,"c":2,"coords":["0","0","0"]}'
         (["deform", "check"], {"r": 2.0, "c": 2, "cocycles": [[[]], [[]]]}),
         (["deform", "check"], {"r": 2, "c": 2.0, "cocycles": [[[]], [[]]]}),
         (["deform", "check"], {"r": 2, "c": True, "cocycles": [[[]], [[]]]}),
+        (["deform", "check"], {"r": 2, "c": 2, "cocycles": [[[]]]}),
+        (["deform", "mul", ZERO, ZERO], {"r": 2, "c": 2, "cocycles": [[[], []], [[], []]]}),
     ],
     ids=[
         "letter-key", "letter-list", "short-index", "string-index", "number-exp", "bool-index",
         "nested-coord", "element-list", "term-key", "term-coeff", "component-object", "file-list",
-        "float-rank", "float-class", "bool-class",
+        "float-rank", "float-class", "bool-class", "one-cocycle", "two-components",
     ],
 )
 def test_malformed_json_fields_exit_two(tmp_path, capsys, argv, cocycle):
@@ -327,13 +363,13 @@ def test_deform_iso_caps_its_extension_check(tmp_path, capsys, monkeypatch, coun
     path = tmp_path / "cocycle.json"
     path.write_text(json.dumps(cocycle), encoding="utf-8")
     seen = []
-    original = ExtensionCocycle.matches_deformed_mul
+    original = cli.extension_rows
 
-    def recorded(self, rng, samples):
+    def recorded(ext, rng, samples):
         seen.append(samples)
-        return original(self, rng, samples)
+        return original(ext, rng, samples)
 
-    monkeypatch.setattr(ExtensionCocycle, "matches_deformed_mul", recorded)
+    monkeypatch.setattr(cli, "extension_rows", recorded)
     code, out, _ = run_cli(
         capsys,
         "deform", "--rank", "2", "--class", "2",
@@ -342,6 +378,21 @@ def test_deform_iso_caps_its_extension_check(tmp_path, capsys, monkeypatch, coun
     assert code == 0
     assert json.loads(out)["verified_samples"] == int(count)
     assert seen == [checked]
+
+
+def test_deform_iso_failure_names_its_counterexample(tmp_path, capsys, monkeypatch):
+    cocycle = {"r": 2, "c": 2, "cocycles": [[[{"degrees": [1, 1], "coeff": "1"}]], [[]]]}
+    path = tmp_path / "cocycle.json"
+    path.write_text(json.dumps(cocycle), encoding="utf-8")
+    monkeypatch.setattr(SplittingIsomorphism, "holds_at", lambda self, g, h, x: False)
+    code, out, err = run_cli(
+        capsys,
+        "deform", "--rank", "2", "--class", "2",
+        "--cocycle", str(path), "iso", "--samples", "5",
+    )
+    assert code == 3 and out == ""
+    shown = r"g=\(-?\d+, -?\d+, -?\d+\), h=\(-?\d+, -?\d+, -?\d+\), x=\(-?\d+, -?\d+, -?\d+\)"
+    assert re.fullmatch(f"verification failed: splitting isomorphism, first counterexample: {shown}\n", err)
 
 
 def test_deform_rejects_non_cocycle(tmp_path, capsys):

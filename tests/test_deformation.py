@@ -10,13 +10,10 @@ from hypothesis import strategies as st
 from deformation_oracle import IntegerSplitting, coboundary_tables, psi_tables, squaring_pow
 from hallforge.deformation import (
     DeformedGroup,
+    ExtensionCocycle,
     PolynomialCocycle,
-    SampledCocycle,
-    assemble_extension_cocycle,
-    centralizer_extension_check,
     check_cocycle,
     coboundary_split,
-    iso_from_splittings,
     product_cocycle,
     zero_cocycle,
 )
@@ -30,6 +27,7 @@ from hallforge.errors import (
 )
 from hallforge.group import CoordinateGroup, FreeNilpotentGroup
 from hallforge.rings import MAX_EXPONENT, QQ, ZZ, PolyRing
+from hallforge.verify import extension_rows, iso_rows
 
 
 def _mixed_cocycle(n_components):
@@ -56,7 +54,6 @@ def test_asymmetric_map_rejected():
     bad = PolynomialCocycle.from_tables([{(2, 1): 2, (1, 1): 1}])
     report = check_cocycle(bad)
     assert not report.ok
-    assert report.mode == "symbolic"
 
 
 def test_non_cocycle_rejected():
@@ -73,20 +70,23 @@ def test_cocycle_table_degrees_are_bounded():
         PolynomialCocycle.from_tables([{(MAX_EXPONENT + 1, 0): 1}])
 
 
-def test_sampled_cocycle_check():
-    f = SampledCocycle(lambda a, b: (a * b,), 1)
-    assert check_cocycle(f, ZZ, budget=100, rng=Random(81)).ok
-    g = SampledCocycle(lambda a, b: (a * a * b,), 1)
-    assert not check_cocycle(g, ZZ, budget=100, rng=Random(82)).ok
+class _CallableCocycle:
+    """A map (a, b) -> top block given only as code, with no tables to check or split."""
+
+    n_components = 1
+
+    def value(self, a, b, ring):
+        return (ring.coerce(a * b),)
 
 
-@pytest.mark.parametrize("budget", [0, -2])
-def test_sampled_cocycle_check_refuses_an_empty_budget(budget):
-    g = SampledCocycle(lambda a, b: (a * b * b,), 1)
-    with pytest.raises(HallforgeError, match="budget"):
-        check_cocycle(g, budget=budget)
-    # polynomial cocycles are checked symbolically and draw nothing
-    assert check_cocycle(product_cocycle(1, 0), budget=0).ok
+@pytest.mark.parametrize("check", [True, False])
+@pytest.mark.parametrize("cocycle", [_CallableCocycle(), object()], ids=["callable", "object"])
+def test_deformed_group_refuses_non_polynomial_cocycles(check, cocycle):
+    # refused whatever check says: pow would need a closed-form split
+    with pytest.raises(ShapeMismatchError, match="PolynomialCocycle"):
+        DeformedGroup(FreeNilpotentGroup(2, 2), [cocycle, zero_cocycle(1)], check=check)
+    with pytest.raises(ShapeMismatchError, match="PolynomialCocycle"):
+        check_cocycle(cocycle)
 
 
 def _non_cocycle_deformation():
@@ -192,9 +192,8 @@ def test_iso_round_trips_and_verifies():
     for rank, nclass in ((2, 2), (2, 3)):
         base = FreeNilpotentGroup(rank, nclass)
         dgrp = DeformedGroup(base, _family(base))
-        splittings = [coboundary_split(f) for f in dgrp.cocycles]
-        iso = iso_from_splittings(dgrp, splittings)
-        iso.verify(rng, samples=100)
+        iso = dgrp.splitting
+        assert all(row.ok for row in iso_rows(iso, rng, 100))
         for _ in range(50):
             g = dgrp.random_element(rng)
             assert iso.to_deformed(iso.to_base(g)) == g
@@ -206,17 +205,16 @@ def test_iso_round_trips_and_verifies():
 def test_iso_verify_rejects_non_positive_samples(samples):
     base = FreeNilpotentGroup(2, 2)
     dgrp = DeformedGroup(base, _family(base))
-    iso = iso_from_splittings(dgrp, [coboundary_split(f) for f in dgrp.cocycles])
     with pytest.raises(HallforgeError, match="samples"):
-        iso.verify(Random(0), samples=samples)
+        iso_rows(dgrp.splitting, Random(0), samples)
 
 
 def test_iso_is_a_homomorphism_pointwise():
     rng = Random(88)
     base = FreeNilpotentGroup(2, 2)
     dgrp = DeformedGroup(base, _family(base))
-    splittings = [coboundary_split(f) for f in dgrp.cocycles]
-    iso = iso_from_splittings(dgrp, splittings)
+    iso = dgrp.splitting
+    assert dgrp.splitting is iso  # built once, shared by pow and the checks
     for _ in range(80):
         g = dgrp.random_element(rng)
         h = dgrp.random_element(rng)
@@ -229,27 +227,21 @@ def test_extension_cocycle_properties():
     rng = Random(89)
     base = FreeNilpotentGroup(2, 2)
     dgrp = DeformedGroup(base, _family(base))
-    ext = assemble_extension_cocycle(dgrp)
+    ext = ExtensionCocycle(dgrp)
     for _ in range(100):
         a = dgrp.random_element(rng).coords
         b = dgrp.random_element(rng).coords
         c = dgrp.random_element(rng).coords
         assert ext.cocycle_identity_holds(a, b, c)
         assert ext.is_normalized_at(a)
-    assert ext.matches_deformed_mul(rng, samples=60)
+    assert all(row.ok for row in extension_rows(ext, rng, 60))
 
 
 @pytest.mark.parametrize("samples", [0, -5])
 def test_extension_match_refuses_non_positive_samples(samples):
-    ext = assemble_extension_cocycle(_non_cocycle_deformation())
+    ext = ExtensionCocycle(_non_cocycle_deformation())
     with pytest.raises(HallforgeError, match="samples"):
-        ext.matches_deformed_mul(Random(0), samples=samples)
-
-
-@pytest.mark.parametrize("samples", [0, -5])
-def test_centralizer_extension_check_refuses_non_positive_samples(samples):
-    with pytest.raises(HallforgeError, match="samples"):
-        centralizer_extension_check(_non_cocycle_deformation(), 1, Random(0), samples=samples)
+        extension_rows(ext, Random(0), samples)
 
 
 def test_centralizer_extension_reports():
@@ -257,9 +249,14 @@ def test_centralizer_extension_reports():
     for rank, nclass in ((2, 2), (2, 3), (3, 2)):
         base = FreeNilpotentGroup(rank, nclass)
         dgrp = DeformedGroup(base, _family(base))
+        width = base.basis.counts[-1]
         for j in range(1, rank + 1):
-            report = centralizer_extension_check(dgrp, j, rng, samples=20)
-            assert report["ok"], (rank, nclass, j, report)
+            for _ in range(20):
+                a, b = rng.randint(-9, 9), rng.randint(-9, 9)
+                z1 = [rng.randint(-9, 9) for _ in range(width)]
+                z2 = [rng.randint(-9, 9) for _ in range(width)]
+                assert dgrp.centralizer_law_holds(j, a, b, z1, z2), (rank, nclass, j, a, b, z1, z2)
+            assert dgrp.centralizer_split_holds(j), (rank, nclass, j)
 
 
 def test_group_objects_share_one_element_protocol():
@@ -298,7 +295,7 @@ def test_split_of_a_coboundary_is_its_splitting(tables, entry, c):
 
 def test_sampled_cocycles_do_not_split():
     with pytest.raises(SplitFailureError):
-        coboundary_split(SampledCocycle(lambda a, b: (a * b,), 1))
+        coboundary_split(_CallableCocycle())
 
 
 @pytest.mark.parametrize("ring", [ZZ, QQ], ids=["ZZ", "QQ"])
@@ -345,13 +342,13 @@ def test_deformed_pow_needs_a_split():
 def test_iso_verifies_over_rationals():
     base = FreeNilpotentGroup(2, 2, QQ)
     dgrp = DeformedGroup(base, [product_cocycle(1, 0), zero_cocycle(1)])
-    iso = iso_from_splittings(dgrp, [coboundary_split(f) for f in dgrp.cocycles])
+    iso = dgrp.splitting
     half = Fraction(1, 2)
     # psi(1/2) = binom(1/2, 2) = -1/8 leaves the top coordinate
     assert iso.to_base(dgrp.element([half, 0, 0])).coords == (half, 0, Fraction(1, 8))
-    assert iso.verify(Random(0), 50)
+    assert all(row.ok for row in iso_rows(iso, Random(0), 50))
 
 
 def test_centralizer_extension_check_reports_a_non_cocycle():
-    report = centralizer_extension_check(_non_cocycle_deformation(), 1, Random(0), 1)
-    assert report["splits"] is False and report["ok"] is False
+    # a * binom(b, 2) has no closed-form split, so its centralizer check fails
+    assert _non_cocycle_deformation().centralizer_split_holds(1) is False

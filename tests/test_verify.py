@@ -95,19 +95,15 @@ def test_samples_caps_every_sampled_count(monkeypatch):
 
     # a sampled row is named by its laws, a library check by its own name
     recorded(verify, "_sampled_rows", lambda attr, args, kwargs: (" / ".join(args[2]), args[0]))
-    library_checks = (
-        (verify, "centralizer_structure_check"),
-        (verify, "centralizer_extension_check"),
-        (SplittingIsomorphism, "verify"),
-        (ExtensionCocycle, "matches_deformed_mul"),
-    )
+    library_checks = ((verify, "centralizer_structure_check"),)
     for owner, attr in library_checks:
         recorded(owner, attr, lambda attr, args, kwargs: (attr, kwargs["samples"]))
     assert all(r.ok for r in run_all(2, 3, ZZ, seed=0, samples=1))
     assert {attr for _, attr in library_checks} <= {name for name, _ in counts}
-    # one point for each of the five product coordinates
+    # one point for each of the five product coordinates, one sample for each of the two generators
     binomial = "poly: binomial form evaluates like the monomial form"
-    assert [(name, n) for name, n in counts if n != 1] == [(binomial, 5)]
+    centralizers = "deform: generator centralizers are abelian extensions"
+    assert [(name, n) for name, n in counts if n != 1] == [(binomial, 5), (centralizers, 2)]
 
 
 def test_run_all_rational_ring_skips_integer_only_suites():
@@ -169,6 +165,11 @@ def _plus_one(to_table):
     return shifted
 
 
+def _plus_one_each(value):
+    """value with 1 added to every component it returns."""
+    return lambda *args: tuple(v + 1 for v in value(*args))
+
+
 # one sampled row per suite, broken through the library call its law makes
 BROKEN_ROWS = [
     (
@@ -211,19 +212,54 @@ BROKEN_ROWS = [
         "deform: extension cocycle identity",
         r"g=\(.*\), h=\(.*\), k=\(.*\)",
     ),
+    (
+        lambda rng: deformation_suite(2, 3, rng, 3),
+        lambda mp: mp.setattr(SplittingIsomorphism, "to_deformed", lambda self, x: self.deformed.element(x.coords)),
+        "deform: splitting isomorphism verified",
+        r"g=\(-?\d+(, -?\d+){4}\), h=\(-?\d+(, -?\d+){4}\), x=\(-?\d+(, -?\d+){4}\)",
+    ),
+    (
+        lambda rng: deformation_suite(2, 3, rng, 3),
+        lambda mp: mp.setattr(ExtensionCocycle, "value", _plus_one_each(ExtensionCocycle.value)),
+        "deform: extension build matches the deformed product",
+        r"g=\(-?\d+(, -?\d+){4}\), h=\(-?\d+(, -?\d+){4}\)",
+    ),
+    (
+        lambda rng: deformation_suite(2, 3, rng, 3),
+        lambda mp: mp.setattr(DeformedGroup, "centralizer_law_holds", lambda self, j, a, b, z1, z2: False),
+        "deform: generator centralizers are abelian extensions",
+        r"j=1, a=-?\d+, b=-?\d+, z1=\[-?\d+, -?\d+\], z2=\[-?\d+, -?\d+\]",
+    ),
+    (
+        lambda rng: centralizer_suite(2, 3, ZZ, rng, 3),
+        lambda mp: mp.setattr(FreeNilpotentGroup, "commutator", lambda self, g, h: g),
+        "centralizer: generator 1 decomposes as its powers times the center",
+        r"a=-?\d+, z=\(-?\d+(, -?\d+){4}\)",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "suite, breaks, name, shown",
     BROKEN_ROWS,
-    ids=["ring", "series", "group", "words", "poly", "deformation"],
+    ids=[
+        "ring", "series", "group", "words", "poly", "deformation",
+        "iso", "extension-match", "deformed-centralizer", "centralizer",
+    ],
 )
 def test_failing_sampled_rows_name_their_first_counterexample(monkeypatch, suite, breaks, name, shown):
     breaks(monkeypatch)
     row = {r.name: r for r in suite(Random(0))}[name]
     assert not row.ok
     assert re.fullmatch(f"first counterexample: {shown}", row.detail), row.detail
+
+
+def test_deformed_centralizer_row_names_the_generators_whose_split_fails(monkeypatch):
+    name = "deform: generator centralizers are abelian extensions"
+    monkeypatch.setattr(DeformedGroup, "centralizer_split_holds", lambda self, j: j != 2)
+    row = {r.name: r for r in deformation_suite(3, 2, Random(0), 3)}[name]
+    assert not row.ok
+    assert row.detail == "generators [2]: the split does not give the products on the box -8..8"
 
 
 def test_lie_suite_names_the_first_differing_constant(monkeypatch):
