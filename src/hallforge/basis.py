@@ -87,9 +87,6 @@ class HallBasis:
             raise OutOfClassError(f"no basis entry with index {pair}")
         return sum(self.counts[: i - 1]) + j - 1
 
-    def entry(self, pair) -> BasicCommutator:
-        return self.entries[self.flat(pair)]
-
     def weight_start(self, i) -> int:
         if not 1 <= i <= self.nclass:
             raise OutOfClassError(f"weight {i} outside 1..{self.nclass}")

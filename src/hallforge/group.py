@@ -31,7 +31,6 @@ table is built, with check_engine_scale from hallforge.basis (re-exported).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -89,20 +88,23 @@ def _engine_tables(rank: int, nclass: int) -> _EngineTables:
     pivot_words = []
     solvers = []
     for i in range(1, nclass + 1):
-        block = basis.weight_block(i)
-        words = sorted(itertools.product(range(1, rank + 1), repeat=i))
-        lies = [basis.lie_element(basis.entries[f]) for f in block]
-        matrix = [[Fraction(lie.coeff(w)) for lie in lies] for w in words]
-        rows = linalg.independent_rows(matrix)
-        if len(rows) != len(lies):
+        # one sparse row per word that a weight-i Lie element reaches, in word
+        # order; the words no element reaches give zero rows, which never pivot
+        lies = [basis.lie_element(basis.entries[f]) for f in basis.weight_block(i)]
+        rows = {}
+        for j, lie in enumerate(lies):
+            for w, c in lie.coeffs.items():
+                rows.setdefault(w, {})[j] = Fraction(c)
+        words = sorted(rows)
+        chosen = linalg.independent_rows([rows[w] for w in words])
+        if len(chosen) != len(lies):
             raise RuntimeError(
-                f"weight-{i} Lie elements are not independent (rank {len(rows)})"
+                f"weight-{i} Lie elements are not independent (rank {len(chosen)})"
             )
-        chosen = rows[: len(lies)]
         pivot_words.append(tuple(words[k] for k in chosen))
-        inverse = linalg.invert([matrix[k] for k in chosen])
+        inverse = linalg.invert([rows[words[k]] for k in chosen])
         solvers.append(tuple(
-            tuple((k, q.numerator if q.denominator == 1 else q) for k, q in enumerate(row) if q)
+            tuple((k, q.numerator if q.denominator == 1 else q) for k, q in sorted(row.items()))
             for row in inverse
         ))
     return _EngineTables(basis, images, augs, tuple(pivot_words), tuple(solvers))
@@ -121,9 +123,6 @@ class GroupElement:
 
     def __pow__(self, exponent):
         return self.group.pow(self, exponent)
-
-    def inverse(self):
-        return self.group.inv(self)
 
     def __eq__(self, other):
         if not isinstance(other, GroupElement):

@@ -123,9 +123,9 @@ def table_from_dict_obj(obj, arity: int):
     entries = {}
     for item in obj:
         degrees = tuple(_field(item, "degrees", list, "a table term"))
-        coeff = _field(item, "coeff", (str, int), "a table term")
+        coeff = _field(item, "coeff", str, "a table term")
         try:
-            entries[degrees] = coeff if isinstance(coeff, int) else ZZ.parse(coeff)
+            entries[degrees] = ZZ.parse(coeff)
         except NotInRingError:
             raise ShapeMismatchError(f"table coefficient {coeff!r} is not an integer") from None
     return BinomialTable.from_dict(arity, entries)

@@ -133,12 +133,6 @@ class GradedLieRing:
         """Sparse bracket of two basis elements, as a target -> coeff dict."""
         return dict(self.table.get((a, b), ()))
 
-    def bracket(self, va, vb):
-        """Bilinear extension to dense coefficient vectors."""
-        if len(va) != self.total_dim or len(vb) != self.total_dim:
-            raise ShapeMismatchError("vector length does not match the ring dimension")
-        return _dense(_contract(self.table, _sparse(va), _sparse(vb)), self.total_dim)
-
     def check_antisymmetry(self) -> bool:
         for a in range(self.total_dim):
             for b in range(a, self.total_dim):
@@ -309,7 +303,7 @@ class BilinearMapData:
     def _value_basis(self) -> list:
         """The first domain pairs (a, b), in tensor order, whose values are independent."""
         pairs = list(self.tensor)
-        return [pairs[i] for i in linalg._eliminate([_sparse(self.tensor[p]) for p in pairs])[1]]
+        return [pairs[i] for i in linalg.independent_rows([_sparse(self.tensor[p]) for p in pairs])]
 
     def is_full(self) -> bool:
         """The image values span the whole codomain (exact rank)."""
@@ -375,10 +369,7 @@ def endomorphism_pair_space(B: BilinearMapData) -> list:
     chosen = B._value_basis()
     if len(chosen) != n:
         raise ShapeMismatchError("compatible pairs need a full map, whose values span the codomain")
-    # reducing [M | I] leaves row t of M^-1 beside pivot t
-    reduced, _ = linalg._eliminate([{**_sparse(B.tensor[p]), n + k: Fraction(1)}
-                                    for k, p in enumerate(chosen)])
-    minv = [{c - n: x for c, x in reduced[t].items() if c >= n} for t in range(n)]
+    minv = linalg.invert([_sparse(B.tensor[p]) for p in chosen])
     lefts = _map_rows(B.tensor, [({b: 1}, True) for b in range(m)])  # [b][w] = {s: T(s, b)_w}
     rights = _map_rows(B.tensor, [({a: 1}, False) for a in range(m)])  # [a][w] = {s: T(a, s)_w}
 
@@ -468,7 +459,7 @@ def weight_two_width(B: BilinearMapData, u) -> int:
     A = [{} for _ in range(r)]
     for t, (a, b, c) in wedge.items():
         A[a][b], A[b][a] = c * Fraction(u[t]), -c * Fraction(u[t])
-    return len(linalg._eliminate([_sparse(row) for row in A])[0]) // 2
+    return linalg.rank([_sparse(row) for row in A]) // 2
 
 
 # -- centralizer kernels -------------------------------------------------------

@@ -6,8 +6,11 @@ systems, the compatible-pair equations over the m^2 entries of phi1, are
 very sparse: 522 nonzero rows over 64 columns at (2,5) and 164,604 over
 1936 at (44,2), each row with at most two entries. So every function here
 runs one Gauss-Jordan core, `_eliminate`, on rows stored as
-{column: Fraction} dicts holding only the nonzero entries. `kernel` takes
-such rows as they are; the dense functions convert their rows first.
+{column: Fraction} dicts holding only the nonzero entries, and the library
+hands its rows to `rank`, `independent_rows`, `invert` and `kernel` in that
+form. `rref` and `nullspace` are the dense forms, lists of Fraction lists,
+for callers outside the library; they convert their rows first. No function
+modifies the rows it is given.
 
 The core reduces each input row in turn against a basis of fully reduced,
 normalized rows keyed by pivot column. A row that is still nonzero takes its
@@ -27,19 +30,23 @@ Matrix = list[list[Fraction]]
 
 
 def _eliminate(rows) -> tuple[dict[int, dict[int, Fraction]], list[int]]:
-    """Reduce sparse rows ({col: value}, no zero values) in order.
+    """Reduce sparse rows ({col: Fraction}, no zero values) in order.
 
-    The row dicts are consumed. Returns (basis, added): basis maps each pivot
-    column to its normalized, fully reduced row, and added lists the indices
-    of the rows that gave a new pivot, in input order.
+    Returns (basis, added): basis maps each pivot column to its normalized,
+    fully reduced row, and added lists the indices of the rows that gave a
+    new pivot, in input order.
     """
     basis: dict[int, dict[int, Fraction]] = {}
     added: list[int] = []
     for index, row in enumerate(rows):
         # basis rows vanish in every other pivot column, so one pass over the
-        # row's own pivot entries clears them all
-        for p in [c for c in row if c in basis]:
-            _subtract(row, row.pop(p), basis[p], p)
+        # row's own pivot entries clears them all; the caller's dict is copied
+        # before it would change
+        hits = [c for c in row if c in basis]
+        if hits:
+            row = dict(row)
+            for p in hits:
+                _subtract(row, row.pop(p), basis[p], p)
         if not row:
             continue
         pivot = min(row)
@@ -76,7 +83,7 @@ def _dense(row: dict, ncols: int) -> list[Fraction]:
 
 
 def rref(rows) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form. Returns (reduced rows, pivot column indices).
+    """Reduced row echelon form of dense rows. Returns (reduced rows, pivot columns).
 
     The reduced matrix has as many rows as the input; its zero rows come last.
     """
@@ -91,21 +98,26 @@ def rref(rows) -> tuple[Matrix, list[int]]:
 
 
 def rank(rows) -> int:
-    return len(_eliminate(_sparse(rows))[0])
+    """Rank of sparse rows."""
+    return len(_eliminate(rows)[0])
+
+
+def independent_rows(rows) -> list[int]:
+    """Indices of a maximal linearly independent subset of sparse rows (first found)."""
+    return _eliminate(rows)[1]
 
 
 def nullspace(rows) -> list[list[Fraction]]:
-    """Basis of the right kernel {v : rows @ v = 0}."""
+    """Basis of the right kernel {v : rows @ v = 0} of dense rows."""
     if not rows:
         return []
     return kernel(_sparse(rows), len(rows[0]))
 
 
 def kernel(rows, ncols: int) -> list[list[Fraction]]:
-    """nullspace of sparse rows ({col: Fraction} over ncols columns, no zero values).
+    """nullspace of sparse rows over ncols columns, as dense vectors.
 
-    The row dicts are consumed. With no rows every column is free, so the
-    kernel is the whole space.
+    With no rows every column is free, so the kernel is the whole space.
     """
     basis, _ = _eliminate(rows)
     free = {c: [Fraction(0)] * ncols for c in range(ncols) if c not in basis}
@@ -118,20 +130,17 @@ def kernel(rows, ncols: int) -> list[list[Fraction]]:
     return list(free.values())
 
 
-def invert(rows) -> Matrix:
-    """Inverse of a square matrix, by reducing [rows | identity]."""
+def invert(rows) -> list[dict[int, Fraction]]:
+    """Inverse of the square matrix of n sparse rows over columns 0..n-1, as sparse rows.
+
+    Reduces [rows | identity]: row t of the inverse sits beside pivot t.
+    Raises ValueError when a row has a column outside 0..n-1 or the matrix
+    is singular.
+    """
     n = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    aug = _sparse(rows)
-    for i, row in enumerate(aug):
-        row[ncols + i] = Fraction(1)
-    basis, _ = _eliminate(aug)
-    pivots = sorted(basis)
-    if pivots != list(range(n)):
+    if any(not 0 <= c < n for row in rows for c in row):
+        raise ValueError("matrix is not square")
+    basis, _ = _eliminate({**row, n + i: Fraction(1)} for i, row in enumerate(rows))
+    if any(p >= n for p in basis):
         raise ValueError("matrix is singular")
-    return [_dense(basis[p], ncols + n)[n:] for p in pivots]
-
-
-def independent_rows(rows) -> list[int]:
-    """Indices of a maximal linearly independent subset of rows (first found)."""
-    return _eliminate(_sparse(rows))[1]
+    return [{c - n: x for c, x in basis[t].items() if c >= n} for t in range(n)]

@@ -294,10 +294,11 @@ def series_suite(rank, nclass, ring: Ring, rng: Random, samples: int | None = No
         return basis.lie_element(basis.entries[f])
 
     def independent(w):
-        block = list(basis.weight_block(w))
-        words = sorted(set(word for f in block for word in lie(f).coeffs))
-        matrix = [[Fraction(lie(f).coeff(word)) for f in block] for word in words]
-        return linalg.rank(matrix) == len(block)
+        rows = {}  # word -> {block index: coefficient}
+        for j, f in enumerate(basis.weight_block(w)):
+            for word, c in lie(f).coeffs.items():
+                rows.setdefault(word, {})[j] = Fraction(c)
+        return linalg.rank(list(rows.values())) == basis.counts[w - 1]
 
     out.append(
         CheckResult(
@@ -322,14 +323,13 @@ def series_suite(rank, nclass, ring: Ring, rng: Random, samples: int | None = No
         return {"w1": w1, "w2": w2, "c1": c1, "c2": c2}
 
     def zero_bracket_dependent(w1, w2, c1, c2):
-        rows = [[Fraction(0)] * len(basis) for _ in range(2)]
+        rows = [{f: Fraction(c) for c, f in zip(cs, basis.weight_block(w)) if c}
+                for cs, w in ((c1, w1), (c2, w2))]
         z = y = TruncatedSeries(rank, nclass, {})
         for c, f in zip(c1, basis.weight_block(w1)):
             z = z + c * lie(f)
-            rows[0][f] = Fraction(c)
         for c, f in zip(c2, basis.weight_block(w2)):
             y = y + c * lie(f)
-            rows[1][f] = Fraction(c)
         return bool((z * y - y * z).coeffs) or linalg.rank(rows) <= 1
 
     out += _sampled_rows(
@@ -799,21 +799,23 @@ def lie_suite(rank, nclass) -> list:
 # -- group-side centralizer suite ----------------------------------------------
 
 
-def centralizer_structure_check(grp: FreeNilpotentGroup, j: int, rng: Random, samples: int) -> dict:
-    """Sampled checks that the centralizer of u_1j is {u_1j^a * central}.
+def centralizer_structure_check(grp: FreeNilpotentGroup, j: int, rng: Random, samples: int) -> list:
+    """Sampled checks that the centralizer of u_1j is {u_1j^a * central}, as three rows.
 
-    Verifies: built centralizer elements commute; every sampled element
-    either fails to commute or decomposes exactly as u_1j^a * z with z in
-    the weight-class block; and the center is exactly that block. Each
-    check runs on `samples` samples, which must be at least 1. "detail" is
-    the first failing check's counterexample, empty if all hold.
+    built_elements_commute: u_1j^a * z commutes with u_1j for central z.
+    decomposition_exact: an element that commutes with u_1j is u_1j^a * z
+    with z in the weight-class block. It runs on every sampled x, of which
+    few commute with u_1j, and on the built u_1j^a * z of the same sample
+    number, which always does. center_is_weight_c_block: the block is
+    central, and a sampled x is central or fails to commute with some
+    generator. Each row runs on `samples` samples, which must be at least 1.
     """
     u = grp.generator(j)
     one = grp.identity()
     gens = grp.generators()
     pow_ = grp.pow
     start_c = grp.basis.weight_start(grp.nclass)
-    report = {"rejects_noncommuting": 0}
+    built = []  # the (a, z) samples of the first row, read again by the second
 
     def central():
         z = [grp.ring.zero] * grp.dimension
@@ -821,9 +823,12 @@ def centralizer_structure_check(grp: FreeNilpotentGroup, j: int, rng: Random, sa
             z[s] = grp.ring.random_element(rng)
         return grp.element(z)
 
+    def draw_built():
+        built.append({**_elements(grp.ring, rng, "a"), "z": central()})
+        return built[-1]
+
     def decomposes(x):
         if grp.commutator(x, u) != one:
-            report["rejects_noncommuting"] += 1
             return True
         a = x.coords[grp.basis.flat((1, j))]
         z = grp.mul(pow_(u, -a), x)
@@ -835,34 +840,33 @@ def centralizer_structure_check(grp: FreeNilpotentGroup, j: int, rng: Random, sa
 
     rows = _sampled_rows(
         samples,
-        lambda: {**_elements(grp.ring, rng, "a"), "z": central()},
+        draw_built,
         {"built_elements_commute": lambda a, z: grp.commutator(grp.mul(pow_(u, a), z), u) == one},
     )
+    again = iter(built)
     rows += _sampled_rows(
-        samples, lambda: _elements(grp, rng, "x"), {"decomposition_exact": decomposes}
+        samples,
+        lambda: {**_elements(grp, rng, "x"), **next(again)},
+        {"decomposition_exact": lambda x, a, z: decomposes(x) and decomposes(pow_(u, a) * z)},
     )
     rows += _sampled_rows(
         samples,
         lambda: {"z": central(), **_elements(grp, rng, "x")},
         {"center_is_weight_c_block": center_is_block},
     )
-    for row in rows:
-        report[row.name] = row.ok
-    report["ok"] = all(row.ok for row in rows)
-    report["detail"] = next((row.detail for row in rows if not row.ok), "")
-    return report
+    return rows
 
 
 def centralizer_suite(rank, nclass, ring: Ring, rng: Random, samples: int | None = None) -> list:
     grp = FreeNilpotentGroup(rank, nclass, ring)
     out = []
     for j in range(1, rank + 1):
-        report = centralizer_structure_check(grp, j, rng, samples=_sample_count(samples, 40))
+        rows = centralizer_structure_check(grp, j, rng, samples=_sample_count(samples, 40))
         out.append(
             CheckResult(
                 f"centralizer: generator {j} decomposes as its powers times the center",
-                report["ok"],
-                report["detail"],
+                all(row.ok for row in rows),
+                next((row.detail for row in rows if not row.ok), ""),
             )
         )
     return out

@@ -143,18 +143,15 @@ def petresco_identity_holds(group: FreeNilpotentGroup, xs, n: int) -> bool:
 
 
 def commutator_power_identity_holds(
-    group: FreeNilpotentGroup, h: GroupElement, g: GroupElement, a, taus=None
+    group: FreeNilpotentGroup, h: GroupElement, g: GroupElement, a, taus
 ) -> bool:
     """[h, g^a] == [h,g]^a * prod_{m>=2} tau_m(h^-1 g^-1 h, g)^binom(a, m).
 
-    Callers looping over many exponents can pass taus precomputed for the
-    pair (they do not depend on a): taus = petresco_sequence(group, (w, g), c)
-    with w = h^-1 g^-1 h.
+    taus = petresco_sequence(group, (w, g), group.nclass) with w = h^-1 g^-1 h;
+    they do not depend on a, so callers looping over exponents build them once
+    per pair.
     """
     lhs = group.commutator(h, group.pow(g, a))
-    if taus is None:
-        w = group.mul(group.mul(group.inv(h), group.inv(g)), h)
-        taus = petresco_sequence(group, (w, g), group.nclass)
     rhs = group.pow(group.commutator(h, g), a)
     for m in range(2, group.nclass + 1):
         rhs = group.mul(rhs, group.pow(taus[m - 1], group.ring.binom(a, m)))

@@ -197,7 +197,7 @@ def oracle_weight_two_width(rank, nclass, u):
         i, j = (part.generator - 1 for part in basis.entries[flat].parts)
         A[i][j] += u[k]
         A[j][i] -= u[k]
-    return linalg.rank(A) // 2
+    return len(linalg.rref(A)[1]) // 2
 
 
 def endomorphism_system(B):

@@ -8,13 +8,17 @@ construction and extraction loops here are the engine's own, run over these
 three. Extraction solves each weight with its own dense Fraction inverse
 (oracle_solvers), built from the Hall Lie elements at the engine's pivot
 words and multiplied entry by entry; it does not read the engine's sparse
-solver rows. degree_component and min_degree, the series queries only the
-tests use, live here too. The engine in hallforge.series and hallforge.group
+solver rows. dense_engine_tables is the engine's earlier set-up: a dense
+matrix over every word of each weight, its first independent rows and their
+dense inverse, read off the RREF of [M | I] (dense_inverse).
+degree_component and min_degree, the series queries only the tests use,
+live here too. The engine in hallforge.series and hallforge.group
 must return exactly what they return, coefficient types included. The
 hypothesis strategies at the end draw small values over ZZ, QQ and a
 two-variable PolyRing, at (2,3), (3,3) and (2,4).
 """
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
 
@@ -106,6 +110,39 @@ def min_degree(s):
     return min((len(w) for w in s.coeffs), default=s.cutoff + 1)
 
 
+def dense_inverse(matrix):
+    """The inverse of a square dense Fraction matrix M, the right half of the RREF of [M | I]."""
+    n = len(matrix)
+    aug = [row + [Fraction(int(j == k)) for j in range(n)] for k, row in enumerate(matrix)]
+    reduced, pivots = linalg.rref(aug)
+    assert pivots == list(range(n)), "matrix is singular"
+    return [row[n:] for row in reduced]
+
+
+def dense_engine_tables(rank, nclass):
+    """(pivot_words, solvers) as the engine built them from dense matrices.
+
+    Per weight: one row per word of that length, in sorted order, over the
+    Lie elements of the weight block; the first independent rows (the
+    pivot columns of the transposed RREF) give the pivot words, and each
+    solver row holds the nonzero entries of the dense inverse as (index,
+    entry) pairs, the entry an int when integral.
+    """
+    basis = hall_basis(rank, nclass)
+    pivot_words, solvers = [], []
+    for i in range(1, nclass + 1):
+        lies = [basis.lie_element(basis.entries[f]) for f in basis.weight_block(i)]
+        words = sorted(itertools.product(range(1, rank + 1), repeat=i))
+        matrix = [[Fraction(lie.coeff(w)) for lie in lies] for w in words]
+        chosen = linalg.rref([list(col) for col in zip(*matrix)])[1]
+        pivot_words.append(tuple(words[k] for k in chosen))
+        solvers.append(tuple(
+            tuple((k, q.numerator if q.denominator == 1 else q) for k, q in enumerate(row) if q)
+            for row in dense_inverse([matrix[k] for k in chosen])
+        ))
+    return tuple(pivot_words), tuple(solvers)
+
+
 @lru_cache(maxsize=None)
 def oracle_solvers(rank, nclass):
     """Per weight, the dense Fraction inverse of the Hall Lie elements read at the pivot words."""
@@ -114,7 +151,7 @@ def oracle_solvers(rank, nclass):
     out = []
     for i in range(1, nclass + 1):
         lies = [basis.lie_element(basis.entries[f]) for f in basis.weight_block(i)]
-        out.append(linalg.invert([[Fraction(lie.coeff(w)) for lie in lies] for w in pivots[i - 1]]))
+        out.append(dense_inverse([[Fraction(lie.coeff(w)) for lie in lies] for w in pivots[i - 1]]))
     return tuple(out)
 
 

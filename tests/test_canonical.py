@@ -174,9 +174,9 @@ def test_tails_start_above_the_weight_sum():
     st = derive_structure_polys(2, 4)
     basis = FreeNilpotentGroup(2, 4).basis
     for (high, low), entries in st.polys.items():
-        floor = basis.entry(high).weight + basis.entry(low).weight
+        floor = basis.entries[basis.flat(high)].weight + basis.entries[basis.flat(low)].weight
         for pair, _ in entries:
-            assert basis.entry(pair).weight >= floor
+            assert basis.entries[basis.flat(pair)].weight >= floor
 
 
 def _engine_polys(rank, nclass):

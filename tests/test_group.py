@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from series_oracle import (
     CONFIGS,
     RINGS,
+    dense_engine_tables,
     exponents,
     oracle_inv_coords,
     oracle_mul_coords,
@@ -194,8 +195,11 @@ def test_centralizer_structure_reports():
     for rank, nclass in ((2, 2), (2, 3), (3, 2)):
         g = FreeNilpotentGroup(rank, nclass)
         for j in range(1, rank + 1):
-            report = centralizer_structure_check(g, j, rng, samples=25)
-            assert report["ok"], report
+            rows = centralizer_structure_check(g, j, rng, samples=25)
+            assert [row.name for row in rows] == [
+                "built_elements_commute", "decomposition_exact", "center_is_weight_c_block"
+            ]
+            assert all(row.ok for row in rows), rows
 
 
 # -- size guard -------------------------------------------------------------------
@@ -258,22 +262,38 @@ def test_huge_group_refused_before_any_table(monkeypatch):
         FreeNilpotentGroup(1, 10**12)
 
 
+# every class >= 2 configuration with at most 400 words; weight 1 is in each
+UP_TO_400_WORDS = [
+    (r, c)
+    for r in range(2, 20)
+    for c in range(2, 9)
+    if sum(r**i for i in range(c + 1)) <= 400
+]
+
+
 def test_solver_entries_are_nonzero_ints_up_to_400_words():
-    # every class >= 2 configuration with at most 400 words; weight 1 is in each
-    configs = [
-        (r, c)
-        for r in range(2, 20)
-        for c in range(2, 9)
-        if sum(r**i for i in range(c + 1)) <= 400
-    ]
-    assert len(configs) == 31
-    for rank, nclass in configs:
+    assert len(UP_TO_400_WORDS) == 31
+    for rank, nclass in UP_TO_400_WORDS:
         t = group._engine_tables(rank, nclass)
         for i, rows in enumerate(t.solvers, start=1):
             assert len(rows) == len(t.pivot_words[i - 1]) == len(t.basis.weight_block(i))
             for row in rows:
                 assert row and [k for k, _ in row] == sorted({k for k, _ in row})
                 assert all(type(q) is int and q for _, q in row), (rank, nclass, i, row)
+
+
+def _typed_solvers(solvers):
+    return [[[(k, type(q), q) for k, q in row] for row in rows] for rows in solvers]
+
+
+def test_engine_tables_match_the_dense_method_up_to_400_words():
+    # the sparse set-up picks the same pivot words and the same solver entries,
+    # int or Fraction alike, as the dense matrix over every word
+    for rank, nclass in UP_TO_400_WORDS:
+        t = group._engine_tables(rank, nclass)
+        pivot_words, solvers = dense_engine_tables(rank, nclass)
+        assert t.pivot_words == pivot_words, (rank, nclass)
+        assert _typed_solvers(t.solvers) == _typed_solvers(solvers), (rank, nclass)
 
 
 @pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.name)

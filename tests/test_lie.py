@@ -109,11 +109,17 @@ def test_center_is_top_block():
         assert free_nilpotent_lie(rank, nclass).center_is_top_block()
 
 
+def _bracket(lie, x, y):
+    """The bracket of two dense vectors, through the library's sparse contraction."""
+    f = lie_module
+    return f._dense(f._contract(lie.table, f._sparse(x), f._sparse(y)), lie.total_dim)
+
+
 def test_bracket_of_vectors():
     lie = free_nilpotent_lie(2, 2)
     x = [Fraction(2), Fraction(0), Fraction(0)]
     y = [Fraction(0), Fraction(3), Fraction(0)]
-    assert lie.bracket(x, y) == [Fraction(0), Fraction(0), Fraction(-6)]
+    assert _bracket(lie, x, y) == [Fraction(0), Fraction(0), Fraction(-6)]
 
 
 def test_bilinear_data_shape_rank2_class2():
@@ -335,7 +341,7 @@ def _typed(vec):
 def test_ring_methods_match_reference(lie, data):
     n = lie.total_dim
     x, y = data.draw(vectors(n)), data.draw(vectors(n))
-    assert _typed(lie.bracket(x, y)) == _typed(oracle_bracket(lie, x, y))
+    assert _typed(_bracket(lie, x, y)) == _typed(oracle_bracket(lie, x, y))
     assert lie.check_jacobi() == oracle_check_jacobi(lie)
     assert lie.center_basis() == oracle_center_basis(lie)
     for j in range(1, lie.dims[0] + 1):
@@ -425,7 +431,7 @@ def test_endomorphism_pair_span_matches_the_dense_system(bil):
     # differ from the dense system's, but the span may not
     n = bil.codomain_dim
     dense_values = [[targets.get(t, 0) for t in range(n)] for targets in bil.tensor.values()]
-    if linalg.rank(dense_values) < n:
+    if linalg.rank([{t: v for t, v in enumerate(row) if v} for row in dense_values]) < n:
         with pytest.raises(ShapeMismatchError):
             endomorphism_pair_space(bil)
         return

@@ -1,7 +1,9 @@
 """Tests for the exact linear algebra helpers.
 
 The dense Gauss-Jordan below is the reference: the sparse elimination in
-hallforge.linalg must return exactly what it returns.
+hallforge.linalg must return exactly what it returns. rank,
+independent_rows and invert take sparse rows, so the dense test matrices
+are converted at the call.
 """
 
 from fractions import Fraction
@@ -84,10 +86,19 @@ def _frac_rows(rows):
     return [[Fraction(v) for v in row] for row in rows]
 
 
+def _sparse(rows):
+    """Dense rows as the sparse rows the library takes: {column: Fraction}, no zeros."""
+    return [{c: Fraction(v) for c, v in enumerate(row) if v} for row in rows]
+
+
+def _dense(rows, ncols):
+    return [[row.get(c, Fraction(0)) for c in range(ncols)] for row in rows]
+
+
 def test_rank_small_cases():
-    assert linalg.rank(_frac_rows([[1, 0], [0, 1]])) == 2
-    assert linalg.rank(_frac_rows([[1, 2], [2, 4]])) == 1
-    assert linalg.rank(_frac_rows([[0, 0], [0, 0]])) == 0
+    assert linalg.rank(_sparse([[1, 0], [0, 1]])) == 2
+    assert linalg.rank(_sparse([[1, 2], [2, 4]])) == 1
+    assert linalg.rank(_sparse([[0, 0], [0, 0]])) == 0
 
 
 def test_rref_pivots():
@@ -103,7 +114,7 @@ def test_nullspace_vectors_annihilate():
             [[rng.randint(-4, 4) for _ in range(5)] for _ in range(3)]
         )
         basis = linalg.nullspace(rows)
-        assert len(basis) == 5 - linalg.rank(rows)
+        assert len(basis) == 5 - linalg.rank(_sparse(rows))
         for vec in basis:
             for row in rows:
                 assert sum(a * v for a, v in zip(row, vec)) == 0
@@ -116,9 +127,9 @@ def test_invert_round_trip():
         rows = _frac_rows(
             [[rng.randint(-5, 5) for _ in range(4)] for _ in range(4)]
         )
-        if linalg.rank(rows) < 4:
+        if linalg.rank(_sparse(rows)) < 4:
             continue
-        inv = linalg.invert(rows)
+        inv = _dense(linalg.invert(_sparse(rows)), 4)
         for i in range(4):
             for j in range(4):
                 prod = sum(rows[i][k] * inv[k][j] for k in range(4))
@@ -127,12 +138,21 @@ def test_invert_round_trip():
 
 
 def test_invert_singular_raises():
-    with pytest.raises(ValueError):
-        linalg.invert(_frac_rows([[1, 2], [2, 4]]))
+    with pytest.raises(ValueError, match="singular"):
+        linalg.invert(_sparse([[1, 2], [2, 4]]))
+    # three rows over two columns: a 3 x 3 matrix with a zero column
+    with pytest.raises(ValueError, match="singular"):
+        linalg.invert(_sparse([[1, 0], [0, 1], [1, 1]]))
+
+
+def test_invert_refuses_a_row_past_the_last_column():
+    # two rows that reach column 2 are not a square matrix
+    with pytest.raises(ValueError, match="not square"):
+        linalg.invert(_sparse([[1, 0, 0], [0, 1, 1]]))
 
 
 def test_independent_rows():
-    rows = _frac_rows([[1, 0, 0], [2, 0, 0], [0, 1, 0]])
+    rows = _sparse([[1, 0, 0], [2, 0, 0], [0, 1, 0]])
     picked = linalg.independent_rows(rows)
     assert picked == [0, 2]
 
@@ -163,16 +183,26 @@ def _matrices(draw):
 def test_matches_dense_reference(rows):
     red, pivots = _oracle_rref(rows)
     assert linalg.rref(rows) == (red, pivots)
-    assert linalg.rank(rows) == len(pivots)
+    sparse = _sparse(rows)
+    assert linalg.rank(sparse) == len(pivots)
     assert linalg.nullspace(rows) == _oracle_nullspace(rows)
-    assert linalg.independent_rows(rows) == _oracle_independent_rows(rows)
+    assert linalg.independent_rows(sparse) == _oracle_independent_rows(rows)
+    assert sparse == _sparse(rows)  # the rows are left as they were
+    # the sparse rows are n x n when no entry lies past column n - 1
+    n = len(rows)
+    if any(any(row[n:]) for row in rows):
+        with pytest.raises(ValueError, match="not square"):
+            linalg.invert(sparse)
+        return
     try:
-        want = _oracle_invert(rows)
+        want = _oracle_invert([(row + [Fraction(0)] * n)[:n] for row in rows])
     except ValueError:
-        with pytest.raises(ValueError):
-            linalg.invert(rows)
+        with pytest.raises(ValueError, match="singular"):
+            linalg.invert(sparse)
     else:
-        assert linalg.invert(rows) == want
+        got = linalg.invert(sparse)
+        assert all(all(row.values()) for row in got)
+        assert _dense(got, n) == want
 
 
 @pytest.mark.parametrize("rank, nclass", [(3, 3), (2, 5)])

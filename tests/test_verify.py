@@ -81,6 +81,18 @@ def test_centralizer_structure_check_refuses_non_positive_samples(samples):
         verify.centralizer_structure_check(FreeNilpotentGroup(2, 2), 1, Random(0), samples=samples)
 
 
+@pytest.mark.parametrize("rank, nclass", [(2, 3), (3, 3)])
+def test_centralizer_rows_fail_when_is_central_lies(monkeypatch, rank, nclass):
+    # the built elements u_1j^a * z always commute with u_1j, so the
+    # decomposition law meets a commuting element on every sample
+    monkeypatch.setattr(FreeNilpotentGroup, "is_central", lambda self, g: False)
+    rows = centralizer_suite(rank, nclass, ZZ, Random(0))
+    assert len(rows) == rank
+    assert not any(row.ok for row in rows)
+    shown = r"first counterexample: x=\(.*\), a=-?\d+, z=\(.*\)"
+    assert all(re.fullmatch(shown, row.detail) for row in rows)
+
+
 def test_samples_caps_every_sampled_count(monkeypatch):
     counts = []
 
