@@ -96,6 +96,24 @@ def _common_kernel(table, n: int, maps) -> list:
 _SHARED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
+class _Key(tuple):
+    """An intern key that hashes its items once: Fraction does not cache its hash,
+    and the table would otherwise rehash a key on lookup, insert and removal."""
+
+    def __new__(cls, items):
+        key = super().__new__(cls, items)
+        key._hash = tuple.__hash__(key)
+        return key
+
+    def __hash__(self):
+        return self._hash
+
+
+def _share(key: tuple, obj):
+    """The live object interned under key, or obj, which is then interned."""
+    return _SHARED.setdefault(_Key(key), obj)
+
+
 class GradedLieRing:
     """Weight-graded Lie ring with an exact sparse structure-constant table.
 
@@ -191,16 +209,34 @@ def _ring(basis, nclass: int, label: str, bracket) -> GradedLieRing:
                 if targets:
                     table[(a, b)] = targets
     lie = GradedLieRing(basis.counts, table, label)
-    return _SHARED.setdefault(lie._key(), lie)
+    return _share(lie._key(), lie)
 
 
 @lru_cache(maxsize=None, typed=True)
 def lazard_lie_ring(rank: int, nclass: int) -> GradedLieRing:
-    """Structure constants from leading coordinates of group commutators."""
+    """Structure constants from leading coordinates of group commutators.
+
+    The series of u_j and u_j^-1 are built once per basis entry below the
+    class, each from its one coordinate through the cached augmentation
+    powers. Each ordered pair (a, b), in both orders, then costs three
+    series products for [u_a, u_b] = u_a^-1 u_b^-1 u_a u_b and one
+    self-checking extraction; a commutator with a coordinate below weight
+    w_a + w_b raises RuntimeError.
+    """
     grp = FreeNilpotentGroup(rank, nclass)
 
+    def unit(flat, a):
+        coords = [0] * grp.dimension
+        coords[flat] = a
+        return grp.to_series(grp.element(coords))
+
+    below = [grp.basis.entries[f].pair for f in range(grp.basis.weight_start(nclass))]
+    up = {pair: unit(f, 1) for f, pair in enumerate(below)}
+    down = {pair: unit(f, -1) for f, pair in enumerate(below)}
+
     def bracket(ea, eb, w):
-        com = grp.commutator(grp.basic(ea.pair), grp.basic(eb.pair))
+        a, b = ea.pair, eb.pair
+        com = grp.from_series(down[a] * down[b] * up[a] * up[b])
         if grp.gamma_weight(com) < w:
             raise RuntimeError(f"commutator of weights {ea.weight} and {eb.weight} "
                                f"has coordinates below weight {w}")
@@ -326,7 +362,7 @@ class BilinearMapData:
 
 
 def bilinear_from_lie(lie: GradedLieRing) -> BilinearMapData:
-    return _SHARED.setdefault((BilinearMapData, lie._key()), BilinearMapData(lie))
+    return _share((BilinearMapData, lie._key()), BilinearMapData(lie))
 
 
 @dataclass(frozen=True)
@@ -393,7 +429,7 @@ def endomorphism_pair_space(B: BilinearMapData) -> list:
         F = [{w: sum(v * vec[c] for c, v in row.items()) for w, row in bk.items()} for bk in base]
         cols = [_combine(minv[t], F) for t in range(n)]
         phi0 = tuple(tuple(col.get(w, zero) for col in cols) for w in range(n))
-        out.append(_SHARED.setdefault((EndoPair, phi1, phi0), EndoPair(phi1, phi0)))
+        out.append(_share((EndoPair, phi1, phi0), EndoPair(phi1, phi0)))
     return out
 
 

@@ -6,11 +6,16 @@ systems, the compatible-pair equations over the m^2 entries of phi1, are
 very sparse: 522 nonzero rows over 64 columns at (2,5) and 164,604 over
 1936 at (44,2), each row with at most two entries. So every function here
 runs one Gauss-Jordan core, `_eliminate`, on rows stored as
-{column: Fraction} dicts holding only the nonzero entries, and the library
+{column: value} dicts holding only the nonzero entries, and the library
 hands its rows to `rank`, `independent_rows`, `invert` and `kernel` in that
-form. `rref` and `nullspace` are the dense forms, lists of Fraction lists,
-for callers outside the library; they convert their rows first. No function
+form. `rref` and `nullspace` are the dense forms, lists of rows, for
+callers outside the library; they convert their rows first. No function
 modifies the rows it is given.
+
+Entries may be int or Fraction, mixed freely. A pivot row is scaled by
+Fraction(1) / pivot, so every reduced row holds Fractions whatever the
+input types: `kernel`, `rref` and `nullspace` return lists of Fractions,
+`invert` returns sparse rows of Fractions, and no float ever appears.
 
 The core reduces each input row in turn against a basis of fully reduced,
 normalized rows keyed by pivot column. A row that is still nonzero takes its
@@ -30,7 +35,7 @@ Matrix = list[list[Fraction]]
 
 
 def _eliminate(rows) -> tuple[dict[int, dict[int, Fraction]], list[int]]:
-    """Reduce sparse rows ({col: Fraction}, no zero values) in order.
+    """Reduce sparse rows ({col: int or Fraction}, no zero values) in order.
 
     Returns (basis, added): basis maps each pivot column to its normalized,
     fully reduced row, and added lists the indices of the rows that gave a
@@ -50,7 +55,7 @@ def _eliminate(rows) -> tuple[dict[int, dict[int, Fraction]], list[int]]:
         if not row:
             continue
         pivot = min(row)
-        inv = 1 / row[pivot]
+        inv = Fraction(1) / row[pivot]
         row = {c: v * inv for c, v in row.items()}
         for brow in basis.values():
             if pivot in brow:

@@ -115,8 +115,10 @@ def _sampled_rows(n: int, draw, laws: dict) -> list:
     draw() makes every rng call for one sample and returns it as a dict of
     named inputs; a law takes those inputs as keyword arguments and only
     evaluates. Samples are drawn in order and never skipped, so the draws
-    do not depend on the results. A failing row's detail shows the inputs
-    of its first counterexample.
+    do not depend on the results, and every law runs on one sample, with
+    the same input objects, before the next is drawn (the power-product
+    laws of words_suite share a sequence on that). A failing row's detail
+    shows the inputs of its first counterexample.
     """
     if n < 1:
         raise HallforgeError(f"samples must be at least 1, got {n}")
@@ -437,9 +439,20 @@ def words_suite(rank, nclass, ring: Ring, rng: Random, samples: int | None = Non
     )
     out += _collection_rows(grp, collector, rng, _sample_count(samples, 500))
 
+    # One Petresco sequence per sample for both power-product laws. The slot
+    # holds the latest xs (by identity) and its sequence: _sampled_rows runs
+    # every law on one sample before it draws the next, so the second law
+    # finds the first law's sequence. Any other order only rebuilds it, as a
+    # new xs never matches the one held, so results never depend on the order.
+    latest = {}
+
+    def taus_of(xs):
+        if latest.get("xs") is not xs:
+            latest.update(xs=xs, taus=petresco_sequence(grp, xs, nclass))
+        return latest["taus"]
+
     def descends(xs):
-        taus = petresco_sequence(grp, xs, nclass)
-        return all(grp.gamma_weight(t) >= k for k, t in enumerate(taus, start=1))
+        return all(grp.gamma_weight(t) >= k for k, t in enumerate(taus_of(xs), start=1))
 
     m = 2 if rank == 2 else 3
     out += _sampled_rows(
@@ -448,7 +461,7 @@ def words_suite(rank, nclass, ring: Ring, rng: Random, samples: int | None = Non
         {
             "words: power-product correction terms descend the filtration": descends,
             "words: power-product identity for n = 1..6": lambda xs: all(
-                petresco_identity_holds(grp, xs, n) for n in range(1, 7)
+                petresco_identity_holds(grp, xs, n, taus_of(xs)) for n in range(1, 7)
             ),
         },
     )

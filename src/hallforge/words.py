@@ -131,13 +131,17 @@ def petresco_tau(group: FreeNilpotentGroup, k: int, xs) -> GroupElement:
     return petresco_sequence(group, xs, k)[-1]
 
 
-def petresco_identity_holds(group: FreeNilpotentGroup, xs, n: int) -> bool:
-    """x_1^n ... x_m^n == prod_k tau_k^binom(n, k) with k running to the class."""
+def petresco_identity_holds(group: FreeNilpotentGroup, xs, n: int, taus) -> bool:
+    """x_1^n ... x_m^n == prod_k tau_k^binom(n, k) with k running to the class.
+
+    taus = petresco_sequence(group, xs, group.nclass); they do not depend on
+    n, so callers looping over exponents build them once per tuple.
+    """
     lhs = group.identity()
     for x in xs:
         lhs = group.mul(lhs, group.pow(x, n))
     rhs = group.identity()
-    for k, tau in enumerate(petresco_sequence(group, xs, group.nclass), start=1):
+    for k, tau in enumerate(taus, start=1):
         rhs = group.mul(rhs, group.pow(tau, group.ring.binom(n, k)))
     return lhs == rhs
 

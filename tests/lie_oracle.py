@@ -5,6 +5,9 @@ one sparse contraction: the bracket and the bilinear value as triple loops
 over dense vectors, Jacobi through two sparse bracket helpers, and every
 kernel system built row by row, one dense row per (vector, target), with
 all-zero rows dropped. The library must return exactly what they return.
+The Lazard table is built the way lazard_lie_ring built it before it kept
+one series per basis entry: one group commutator of two basic elements per
+ordered pair, through the public group API.
 The weight-2 width oracle reads the alternating matrix of a target from the
 Hall basis alone, never from a bracket table. The hypothesis strategies at
 the end draw small integer tables and vectors, and the configurations the
@@ -17,6 +20,7 @@ from hypothesis import strategies as st
 
 from hallforge import linalg
 from hallforge.basis import hall_basis
+from hallforge.group import FreeNilpotentGroup
 from hallforge.lie import BilinearMapData, EndoPair, GradedLieRing
 
 # (rank, class) of the real rings the differential tests also run on
@@ -101,6 +105,28 @@ def oracle_centralizer_weight_kernels(lie, j):
             rows = [[Fraction(0)] * len(block)]
         out.append(linalg.nullspace(rows))
     return out
+
+
+def oracle_lazard_table(rank, nclass):
+    """The Lazard structure constants, one grp.commutator(basic, basic) per ordered pair.
+
+    Same pairs (a != b, weights summing to at most the class), same weight
+    refusal and same int values as hallforge.lie.lazard_lie_ring.
+    """
+    grp = FreeNilpotentGroup(rank, nclass)
+    table = {}
+    for a, ea in enumerate(grp.basis.entries):
+        for b, eb in enumerate(grp.basis.entries):
+            w = ea.weight + eb.weight
+            if a == b or w > nclass:
+                continue
+            com = grp.commutator(grp.basic(ea.pair), grp.basic(eb.pair))
+            if grp.gamma_weight(com) < w:
+                raise RuntimeError(f"commutator of {ea.pair} and {eb.pair} is below weight {w}")
+            targets = {t: int(com.coords[t]) for t in grp.basis.weight_block(w) if com.coords[t]}
+            if targets:
+                table[(a, b)] = targets
+    return table
 
 
 def sign_flipped(lie, signs):

@@ -123,7 +123,7 @@ def test_criterion_5_power_product_identities():
             for k, t in enumerate(taus, start=1):
                 assert grp.gamma_weight(t) >= k
             for n in range(1, 7):
-                assert petresco_identity_holds(grp, xs, n)
+                assert petresco_identity_holds(grp, xs, n, taus)
     for rank, nclass in ((2, 4), (3, 3)):
         grp = FreeNilpotentGroup(rank, nclass)
         for _ in range(100):

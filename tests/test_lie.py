@@ -25,6 +25,7 @@ from lie_oracle import (
     oracle_complete_system_check,
     oracle_endo_pair_satisfies,
     oracle_endomorphism_pair_space,
+    oracle_lazard_table,
     oracle_left_kernel,
     oracle_right_kernel,
     oracle_value,
@@ -34,9 +35,10 @@ from lie_oracle import (
     vectors,
 )
 
+from hallforge import group
 from hallforge import lie as lie_module
 from hallforge import linalg
-from hallforge.errors import ShapeMismatchError
+from hallforge.errors import NotGroupLikeError, ShapeMismatchError
 from hallforge.lie import (
     EndoPair,
     GradedLieRing,
@@ -83,6 +85,55 @@ def test_group_and_algebra_sides_agree():
         assert compare_graded_lie(
             lazard_lie_ring(rank, nclass), free_nilpotent_lie(rank, nclass)
         )
+
+
+def _typed(table):
+    return {pair: {t: (type(c), c) for t, c in row.items()} for pair, row in table.items()}
+
+
+@pytest.mark.parametrize(
+    "rank, nclass",
+    [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 3), (3, 4), (4, 2), (4, 3), (5, 2)],
+)
+def test_lazard_matches_one_commutator_per_pair(rank, nclass):
+    lazard_lie_ring.cache_clear()
+    assert _typed(lazard_lie_ring(rank, nclass).table) == _typed(oracle_lazard_table(rank, nclass))
+
+
+def _solve_off_by_one(real):
+    def solve(self, i, comp):
+        out = real(self, i, comp)
+        if i == 2:
+            out[0] += 1
+        return out
+    return solve
+
+
+def _coords_with_a_generator(real):
+    def coords_from_series(self, s):
+        out = list(real(self, s))
+        out[0] += 1
+        return tuple(out)
+    return coords_from_series
+
+
+@pytest.mark.parametrize(
+    "owner, name, defect, error",
+    [
+        # the self-check of the extraction sees a wrong weight-2 coordinate
+        (group._EngineTables, "solve", _solve_off_by_one, NotGroupLikeError),
+        # a coordinate below weight w_a + w_b is refused by the weight check
+        (group.FreeNilpotentGroup, "coords_from_series", _coords_with_a_generator, RuntimeError),
+    ],
+)
+def test_lazard_raises_on_a_defect_in_extraction(monkeypatch, owner, name, defect, error):
+    monkeypatch.setattr(owner, name, defect(getattr(owner, name)))
+    lazard_lie_ring.cache_clear()
+    try:
+        with pytest.raises(error):
+            lazard_lie_ring(2, 3)
+    finally:
+        lazard_lie_ring.cache_clear()
 
 
 def test_compare_rejects_a_sign_flip_and_names_it():
@@ -462,6 +513,29 @@ def test_equal_results_are_one_object():
     as_fractions = {p: {t: Fraction(c) for t, c in row.items()} for p, row in free.table.items()}
     other = bilinear_from_lie(GradedLieRing(free.dims, as_fractions, free.label))
     assert other is not bil and other.tensor == bil.tensor
+
+
+def test_pair_intern_key_hashes_its_entries_once(monkeypatch):
+    bil = bilinear_from_lie(free_nilpotent_lie(2, 4))
+    [pair] = endomorphism_pair_space(bil)
+    calls = []
+    real = Fraction.__hash__
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counted)
+    key = lie_module._Key((EndoPair, pair.phi1, pair.phi0))
+    built = len(calls)
+    assert built >= len(pair.phi1) ** 2 + len(pair.phi0) ** 2
+    assert hash(key) == hash(key) == hash(key)
+    assert len(calls) == built
+    plain = (EndoPair, pair.phi1, pair.phi0)
+    assert key == plain and hash(key) == hash(plain)
+    # equal pairs, solved again, still intern to the one live object
+    assert endomorphism_pair_space(bil)[0] is pair
+    assert lie_module._SHARED[plain] is pair
 
 
 def test_results_are_read_only():

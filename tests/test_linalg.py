@@ -3,7 +3,8 @@
 The dense Gauss-Jordan below is the reference: the sparse elimination in
 hallforge.linalg must return exactly what it returns. rank,
 independent_rows and invert take sparse rows, so the dense test matrices
-are converted at the call.
+are converted at the call. Rows of ints must give the same results, with
+the same documented types (Fractions, never a float), as rows of Fractions.
 """
 
 from fractions import Fraction
@@ -87,8 +88,12 @@ def _frac_rows(rows):
 
 
 def _sparse(rows):
-    """Dense rows as the sparse rows the library takes: {column: Fraction}, no zeros."""
-    return [{c: Fraction(v) for c, v in enumerate(row) if v} for row in rows]
+    """Dense rows as the sparse rows the library takes: {column: entry}, no zeros."""
+    return [{c: v for c, v in enumerate(row) if v} for row in rows]
+
+
+def _all_fractions(values) -> bool:
+    return all(type(v) is Fraction for v in values)
 
 
 def _dense(rows, ncols):
@@ -168,24 +173,31 @@ _ENTRIES = st.one_of(
 
 
 @st.composite
-def _matrices(draw):
+def _matrices(draw, entries=_ENTRIES, zero=Fraction(0)):
     """0-8 rows by 1-8 columns, drawn from a pool that holds a zero row, so
     that zero, duplicate and all-zero rows all come up."""
     ncols = draw(st.integers(1, 8))
-    row = st.lists(_ENTRIES, min_size=ncols, max_size=ncols)
-    pool = draw(st.lists(row, min_size=1, max_size=8)) + [[Fraction(0)] * ncols]
+    row = st.lists(entries, min_size=ncols, max_size=ncols)
+    pool = draw(st.lists(row, min_size=1, max_size=8)) + [[zero] * ncols]
     picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=8))
     return [list(pool[i]) for i in picks]
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
-@given(_matrices())
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.one_of(_matrices(), _matrices(st.integers(-3, 3), 0)))
 def test_matches_dense_reference(rows):
+    # Fraction rows or int rows: the reference values, as Fractions, never a float
     red, pivots = _oracle_rref(rows)
-    assert linalg.rref(rows) == (red, pivots)
+    got_red, got_pivots = linalg.rref(rows)
+    assert (got_red, got_pivots) == (red, pivots)
+    assert _all_fractions(v for row in got_red for v in row)
     sparse = _sparse(rows)
     assert linalg.rank(sparse) == len(pivots)
-    assert linalg.nullspace(rows) == _oracle_nullspace(rows)
+    null = linalg.nullspace(rows)
+    assert null == _oracle_nullspace(rows) and _all_fractions(v for vec in null for v in vec)
+    if rows:
+        ker = linalg.kernel(sparse, len(rows[0]))
+        assert ker == null and _all_fractions(v for vec in ker for v in vec)
     assert linalg.independent_rows(sparse) == _oracle_independent_rows(rows)
     assert sparse == _sparse(rows)  # the rows are left as they were
     # the sparse rows are n x n when no entry lies past column n - 1
@@ -203,6 +215,7 @@ def test_matches_dense_reference(rows):
         got = linalg.invert(sparse)
         assert all(all(row.values()) for row in got)
         assert _dense(got, n) == want
+        assert _all_fractions(v for row in got for v in row.values())
 
 
 @pytest.mark.parametrize("rank, nclass", [(3, 3), (2, 5)])
@@ -213,3 +226,10 @@ def test_endomorphism_system_nullspace_matches_dense(rank, nclass):
     rows = endomorphism_system(bil)
     assert len(rows[0]) == bil.domain_dim ** 2 + bil.codomain_dim ** 2
     assert linalg.nullspace(rows) == _oracle_nullspace(rows)
+
+
+def test_int_rows_give_fractions_not_floats():
+    assert linalg.invert([{0: 2}]) == [{0: Fraction(1, 2)}]
+    assert _all_fractions(linalg.invert([{0: 2}])[0].values())
+    [vec] = linalg.kernel([{0: 2, 1: 1}], 2)
+    assert vec == [Fraction(-1, 2), Fraction(1)] and _all_fractions(vec)

@@ -107,8 +107,18 @@ def test_petresco_identity_small_exponents():
         g = FreeNilpotentGroup(rank, nclass)
         for _ in range(5):
             xs = [g.random_element(rng, -3, 3) for _ in range(3)]
+            taus = petresco_sequence(g, xs, nclass)
             for n in range(1, 7):
-                assert petresco_identity_holds(g, xs, n)
+                assert petresco_identity_holds(g, xs, n, taus)
+
+
+def test_petresco_identity_reads_the_given_sequence():
+    g = FreeNilpotentGroup(2, 3)
+    xs = (g.generator(1), g.generator(2))
+    taus = petresco_sequence(g, xs, 3)
+    assert petresco_identity_holds(g, xs, 2, taus)
+    # tau_2, a nontrivial commutator, enters at n = 2 once; a sequence without it fails
+    assert not petresco_identity_holds(g, xs, 2, [taus[0], g.identity(), taus[2]])
 
 
 def test_commutator_power_identity():
