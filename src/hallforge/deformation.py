@@ -107,12 +107,16 @@ class DeformedGroup(CoordinateGroup):
     """The base group with its top-weight product twisted by cocycles.
 
     Takes one PolynomialCocycle per generator, each valued in the weight-c
-    block. mul and inv twist the base product directly; pow takes every
-    exponent of the ring through `splitting`, the isomorphism to the base
-    group, built on first use. There is no series image.
+    block, over a base of class at least 2 (at class 1 that block is the
+    generator block, and the twisted product is not associative). mul and
+    inv twist the base product directly; pow takes every exponent of the
+    ring through `splitting`, the isomorphism to the base group, built on
+    first use. There is no series image.
     """
 
     def __init__(self, base: FreeNilpotentGroup, cocycles, check=True):
+        if base.nclass < 2:
+            raise ShapeMismatchError(f"a deformation needs class >= 2, got {base.nclass}")
         cocycles = tuple(cocycles)
         if len(cocycles) != base.rank:
             raise ShapeMismatchError(

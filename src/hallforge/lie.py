@@ -118,8 +118,12 @@ class GradedLieRing:
     """Weight-graded Lie ring with an exact sparse structure-constant table.
 
     table maps a pair of flat basis indices to a sparse dict over flat
-    target indices; missing pairs bracket to zero. Values are exact rationals
-    (integers in every shipped construction). Table and rows are read-only.
+    target indices; missing pairs bracket to zero. The table is graded and
+    zero-free by construction: zero coefficients are dropped, and every
+    target of (a, b) has weight w_a + w_b, since [gamma_i, gamma_j] lies in
+    gamma_{i+j}; any other table raises ShapeMismatchError. The checks read
+    the grading from there. Values are exact rationals (integers in every
+    shipped construction). Table and rows are read-only.
     """
 
     __slots__ = ("dims", "label", "total_dim", "weight_of", "_starts", "table", "__weakref__")
@@ -130,12 +134,15 @@ class GradedLieRing:
         self.total_dim = sum(self.dims)
         self.weight_of = tuple(w for w, n in enumerate(self.dims, start=1) for _ in range(n))
         self._starts = tuple(accumulate(self.dims, initial=0))
-        self.table = MappingProxyType({
-            pair: MappingProxyType(dict(targets)) for pair, targets in table.items() if targets
-        })
+        rows = ((pair, {t: c for t, c in targets.items() if c}) for pair, targets in table.items())
+        self.table = MappingProxyType({pair: MappingProxyType(row) for pair, row in rows if row})
+        w = self.weight_of
         for (a, b), targets in self.table.items():
             if not all(0 <= i < self.total_dim for i in (a, b, *targets)):
-                raise ShapeMismatchError(f"table entry {(a, b)}: {targets} leaves the basis")
+                raise ShapeMismatchError(f"table entry {(a, b)}: {dict(targets)} leaves the basis")
+            if any(w[t] != w[a] + w[b] for t in targets):
+                raise ShapeMismatchError(f"table entry {(a, b)}: {dict(targets)} is not of weight "
+                                         f"{w[a]} + {w[b]}")
 
     @property
     def nclass(self):
@@ -147,25 +154,18 @@ class GradedLieRing:
     def weight_block(self, i):
         return range(self._starts[i - 1], self._starts[i])
 
-    def bracket_basis(self, a, b):
-        """Sparse bracket of two basis elements, as a target -> coeff dict."""
-        return dict(self.table.get((a, b), ()))
-
     def check_antisymmetry(self) -> bool:
-        for a in range(self.total_dim):
-            for b in range(a, self.total_dim):
-                ab = self.bracket_basis(a, b)
-                ba = self.bracket_basis(b, a)
-                targets = set(ab) | set(ba)
-                if any(Fraction(ab.get(t, 0)) + Fraction(ba.get(t, 0)) for t in targets):
-                    return False
-        return True
+        """[b, a] = -[a, b] on every entry; zero-free rows make a diagonal entry fail."""
+        return all(self.table.get((b, a), {}) == {t: -c for t, c in row.items()}
+                   for (a, b), row in self.table.items())
 
     def check_jacobi(self) -> bool:
-        n = self.total_dim
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
+        """Jacobi on every ordered triple of weight sum at most the class: by the
+        grading, no other triple has a nonzero term."""
+        w, c_max = self.weight_of, self.nclass
+        for a in range(self.total_dim):
+            for b in range(self.total_dim):
+                for c in range(self._starts[max(0, c_max - w[a] - w[b])]):
                     total = {}
                     for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
                         inner = _contract(self.table, {x: 1}, {y: 1})
@@ -181,13 +181,8 @@ class GradedLieRing:
         return _common_kernel(self.table, n, [({b: 1}, True) for b in range(n)])
 
     def center_is_top_block(self) -> bool:
-        kernel = self.center_basis()
-        top = self.weight_block(self.nclass)
-        if len(kernel) != self.dims[-1]:
-            return False
-        return all(
-            not v[i] for v in kernel for i in range(self.total_dim) if i not in top
-        )
+        """The grading puts the top block in the center, so equal dimensions suffice."""
+        return len(self.center_basis()) == self.dims[-1]
 
     def _key(self):
         """Everything the ring holds: dims, label and the table with its value types."""
@@ -480,7 +475,7 @@ def weight_two_width(B: BilinearMapData, u) -> int:
         raise ShapeMismatchError("target is nonzero outside the weight-2 block")
 
     def layer(a, b):
-        return {t: c for t, c in B.tensor.get((a, b), {}).items() if t < n2}
+        return B.tensor.get((a, b), {})
 
     wedge = {}  # weight-2 target -> (a, b, c) with a < b and f(e_a, e_b) = c e_t
     for a in range(r):
@@ -516,7 +511,7 @@ def centralizer_weight_kernels(lie: GradedLieRing, j: int) -> list:
     for w in range(1, lie.nclass):
         block = lie.weight_block(w)
         targets = lie.weight_block(w + 1)
-        sub = [{c - block.start: x for c, x in row.items() if c in block}
+        sub = [{c - block.start: x for c, x in row.items()}
                for t, row in rows.items() if t in targets]
         out.append(linalg.kernel(sub, len(block)))
     return out

@@ -46,7 +46,7 @@ from .deformation import (
     zero_cocycle,
 )
 from .group import FreeNilpotentGroup
-from .errors import HallforgeError
+from .errors import HallforgeError, OutOfClassError
 from .lie import (
     EndoPair,
     bilinear_from_lie,
@@ -116,9 +116,8 @@ def _sampled_rows(n: int, draw, laws: dict) -> list:
     named inputs; a law takes those inputs as keyword arguments and only
     evaluates. Samples are drawn in order and never skipped, so the draws
     do not depend on the results, and every law runs on one sample, with
-    the same input objects, before the next is drawn (the power-product
-    laws of words_suite share a sequence on that). A failing row's detail
-    shows the inputs of its first counterexample.
+    the same input objects, before the next is drawn. A failing row's
+    detail shows the inputs of its first counterexample.
     """
     if n < 1:
         raise HallforgeError(f"samples must be at least 1, got {n}")
@@ -439,29 +438,21 @@ def words_suite(rank, nclass, ring: Ring, rng: Random, samples: int | None = Non
     )
     out += _collection_rows(grp, collector, rng, _sample_count(samples, 500))
 
-    # One Petresco sequence per sample for both power-product laws. The slot
-    # holds the latest xs (by identity) and its sequence: _sampled_rows runs
-    # every law on one sample before it draws the next, so the second law
-    # finds the first law's sequence. Any other order only rebuilds it, as a
-    # new xs never matches the one held, so results never depend on the order.
-    latest = {}
-
-    def taus_of(xs):
-        if latest.get("xs") is not xs:
-            latest.update(xs=xs, taus=petresco_sequence(grp, xs, nclass))
-        return latest["taus"]
-
-    def descends(xs):
-        return all(grp.gamma_weight(t) >= k for k, t in enumerate(taus_of(xs), start=1))
-
     m = 2 if rank == 2 else 3
+
+    def draw_tuple():
+        xs = [grp.random_element(rng, -4, 4) for _ in range(m)]
+        return {"xs": xs, "taus": petresco_sequence(grp, xs, nclass)}
+
     out += _sampled_rows(
         _sample_count(samples, 5),
-        lambda: {"xs": [grp.random_element(rng, -4, 4) for _ in range(m)]},
+        draw_tuple,
         {
-            "words: power-product correction terms descend the filtration": descends,
-            "words: power-product identity for n = 1..6": lambda xs: all(
-                petresco_identity_holds(grp, xs, n, taus_of(xs)) for n in range(1, 7)
+            "words: power-product correction terms descend the filtration": lambda xs, taus: all(
+                grp.gamma_weight(t) >= k for k, t in enumerate(taus, start=1)
+            ),
+            "words: power-product identity for n = 1..6": lambda xs, taus: all(
+                petresco_identity_holds(grp, xs, n, taus) for n in range(1, 7)
             ),
         },
     )
@@ -889,7 +880,9 @@ def centralizer_suite(rank, nclass, ring: Ring, rng: Random, samples: int | None
 
 
 def run_all(rank, nclass, ring: Ring = ZZ, seed: int = 0, samples: int | None = None) -> list:
-    """Full verification table for one configuration."""
+    """Full verification table for one configuration of class at least 2."""
+    if nclass < 2:
+        raise OutOfClassError(f"verify serves class >= 2, got {nclass}")
     rng = Random(seed)
     out = []
     out.extend(ring_suite(rng, samples))

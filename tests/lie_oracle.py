@@ -9,12 +9,15 @@ The Lazard table is built the way lazard_lie_ring built it before it kept
 one series per basis entry: one group commutator of two basic elements per
 ordered pair, through the public group API.
 The weight-2 width oracle reads the alternating matrix of a target from the
-Hall basis alone, never from a bracket table. The hypothesis strategies at
-the end draw small integer tables and vectors, and the configurations the
-differential tests run on.
+Hall basis alone, never from a bracket table. The antisymmetry loop over
+all pairs and the support test of the center are the checks GradedLieRing
+made before it read the grading from its constructor. The hypothesis
+strategies at the end draw small integer tables (graded ones for rings)
+and vectors, and the configurations the differential tests run on.
 """
 
 from fractions import Fraction
+from itertools import accumulate
 
 from hypothesis import strategies as st
 
@@ -56,6 +59,18 @@ def _bracket_dict_vec(lie, vec, c):
     return {t: v for t, v in out.items() if v}
 
 
+def oracle_check_antisymmetry(lie):
+    """[a, b] + [b, a] = 0 on all n^2 / 2 unordered pairs, the diagonal included."""
+    n = lie.total_dim
+    for a in range(n):
+        for b in range(a, n):
+            ab = _bracket_dict_basis(lie, a, b)
+            ba = _bracket_dict_basis(lie, b, a)
+            if any(ab.get(t, 0) + ba.get(t, 0) for t in set(ab) | set(ba)):
+                return False
+    return True
+
+
 def oracle_check_jacobi(lie):
     n = lie.total_dim
     for a in range(n):
@@ -88,6 +103,15 @@ def oracle_center_basis(lie):
             basis.append(v)
         return basis
     return linalg.nullspace(rows)
+
+
+def oracle_center_is_top_block(lie):
+    """The center has the top block's dimension and no support below it."""
+    kernel = oracle_center_basis(lie)
+    top = lie.weight_block(lie.nclass)
+    if len(kernel) != lie.dims[-1]:
+        return False
+    return all(not v[i] for v in kernel for i in range(lie.total_dim) if i not in top)
 
 
 def oracle_centralizer_weight_kernels(lie, j):
@@ -325,10 +349,34 @@ def matrices(n):
 
 @st.composite
 def lie_rings(draw):
-    """A GradedLieRing with random weight dimensions and a random integer table."""
+    """A GradedLieRing with random weight dimensions and a random graded integer table.
+
+    At least half of the pairs (a, b) of weight sum within the class get
+    targets in the block of weight w_a + w_b, zero coefficients included;
+    half the draws are alternating by construction, with no diagonal entry.
+    """
     dims = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
-    n = sum(dims)
-    return GradedLieRing(dims, draw(sparse_tables(n, n)))
+    starts = list(accumulate(dims, initial=0))
+    weight = [w for w, d in enumerate(dims, start=1) for _ in range(d)]
+    alternating = draw(st.booleans())
+    n = len(weight)
+    pairs = [
+        (a, b) for a in range(n) for b in range(n)
+        if weight[a] + weight[b] <= len(dims) and dims[weight[a] + weight[b] - 1]
+        and (a < b or not alternating)
+    ]
+    chosen = []
+    if pairs:
+        chosen = draw(st.lists(st.sampled_from(pairs), min_size=len(pairs) // 2, unique=True))
+    table = {}
+    for a, b in chosen:
+        w = weight[a] + weight[b]
+        targets = st.integers(starts[w - 1], starts[w] - 1)
+        row = draw(st.dictionaries(targets, small_ints, max_size=3))
+        table[(a, b)] = row
+        if alternating:
+            table[(b, a)] = {t: -c for t, c in row.items()}
+    return GradedLieRing(dims, table)
 
 
 @st.composite

@@ -106,6 +106,15 @@ def test_deformed_group_validates_cocycles():
         DeformedGroup(base, [zero_cocycle(2), zero_cocycle(2)])
 
 
+def test_deformed_group_refuses_class_one():
+    # at class 1 the top block is the generator block, and this family twists
+    # it into a non-associative product: ((3, 4)(-8, -1))(7, 6) and
+    # (3, 4)((-8, -1)(7, 6)) differ
+    base = FreeNilpotentGroup(2, 1)
+    with pytest.raises(ShapeMismatchError, match="class >= 2"):
+        DeformedGroup(base, _family(base))
+
+
 def test_deformed_axioms_sampled():
     rng = Random(83)
     for rank, nclass in ((2, 2), (2, 3), (3, 2)):

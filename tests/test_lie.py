@@ -19,7 +19,9 @@ from lie_oracle import (
     lie_rings,
     matrices,
     oracle_bracket,
+    oracle_check_antisymmetry,
     oracle_center_basis,
+    oracle_center_is_top_block,
     oracle_centralizer_weight_kernels,
     oracle_check_jacobi,
     oracle_complete_system_check,
@@ -60,9 +62,9 @@ from hallforge.oracles import witt_dimension
 def test_frozen_rank2_class2_brackets():
     lie = lazard_lie_ring(2, 2)
     assert lie.dims == (2, 1)
-    assert lie.bracket_basis(1, 0) == {2: 1}
-    assert lie.bracket_basis(0, 1) == {2: -1}
-    assert lie.bracket_basis(0, 0) == {}
+    assert lie.table[(1, 0)] == {2: 1}
+    assert lie.table[(0, 1)] == {2: -1}
+    assert (0, 0) not in lie.table
 
 
 def test_dims_match_necklace_counts():
@@ -354,12 +356,59 @@ def test_table_indices_must_lie_in_the_basis(table):
         GradedLieRing((2, 1), table)
 
 
+@pytest.mark.parametrize(
+    "dims, table",
+    [((2, 1, 1), {(1, 0): {3: 1}}), ((2, 1, 1), {(2, 0): {2: 1}}), ((2, 1), {(2, 2): {2: 1}})],
+    ids=["weight-three-target", "weight-two-target", "weight-four-pair"],
+)
+def test_an_ungraded_target_is_refused(dims, table):
+    with pytest.raises(ShapeMismatchError, match="not of weight"):
+        GradedLieRing(dims, table)
+
+
+def test_zero_coefficients_are_dropped():
+    lie = GradedLieRing((2, 1, 1), {(1, 0): {2: 1, 3: 0}, (0, 1): {2: -1}, (2, 0): {3: 0}})
+    assert lie.table == {(1, 0): {2: 1}, (0, 1): {2: -1}}
+    assert lie.check_antisymmetry()
+
+
+def test_jacobi_sees_one_changed_weight_three_constant():
+    # [e_a, e_b] and [e_b, e_a] changed together keep the table alternating
+    lie = free_nilpotent_lie(3, 4)
+    w = lie.weight_of
+    (a, b), row = next((p, r) for p, r in lie.table.items() if w[p[0]] + w[p[1]] == 3)
+    t, c = next(iter(row.items()))
+    table = {p: dict(r) for p, r in lie.table.items()}
+    table[(a, b)][t], table[(b, a)][t] = c + 1, -(c + 1)
+    changed = GradedLieRing(lie.dims, table)
+    assert lie.check_jacobi()
+    assert changed.check_antisymmetry()
+    assert not changed.check_jacobi()
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        {(1, 0): {2: 1}, (0, 1): {2: -1}, (0, 0): {2: 1}},
+        {(1, 0): {2: 1}},
+        {(1, 0): {2: 1}, (0, 1): {2: 1}},
+    ],
+    ids=["diagonal", "missing-transpose", "symmetric"],
+)
+def test_antisymmetry_fails(table):
+    lie = GradedLieRing((2, 1), table)
+    assert not lie.check_antisymmetry()
+    assert not oracle_check_antisymmetry(lie)
+
+
 def test_bilinear_requires_central_top_block():
     # zero brackets on two weights: the center is everything, not the top block
-    lie = GradedLieRing((1, 1), {})
-    assert not lie.center_is_top_block()
-    with pytest.raises(ShapeMismatchError):
-        bilinear_from_lie(lie)
+    for dims in ((1, 1), (2, 1)):
+        lie = GradedLieRing(dims, {})
+        assert not lie.center_is_top_block()
+        assert not oracle_center_is_top_block(lie)
+        with pytest.raises(ShapeMismatchError):
+            bilinear_from_lie(lie)
 
 
 def test_centralizer_weight_kernels_rank2_class3():
@@ -393,8 +442,10 @@ def test_ring_methods_match_reference(lie, data):
     n = lie.total_dim
     x, y = data.draw(vectors(n)), data.draw(vectors(n))
     assert _typed(_bracket(lie, x, y)) == _typed(oracle_bracket(lie, x, y))
+    assert lie.check_antisymmetry() == oracle_check_antisymmetry(lie)
     assert lie.check_jacobi() == oracle_check_jacobi(lie)
     assert lie.center_basis() == oracle_center_basis(lie)
+    assert lie.center_is_top_block() == oracle_center_is_top_block(lie)
     for j in range(1, lie.dims[0] + 1):
         assert centralizer_weight_kernels(lie, j) == oracle_centralizer_weight_kernels(lie, j)
 

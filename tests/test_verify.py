@@ -22,7 +22,7 @@ from hallforge.deformation import (
     SplittingIsomorphism,
     zero_cocycle,
 )
-from hallforge.errors import HallforgeError
+from hallforge.errors import HallforgeError, OutOfClassError
 from hallforge.group import FreeNilpotentGroup
 from hallforge.lie import free_nilpotent_lie, weight_two_width
 from hallforge.rings import QQ, ZZ, IntegerRing
@@ -54,6 +54,12 @@ def test_run_all_passes_small_config():
 def test_run_all_rejects_non_positive_samples():
     with pytest.raises(HallforgeError, match="samples"):
         run_all(2, 2, ZZ, seed=0, samples=0)
+
+
+def test_run_all_refuses_class_one():
+    # the command line refuses class 1 too; here the suites would fail on it
+    with pytest.raises(OutOfClassError, match="class >= 2"):
+        run_all(2, 1)
 
 
 @pytest.mark.parametrize(
@@ -213,6 +219,13 @@ BROKEN_ROWS = [
         r"word=\[\(\(\d, \d\), -?\d\)(, \(\(\d, \d\), -?\d\))*\]",
     ),
     (
+        lambda rng: words_suite(2, 3, ZZ, rng, 3),
+        lambda mp: mp.setattr(verify, "petresco_identity_holds", lambda grp, xs, n, taus: False),
+        "words: power-product identity for n = 1..6",
+        r"xs=\[\(-?\d+(, -?\d+){4}\), \(-?\d+(, -?\d+){4}\)\], "
+        r"taus=\[\(-?\d+(, -?\d+){4}\)(, \(-?\d+(, -?\d+){4}\)){2}\]",
+    ),
+    (
         lambda rng: poly_suite(2, 3, rng, 3),
         lambda mp: mp.setattr(verify, "to_binomial_basis", _plus_one(to_binomial_basis)),
         "poly: binomial form evaluates like the monomial form",
@@ -255,7 +268,7 @@ BROKEN_ROWS = [
     "suite, breaks, name, shown",
     BROKEN_ROWS,
     ids=[
-        "ring", "series", "group", "words", "poly", "deformation",
+        "ring", "series", "group", "words", "power-product", "poly", "deformation",
         "iso", "extension-match", "deformed-centralizer", "centralizer",
     ],
 )
