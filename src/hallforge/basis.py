@@ -19,7 +19,8 @@ than ENGINE_WORD_LIMIT words sum_{i <= class} rank^i; the engine shares it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 from .errors import BadRankError, OutOfClassError, ScaleLimitError
 from .series import TruncatedSeries, group_commutator_series
@@ -95,6 +96,16 @@ class HallBasis:
     def weight_block(self, i) -> range:
         start = self.weight_start(i)
         return range(start, start + self.counts[i - 1])
+
+    @cached_property
+    def bracket_pairs(self) -> MappingProxyType:
+        """(a.pair, b.pair) -> (a, b) for the ordered pairs of distinct entries with
+        weight sum at most the class, in entry order: every pair whose bracket a
+        graded table can hold. The keys are built once per basis."""
+        return MappingProxyType({
+            (a.pair, b.pair): (a, b) for a in self.entries for b in self.entries
+            if a is not b and a.weight + b.weight <= self.nclass
+        })
 
     def lie_element(self, entry: BasicCommutator) -> TruncatedSeries:
         """Iterated bracket lie(l)lie(r) - lie(r)lie(l); homogeneous of the weight."""

@@ -18,15 +18,16 @@ needed: both derivations use its closed forms.
   every weight-c index t. The engine runs on x' only, from one series S(x'):
   S(y') is S(x') over the y fields, and the power base is S(x') itself.
 - Structure tails with weight sum c: the commutator map is bilinear into the
-  centre, so [u_B^x, u_A^y] = [u_B, u_A]^(xy); the series of [u_B, u_A] is
-  exactly 1 + L_B L_A - L_A L_B (every other term lies past the class), and
-  one self-checking extraction over the integers gives the tail x y k.
+  centre, so [u_B^x, u_A^y] = [u_B, u_A]^(xy) and the tail is x y k, with k
+  the Hall coordinates of the Lie bracket [L_B, L_A] (lie_coords of the
+  integer group, checked by re-expansion).
 
 Structure polynomials are the special case for [u_high^a, u_low^b]: the tail
-exponents as polynomials in (a, b). They feed the word collector. Below the
-class, the series of u^a, u^-a, u^b and u^-b are built once per basic element
-of weight at most c - 2 straight from their known coordinates, so each
-commutator costs three series products and one self-checking extraction.
+exponents as polynomials in (a, b), one per pair of HallBasis.bracket_pairs.
+They feed the word collector. Below the class, the series of u^a, u^-a, u^b
+and u^-b come from unit_series once per basic element of weight at most
+c - 2, so each commutator costs three series products and one self-checking
+extraction (commutator_coords, which refuses a tail below the weight sum).
 """
 from __future__ import annotations
 
@@ -290,70 +291,36 @@ class StructurePolynomials:
 
 
 @lru_cache(maxsize=None, typed=True)
-def _structure_pairs(rank: int, nclass: int) -> tuple:
-    """The ((pairB, pairA), B, A) triples of the structure tables, built once per configuration.
-
-    B and A run over the basis in index order, B != A, with weight sum within the class.
-    """
-    entries = hall_basis(rank, nclass).entries
-    return tuple(
-        ((eb.pair, ea.pair), eb, ea)
-        for eb in entries
-        for ea in entries
-        if eb.pair != ea.pair and eb.weight + ea.weight <= nclass
-    )
-
-
-@lru_cache(maxsize=None, typed=True)
 def derive_structure_polys(rank: int, nclass: int) -> StructurePolynomials:
     _check_scale(rank, nclass)
     ring2 = PolyRing(("x", "y"))
     grp = FreeNilpotentGroup(rank, nclass, ring2)
     zz = FreeNilpotentGroup(rank, nclass)
     basis = grp.basis
-    xy = ring2.variable("x") * ring2.variable("y")
-
-    def powers(pair, v):
-        """The series of u^v and u^-v, built from their one nonzero coordinate."""
-        coords = [ring2.zero] * len(basis)
-        flat = basis.flat(pair)
-        coords[flat] = v
-        up = grp.series_from_coords(coords)
-        coords[flat] = -v
-        return up, grp.series_from_coords(coords)
+    x, y = ring2.variable("x"), ring2.variable("y")
+    xy = x * y
 
     # Powers of basic elements have known coordinates: their series are built
     # once per entry, with no extraction. Only pairs below the class need
     # them, and each entry of weight <= class - 2 meets a generator there.
-    below = [e.pair for e in basis.entries if e.weight <= nclass - 2]
-    x_powers = {pair: powers(pair, ring2.variable("x")) for pair in below}
-    y_powers = {pair: powers(pair, ring2.variable("y")) for pair in below}
+    below = [e.position for e in basis.entries if e.weight <= nclass - 2]
+    x_units = {f: (grp.unit_series(f, -x), grp.unit_series(f, x)) for f in below}
+    y_units = {f: (grp.unit_series(f, -y), grp.unit_series(f, y)) for f in below}
 
     tables = {}
-    for key, eb, ea in _structure_pairs(rank, nclass):
+    top = basis.weight_block(nclass)
+    for key, (eb, ea) in basis.bracket_pairs.items():
         floor = eb.weight + ea.weight
         if floor == nclass:
             # The commutator map is bilinear into the centre, so
-            # [u_B^x, u_A^y] = [u_B, u_A]^(xy); the series of [u_B, u_A]
-            # is 1 + L_B L_A - L_A L_B, every higher term lying past the class.
+            # [u_B^x, u_A^y] = [u_B, u_A]^(xy) = prod_t u_t^(k_t xy), with k
+            # the Hall coordinates of the Lie bracket [L_B, L_A].
             lb, la = basis.lie_element(eb), basis.lie_element(ea)
-            coords = [k * xy for k in zz.coords_from_series(1 + (lb * la - la * lb))]
+            exponents = zip(top, (k * xy for k in zz.lie_coords(nclass, lb * la - la * lb)))
         else:
-            bx, bx_inv = x_powers[eb.pair]
-            ay, ay_inv = y_powers[ea.pair]
             # [u_B^x, u_A^y] = u_B^-x u_A^-y u_B^x u_A^y, extracted once (self-checking)
-            coords = grp.coords_from_series(bx_inv * ay_inv * bx * ay)
-        entries = []
-        for flat, poly in enumerate(coords):
-            target = basis.entries[flat]
-            if not poly:
-                continue
-            if target.weight < floor:
-                raise RuntimeError(
-                    f"tail of [{eb.pair}^a, {ea.pair}^b] has support at "
-                    f"weight {target.weight} below the weight sum {floor}"
-                )
-            entries.append((target.pair, _table(2, poly)))
-        tails = tuple(entries)
+            u, v = x_units[eb.position], y_units[ea.position]
+            exponents = enumerate(grp.commutator_coords(u, v, floor))
+        tails = tuple((basis.entries[f].pair, _table(2, e)) for f, e in exponents if e)
         tables[key] = _TABLES.setdefault(tails, tails)
     return StructurePolynomials(rank=rank, nclass=nclass, tables=tables)

@@ -25,6 +25,12 @@ Construction multiplies the powers u_j^(a_j) of the nonzero coordinates in
 order, with the degree-aware series product; every power comes from the
 augmentation powers cached per basis entry in the engine tables.
 
+The Lie and polynomial layers read three results off the engine and
+re-derive none: unit_series, the series of one power u_j^a; commutator_coords,
+one checked extraction of u^-1 v^-1 u v that refuses a coordinate below a
+weight floor; and lie_coords, the Hall coordinates of a Lie element,
+confirmed by re-expansion.
+
 The engine refuses configurations past ENGINE_WORD_LIMIT words before any
 table is built, with check_engine_scale from hallforge.basis (re-exported).
 """
@@ -212,13 +218,17 @@ class FreeNilpotentGroup(CoordinateGroup):
             raise ShapeMismatchError(
                 f"{len(coords)} coordinates for a basis of size {len(self.basis)}"
             )
-        t = self._tables
         s = TruncatedSeries.one(self.rank, self.nclass)
         for flat, a in enumerate(coords):
             if not a:
                 continue
-            s = s * series_pow(t.images[flat], a, self.ring, aug_powers=t.augs[flat])
+            s = s * self.unit_series(flat, a)
         return s
+
+    def unit_series(self, flat: int, a) -> TruncatedSeries:
+        """The series of u^a for the basis entry at flat index flat, a in the ring."""
+        t = self._tables
+        return series_pow(t.images[flat], a, self.ring, aug_powers=t.augs[flat])
 
     def to_series(self, g: GroupElement) -> TruncatedSeries:
         self._own(g)
@@ -231,17 +241,14 @@ class FreeNilpotentGroup(CoordinateGroup):
             raise ShapeMismatchError("series shape does not match the group")
         if not s.is_group_like():
             raise NotGroupLikeError("series has constant coefficient != 1")
-        t = self._tables
-        ring = self.ring
         coords = []
         for i in range(1, self.nclass + 1):
-            block = [ring.coerce(acc) for acc in t.solve(i, s.coeffs)]
+            block = [self.ring.coerce(acc) for acc in self._tables.solve(i, s.coeffs)]
             start = self.basis.weight_start(i)
             for j, a in enumerate(block):
                 if not a:
                     continue
-                flat = start + j
-                s = series_pow(t.images[flat], -a, ring, aug_powers=t.augs[flat]) * s
+                s = self.unit_series(start + j, -a) * s
             coords.extend(block)
         if s != TruncatedSeries.one(self.rank, self.nclass):
             raise NotGroupLikeError("series is not a coordinate image over this ring")
@@ -249,6 +256,28 @@ class FreeNilpotentGroup(CoordinateGroup):
 
     def from_series(self, s: TruncatedSeries) -> GroupElement:
         return GroupElement(self, self.coords_from_series(s), series=s)
+
+    def commutator_coords(self, u, v, floor: int) -> tuple:
+        """Coordinates of u^-1 v^-1 u v, u and v given as (inverse, series) pairs, from one
+        self-checking extraction. A nonzero one below weight floor raises RuntimeError:
+        [gamma_i, gamma_j] lies in gamma_{i+j}, so floor i + j never refuses a correct one."""
+        (u_inv, u_series), (v_inv, v_series) = u, v
+        coords = self.coords_from_series(u_inv * v_inv * u_series * v_series)
+        if any(coords[: self.basis.weight_start(floor)]):
+            raise RuntimeError(f"commutator has a coordinate below weight {floor}")
+        return coords
+
+    def lie_coords(self, w: int, element: TruncatedSeries) -> tuple:
+        """Weight-w Hall coordinates of a Lie element: solved at the pivot words, in the
+        ring, and confirmed by re-expansion (RuntimeError outside the weight-w span)."""
+        coeffs = tuple(self.ring.coerce(c) for c in self._tables.solve(w, element.coeffs))
+        residual = element
+        for c, flat in zip(coeffs, self.basis.weight_block(w)):
+            if c:
+                residual = residual - c * self.basis.lie_element(self.basis.entries[flat])
+        if residual.coeffs:
+            raise RuntimeError(f"element is not in the weight-{w} Hall span")
+        return coeffs
 
     # -- arithmetic -----------------------------------------------------------
 

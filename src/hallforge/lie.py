@@ -1,9 +1,10 @@
 """Graded Lie rings attached to the group, and the bilinear-map analysis.
 
-Two constructions of the same object: the Lazard Lie ring reads structure
-constants off group commutators of basic elements (leading-weight
-coordinates), and the free nilpotent Lie ring brackets the Hall Lie
-elements inside the truncated associative algebra and re-expands exactly.
+Two constructions of the same object, over the pairs of
+HallBasis.bracket_pairs: the Lazard Lie ring reads structure constants off
+group commutators of basic elements (leading-weight coordinates, from the
+group's commutator_coords of its unit_series), and the free nilpotent Lie
+ring brackets the Hall Lie elements and re-expands exactly (lie_coords).
 Both are graded by weight, and comparing them end to end is one of the
 strongest convention checks in the library.
 
@@ -31,7 +32,7 @@ from types import MappingProxyType
 
 from . import linalg
 from .errors import ShapeMismatchError
-from .group import FreeNilpotentGroup, _engine_tables
+from .group import FreeNilpotentGroup
 
 
 def _sparse(vec) -> dict:
@@ -194,15 +195,13 @@ class GradedLieRing:
         return f"GradedLieRing(dims={self.dims}, label={self.label!r})"
 
 
-def _ring(basis, nclass: int, label: str, bracket) -> GradedLieRing:
-    """The shared ring: bracket(ea, eb, w) gives the targets of basic a != b, w <= nclass."""
+def _ring(basis, label: str, bracket) -> GradedLieRing:
+    """The shared ring: bracket(ea, eb, w) gives the targets of every pair in basis.bracket_pairs."""
     table = {}
-    for a, ea in enumerate(basis.entries):
-        for b, eb in enumerate(basis.entries):
-            if a != b and ea.weight + eb.weight <= nclass:
-                targets = bracket(ea, eb, ea.weight + eb.weight)
-                if targets:
-                    table[(a, b)] = targets
+    for ea, eb in basis.bracket_pairs.values():
+        targets = bracket(ea, eb, ea.weight + eb.weight)
+        if targets:
+            table[(ea.position, eb.position)] = targets
     lie = GradedLieRing(basis.counts, table, label)
     return _share(lie._key(), lie)
 
@@ -211,60 +210,33 @@ def _ring(basis, nclass: int, label: str, bracket) -> GradedLieRing:
 def lazard_lie_ring(rank: int, nclass: int) -> GradedLieRing:
     """Structure constants from leading coordinates of group commutators.
 
-    The series of u_j and u_j^-1 are built once per basis entry below the
-    class, each from its one coordinate through the cached augmentation
-    powers. Each ordered pair (a, b), in both orders, then costs three
-    series products for [u_a, u_b] = u_a^-1 u_b^-1 u_a u_b and one
-    self-checking extraction; a commutator with a coordinate below weight
-    w_a + w_b raises RuntimeError.
+    The series of u_j^-1 and u_j are built once per entry below the class;
+    each ordered pair then costs three series products and one checked
+    extraction (commutator_coords, refusing coordinates below w_a + w_b).
     """
     grp = FreeNilpotentGroup(rank, nclass)
-
-    def unit(flat, a):
-        coords = [0] * grp.dimension
-        coords[flat] = a
-        return grp.to_series(grp.element(coords))
-
-    below = [grp.basis.entries[f].pair for f in range(grp.basis.weight_start(nclass))]
-    up = {pair: unit(f, 1) for f, pair in enumerate(below)}
-    down = {pair: unit(f, -1) for f, pair in enumerate(below)}
+    units = {f: (grp.unit_series(f, -1), grp.unit_series(f, 1))
+             for f in range(grp.basis.weight_start(nclass))}
 
     def bracket(ea, eb, w):
-        a, b = ea.pair, eb.pair
-        com = grp.from_series(down[a] * down[b] * up[a] * up[b])
-        if grp.gamma_weight(com) < w:
-            raise RuntimeError(f"commutator of weights {ea.weight} and {eb.weight} "
-                               f"has coordinates below weight {w}")
-        return {t: int(com.coords[t]) for t in grp.basis.weight_block(w) if com.coords[t]}
+        coords = grp.commutator_coords(units[ea.position], units[eb.position], w)
+        return {t: coords[t] for t in grp.basis.weight_block(w) if coords[t]}
 
-    return _ring(grp.basis, nclass, f"lazard({rank},{nclass})", bracket)
+    return _ring(grp.basis, f"lazard({rank},{nclass})", bracket)
 
 
 @lru_cache(maxsize=None, typed=True)
 def free_nilpotent_lie(rank: int, nclass: int) -> GradedLieRing:
-    """Structure constants by bracketing Hall Lie elements and re-expanding."""
-    tables = _engine_tables(rank, nclass)
-    basis = tables.basis
+    """Structure constants by bracketing Hall Lie elements and re-expanding (lie_coords)."""
+    grp = FreeNilpotentGroup(rank, nclass)
+    basis = grp.basis
 
     def bracket(ea, eb, w):
         la, lb = basis.lie_element(ea), basis.lie_element(eb)
-        prod = la * lb - lb * la
-        coeffs = tables.solve(w, prod.coeffs)
-        # the solver matches pivot words only; confirm the full expansion
-        block = basis.weight_block(w)
-        residual = prod
-        for c, flat in zip(coeffs, block):
-            if c:
-                residual = residual - c * basis.lie_element(basis.entries[flat])
-        if residual.coeffs:
-            raise RuntimeError(f"bracket of {ea.pair} and {eb.pair} is not in the "
-                               f"weight-{w} Hall span")
-        for c in coeffs:
-            if c.denominator != 1:
-                raise RuntimeError(f"non-integer structure constant {c} at ({ea.pair}, {eb.pair})")
-        return {flat: int(c) for c, flat in zip(coeffs, block) if c}
+        coeffs = grp.lie_coords(w, la * lb - lb * la)
+        return {flat: c for c, flat in zip(coeffs, basis.weight_block(w)) if c}
 
-    return _ring(basis, nclass, f"free({rank},{nclass})", bracket)
+    return _ring(basis, f"free({rank},{nclass})", bracket)
 
 
 def first_difference(A: GradedLieRing, B: GradedLieRing):

@@ -241,7 +241,15 @@ def _random_group_like(rank, nclass, ring, rng) -> TruncatedSeries:
     return (s - s.constant_term) + ring.one
 
 
+def _refuse_class_one(nclass) -> None:
+    """Raise OutOfClassError below class 2: at class 1 every bracket truncates to
+    zero, so the series, poly and Lie suites have nothing to check."""
+    if nclass < 2:
+        raise OutOfClassError(f"verify serves class >= 2, got {nclass}")
+
+
 def series_suite(rank, nclass, ring: Ring, rng: Random, samples: int | None = None) -> list:
+    _refuse_class_one(nclass)
     one = TruncatedSeries.one(rank, nclass)
     inverse = group_like_inverse
 
@@ -474,6 +482,7 @@ def words_suite(rank, nclass, ring: Ring, rng: Random, samples: int | None = Non
 
 
 def poly_suite(rank, nclass, rng: Random, samples: int | None = None) -> list:
+    _refuse_class_one(nclass)
     out = []
     cp = derive_hall_polynomials(rank, nclass)
     grp = FreeNilpotentGroup(rank, nclass, ZZ)
@@ -716,6 +725,7 @@ def deformation_suite(rank, nclass, rng: Random, samples: int | None = None) -> 
 
 
 def lie_suite(rank, nclass) -> list:
+    _refuse_class_one(nclass)
     out = []
     A = lazard_lie_ring(rank, nclass)
     B = free_nilpotent_lie(rank, nclass)
@@ -881,8 +891,7 @@ def centralizer_suite(rank, nclass, ring: Ring, rng: Random, samples: int | None
 
 def run_all(rank, nclass, ring: Ring = ZZ, seed: int = 0, samples: int | None = None) -> list:
     """Full verification table for one configuration of class at least 2."""
-    if nclass < 2:
-        raise OutOfClassError(f"verify serves class >= 2, got {nclass}")
+    _refuse_class_one(nclass)
     rng = Random(seed)
     out = []
     out.extend(ring_suite(rng, samples))

@@ -7,9 +7,12 @@ every test here.
 
 import importlib.util
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+from hallforge.cli import build_parser
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_trajectory.py"
 
@@ -96,3 +99,19 @@ def test_src_digest_names_the_paths(tmp_path):
     before = bench.src_digest(tree)
     (tree / "src" / "pkg" / "b.py").rename(tree / "src" / "pkg" / "c.py")
     assert bench.src_digest(tree) != before
+
+
+def test_verify_is_timed_at_fixed_configurations():
+    assert bench.VERIFY_CONFIGS == ((2, 5), (3, 4), (4, 3))
+
+
+@pytest.mark.parametrize("rank, nclass", [(2, 5), (3, 4), (4, 3)])
+def test_verify_command_is_the_quick_json_verify(rank, nclass):
+    argv = bench.verify_command(rank, nclass)
+    assert argv[0] == sys.executable
+    assert argv[1:] == ["-m", "hallforge.cli", "verify", "--rank", str(rank),
+                        "--class", str(nclass), "--samples", "1", "--seed", "0", "--json"]
+    # the library's own parser reads it as that command, without running it
+    args = build_parser().parse_args(argv[3:])
+    assert (args.command, args.rank, args.nclass) == ("verify", rank, nclass)
+    assert (args.samples, args.seed, args.json, args.ring) == (1, 0, True, "z")

@@ -16,7 +16,8 @@ from poly_oracle import (
     table_dicts,
 )
 
-from hallforge import canonical, series
+from hallforge import series
+from hallforge.basis import hall_basis
 from hallforge.canonical import (
     DESK_SCALE_LIMIT,
     associativity_identity_holds,
@@ -330,13 +331,14 @@ def test_structure_derivation_extracts_once_per_commutator(monkeypatch):
         return extract(grp, s)
 
     monkeypatch.setattr(FreeNilpotentGroup, "coords_from_series", counted_extract)
-    calls = _counted(monkeypatch, FreeNilpotentGroup, ("pow",))
+    calls = _counted(monkeypatch, FreeNilpotentGroup, ("pow", "lie_coords"))
     calls.update(_counted(monkeypatch, series, ("augmentation_powers",)))
     st = derive_structure_polys.__wrapped__(3, 4)  # past the cache, same result
     assert len(st.tables) == 78
-    # the 54 central tails (weight sum 4) from integer brackets, the 24 others over PolyRing
-    assert by_ring == {"ZZ": 54, "PolyRing": 24}
-    assert calls == {"pow": 0, "augmentation_powers": 0}
+    # the 54 central tails (weight sum 4) from the Hall coordinates of Lie
+    # brackets, with no group extraction; the 24 others extracted over PolyRing
+    assert by_ring == {"ZZ": 0, "PolyRing": 24}
+    assert calls == {"pow": 0, "lie_coords": 54, "augmentation_powers": 0}
 
 
 def test_hall_derivation_builds_one_series(monkeypatch):
@@ -362,15 +364,16 @@ def test_derivations_share_names_and_tails():
 
 
 def test_structure_keys_are_built_once_per_configuration():
-    canonical._structure_pairs.cache_clear()
     results = []
     for _ in range(2):
         derive_structure_polys.cache_clear()
         results.append(derive_structure_polys(3, 4))
     st1, st2 = results
     assert st1 is not st2
-    assert list(st1.tables) == list(st2.tables)
-    assert all(k1 is k2 for k1, k2 in zip(st1.tables, st2.tables))
+    # the keys are those of the basis's bracket pairs, built once per basis
+    keys = list(hall_basis(3, 4).bracket_pairs)
+    assert list(st1.tables) == list(st2.tables) == keys
+    assert all(k1 is k2 is k for k1, k2, k in zip(st1.tables, st2.tables, keys))
 
 
 def test_results_hold_tables_only():

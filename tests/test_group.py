@@ -5,6 +5,7 @@ mul/pow/inv with the reference loops in series_oracle.py.
 """
 
 import itertools
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -309,6 +310,51 @@ def test_extraction_refuses_a_tampered_word_off_the_pivots(ring, rank, nclass):
         coeffs[off] = ring.coerce(coeffs.get(off, 0)) + 1
         with pytest.raises(NotGroupLikeError):
             grp.coords_from_series(TruncatedSeries(rank, nclass, coeffs))
+
+
+# -- the interface the Lie and polynomial layers read -------------------------
+
+XY = PolyRing(("x", "y"))
+
+
+@pytest.mark.parametrize(
+    "ring, exponents",
+    [
+        (ZZ, [1, -1, 3, -4]),
+        (QQ, [Fraction(-1, 2), Fraction(5, 3), -2]),
+        (XY, [XY.variable("x"), -XY.variable("y"), XY.variable("x") * XY.variable("y") - 2]),
+    ],
+    ids=["ZZ", "QQ", "Q[x,y]"],
+)
+def test_unit_series_is_the_series_of_one_coordinate(ring, exponents):
+    grp = FreeNilpotentGroup(3, 3, ring)
+    for flat in range(grp.dimension):
+        for a in exponents:
+            coords = [ring.zero] * grp.dimension
+            coords[flat] = ring.coerce(a)
+            assert typed(grp.unit_series(flat, a)) == typed(grp.series_from_coords(coords))
+
+
+def test_commutator_coords_extract_once_and_refuse_below_the_floor():
+    grp = FreeNilpotentGroup(2, 3)
+    u, v = ((grp.unit_series(f, -1), grp.unit_series(f, 1)) for f in (0, 1))
+    want = grp.commutator(grp.generator(1), grp.generator(2)).coords
+    assert grp.commutator_coords(u, v, 2) == want
+    # [u_11, u_12] has its weight-2 coordinate, which a floor of 3 refuses
+    with pytest.raises(RuntimeError, match="below weight 3"):
+        grp.commutator_coords(u, v, 3)
+
+
+def test_lie_coords_solve_in_the_ring_and_refuse_outside_the_span():
+    grp = FreeNilpotentGroup(2, 3)
+    basis = grp.basis
+    x1, x2, u21 = (basis.lie_element(e) for e in basis.entries[:3])
+    assert u21 == x2 * x1 - x1 * x2  # u_21 = [x2, x1]
+    assert typed_coords(grp.lie_coords(2, 3 * (x1 * x2 - x2 * x1))) == [(int, -3)]
+    assert typed_coords(FreeNilpotentGroup(2, 3, QQ).lie_coords(2, u21)) == [(Fraction, 1)]
+    # x1 x2 is not a Lie element, so no Hall coordinates re-expand to it
+    with pytest.raises(RuntimeError, match="weight-2 Hall span"):
+        grp.lie_coords(2, x1 * x2)
 
 
 # -- differential properties against the reference loops ----------------------

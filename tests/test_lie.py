@@ -40,6 +40,7 @@ from lie_oracle import (
 from hallforge import group
 from hallforge import lie as lie_module
 from hallforge import linalg
+from hallforge.canonical import derive_structure_polys
 from hallforge.errors import NotGroupLikeError, ShapeMismatchError
 from hallforge.lie import (
     EndoPair,
@@ -119,7 +120,7 @@ def _coords_with_a_generator(real):
     return coords_from_series
 
 
-@pytest.mark.parametrize(
+EXTRACTION_DEFECTS = pytest.mark.parametrize(
     "owner, name, defect, error",
     [
         # the self-check of the extraction sees a wrong weight-2 coordinate
@@ -128,6 +129,9 @@ def _coords_with_a_generator(real):
         (group.FreeNilpotentGroup, "coords_from_series", _coords_with_a_generator, RuntimeError),
     ],
 )
+
+
+@EXTRACTION_DEFECTS
 def test_lazard_raises_on_a_defect_in_extraction(monkeypatch, owner, name, defect, error):
     monkeypatch.setattr(owner, name, defect(getattr(owner, name)))
     lazard_lie_ring.cache_clear()
@@ -136,6 +140,15 @@ def test_lazard_raises_on_a_defect_in_extraction(monkeypatch, owner, name, defec
             lazard_lie_ring(2, 3)
     finally:
         lazard_lie_ring.cache_clear()
+
+
+@EXTRACTION_DEFECTS
+def test_structure_raises_on_a_defect_in_extraction(monkeypatch, owner, name, defect, error):
+    # the structure tails below the class go through the same extraction and
+    # weight refusal: at (2,3) the first pair, [u_11^x, u_12^y], is one of them
+    monkeypatch.setattr(owner, name, defect(getattr(owner, name)))
+    with pytest.raises(error):
+        derive_structure_polys.__wrapped__(2, 3)  # past the cache
 
 
 def test_compare_rejects_a_sign_flip_and_names_it():

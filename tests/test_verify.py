@@ -65,6 +65,21 @@ def test_run_all_refuses_class_one():
 @pytest.mark.parametrize(
     "suite",
     [
+        lambda: series_suite(2, 1, ZZ, Random(0)),
+        lambda: poly_suite(2, 1, Random(0)),
+        lambda: lie_suite(2, 1),
+    ],
+    ids=["series", "poly", "lie"],
+)
+def test_suites_refuse_class_one(suite):
+    # at class 1 every bracket truncates to zero: nothing for these suites to check
+    with pytest.raises(OutOfClassError, match="class >= 2"):
+        suite()
+
+
+@pytest.mark.parametrize(
+    "suite",
+    [
         lambda rng, n: ring_suite(rng, n),
         lambda rng, n: series_suite(2, 2, ZZ, rng, n),
         lambda rng, n: group_suite(2, 2, ZZ, rng, n),

@@ -13,6 +13,12 @@ The pairs of all workloads are interleaved: pair 0 of every workload, then
 pair 1, and so on. Before every run a library-free calibration loop is
 timed, which shows how fast the host itself was at that moment.
 
+Each pair then times the whole pipeline the same way: one process of
+`hallforge verify --samples 1 --seed 0 --json` per side at each of the
+fixed configurations VERIFY_CONFIGS, whose wall time includes the
+interpreter's start. Both sides must print the same bytes on stdout;
+the file records whether they did, and every exit code.
+
 The base tree is `git archive` of the --base revision, unpacked into a
 temporary directory; the head tree is this checkout as it is on disk, or
 --head REV unpacked the same way. Both trees are byte-compiled before the
@@ -21,7 +27,8 @@ first pair, so neither side pays for compiling in its first run.
 The output file holds, per workload and side, every run's end-to-end
 metrics with their median and quartiles, the head/base ratio of the
 medians, the number of pairs in which the head was better, and whether
-every run printed `correct: true`; beside them the calibration times, the
+every run printed `correct: true`; per verify configuration the same for
+the wall time; beside them the calibration times, the
 Python version, both commits, a host note and, for each side, a SHA-256
 over the paths and bytes of the files under src/ (byte-code caches aside),
 which names the library code measured even for an uncommitted working tree;
@@ -51,6 +58,9 @@ SECONDS = BENCHMARK["run_seconds"]
 SEED = 0  # the seed whose output digests the workloads store
 # direction of each end-to-end metric
 BETTER = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"]}
+# the (rank, class) configurations at which `verify` is timed: rank + class = 7, the
+# desk-scale limit, so every suite runs, the symbolic ones included
+VERIFY_CONFIGS = ((2, 5), (3, 4), (4, 3))
 
 
 def calibrate(n: int = 300_000) -> float:
@@ -116,6 +126,21 @@ def run_once(tree: Path, workload: str) -> dict:
     return json.loads(out.strip().splitlines()[-1])
 
 
+def verify_command(rank: int, nclass: int) -> list:
+    """The argv of one quick `hallforge verify` process at (rank, class)."""
+    return [sys.executable, "-m", "hallforge.cli", "verify", "--rank", str(rank),
+            "--class", str(nclass), "--samples", "1", "--seed", str(SEED), "--json"]
+
+
+def time_verify(tree: Path, rank: int, nclass: int) -> tuple:
+    """Wall seconds, exit code and stdout of one verify process on tree's src/."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    t0 = time.perf_counter()
+    done = subprocess.run(verify_command(rank, nclass), cwd=tree, env=env,
+                          capture_output=True, text=True)
+    return time.perf_counter() - t0, done.returncode, done.stdout
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="git revision of the base tree")
@@ -128,6 +153,7 @@ def main(argv=None) -> int:
         parser.error("--pairs must be at least 1")
 
     runs = {w: {"base": [], "head": []} for w in WORKLOADS}
+    verify = {rc: {"base": [], "head": [], "exit": [], "same_stdout": []} for rc in VERIFY_CONFIGS}
     calib = {"base": [], "head": []}
     with tempfile.TemporaryDirectory(prefix="bench-") as tmp:
         tmp = Path(tmp)
@@ -147,6 +173,16 @@ def main(argv=None) -> int:
                     print(f"pair {k} {w} {side}: correct {res['correct']} "
                           + " ".join(f"{m} {v['value']:.4g}" for m, v in res["metrics"].items()),
                           file=sys.stderr, flush=True)
+            for rc in VERIFY_CONFIGS:
+                stdout = {}
+                for side in order:
+                    calib[side].append(calibrate())
+                    seconds, code, stdout[side] = time_verify(trees[side], *rc)
+                    verify[rc][side].append(seconds)
+                    verify[rc]["exit"].append(code)
+                    print(f"pair {k} verify {rc} {side}: {seconds:.3f} s, exit {code}",
+                          file=sys.stderr, flush=True)
+                verify[rc]["same_stdout"].append(stdout["base"] == stdout["head"])
 
     workloads = {}
     for w, sides in runs.items():
@@ -159,6 +195,18 @@ def main(argv=None) -> int:
         entry["pairs_head_better"] = {
             m: better_pairs(m, entry["base"][m]["runs"], entry["head"][m]["runs"]) for m in BETTER}
         workloads[w] = entry
+
+    verify_doc = {}
+    for (r, c), times in verify.items():
+        base, head = times["base"], times["head"]
+        verify_doc[f"{r},{c}"] = {
+            "argv": verify_command(r, c)[1:],
+            "wall_s": {"base": summary(base), "head": summary(head)},
+            "head_over_base_median": statistics.median(head) / statistics.median(base),
+            "pairs_head_faster": sum(h < b for b, h in zip(base, head)),
+            "all_exit_zero": not any(times["exit"]),
+            "stdout_identical": all(times["same_stdout"]),
+        }
 
     if args.head:
         head = {"rev": args.head, "commit": git("rev-parse", args.head),
@@ -180,6 +228,7 @@ def main(argv=None) -> int:
         "order": "base first in even pairs, head first in odd pairs; workloads interleaved",
         "calibration_s": {side: summary(v) for side, v in calib.items()},
         "workloads": workloads,
+        "verify": verify_doc,
     }
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
