@@ -16,6 +16,11 @@ computations.
 The bracket and the bilinear map are both sparse (a, b) -> {t: c} tables.
 _contract evaluates f(x, y) on sparse vectors, and _map_rows gives the
 sparse linalg rows of x -> f(x, v) or x -> f(v, x); no dense row is formed.
+Inside, values stay ints where the data are integral: the ring tables of
+the shipped constructions are int, so the center and centralizer kernels
+reduce int rows, and the compatible-pair solve builds its equations from
+an int view of the tensor and of M^-1 (_int_view). linalg returns every
+result as Fractions, and so does every public function here.
 Results are read-only and shared by value (_SHARED). compare_graded_lie is
 exact equality: a sign flip of basis elements is not repaired, and
 first_difference names the first structure constant that differs.
@@ -69,7 +74,10 @@ def _combine(coeffs: dict, vectors) -> dict:
 def _map_rows(table, maps) -> list:
     """Rows of x -> f(x, v) (v_right) or x -> f(v, x): one {target: row} dict per
     (v, v_right) in maps, a row for each target that f reaches from v (empty if
-    it cancels). The table is indexed by its fixed factor once for all maps."""
+    it cancels). The table is indexed by its fixed factor once for all maps.
+    Entries keep the types of the products of table and v values: int over an
+    int table and int vectors, which linalg reduces as ints and returns as
+    Fractions."""
     index = {}
     for side in {v_right for _, v_right in maps}:
         for (a, b), targets in table.items():
@@ -83,8 +91,14 @@ def _map_rows(table, maps) -> list:
                 for t, c in targets.items():
                     row = rows.setdefault(t, {})
                     row[col] = row.get(col, 0) + cv * c
-        out.append({t: _sparse(row) for t, row in rows.items()})
+        out.append({t: {c: x for c, x in row.items() if x} for t, row in rows.items()})
     return out
+
+
+def _int_view(row) -> dict:
+    """The nonzero entries of a sparse row, each of denominator 1 as its int
+    numerator; the others stay Fractions."""
+    return {k: v.numerator if v.denominator == 1 else v for k, v in row.items() if v}
 
 
 def _common_kernel(table, n: int, maps) -> list:
@@ -367,14 +381,22 @@ def endomorphism_pair_space(B: BilinearMapData) -> list:
     f(phi1 e_a, e_b) = sum_k c_k F_k = f(e_a, phi1 e_b) over the m^2 entries
     of phi1 (row-major); their nullspace is the basis, with phi0 e_t =
     sum_k (M^-1)[t][k] F_k. For a free nilpotent Lie ring: the scalar line.
+
+    The equations are built from the int views of the tensor and of M^-1,
+    where an entry of denominator 1 is an int and any other stays a
+    Fraction; over a free nilpotent Lie ring every coefficient is then an
+    int, and the elimination meets mostly unit pivots. phi0 is read off
+    through the Fraction M^-1, and every entry of phi1 and phi0 is a Fraction.
     """
     m, n = B.domain_dim, B.codomain_dim
     chosen = B._value_basis()
     if len(chosen) != n:
         raise ShapeMismatchError("compatible pairs need a full map, whose values span the codomain")
-    minv = linalg.invert([_sparse(B.tensor[p]) for p in chosen])
-    lefts = _map_rows(B.tensor, [({b: 1}, True) for b in range(m)])  # [b][w] = {s: T(s, b)_w}
-    rights = _map_rows(B.tensor, [({a: 1}, False) for a in range(m)])  # [a][w] = {s: T(a, s)_w}
+    tensor = {p: _int_view(targets) for p, targets in B.tensor.items()}
+    minv = linalg.invert([tensor[p] for p in chosen])
+    minv_int = [_int_view(row) for row in minv]
+    lefts = _map_rows(tensor, [({b: 1}, True) for b in range(m)])  # [b][w] = {s: T(s, b)_w}
+    rights = _map_rows(tensor, [({a: 1}, False) for a in range(m)])  # [a][w] = {s: T(a, s)_w}
 
     def image(rows, j):  # f(phi1 e_j, e_b) from lefts[b], f(e_a, phi1 e_j) from rights[a]
         return {w: {s * m + j: c for s, c in row.items()} for w, row in rows.items()}
@@ -382,14 +404,14 @@ def endomorphism_pair_space(B: BilinearMapData) -> list:
     base = [image(lefts[b], a) for a, b in chosen]
     rows = []
     for a, b in product(range(m), repeat=2):
-        coords = _combine(B.tensor.get((a, b), {}), minv)
+        coords = _combine(tensor.get((a, b), {}), minv_int)
         for eq in (image(lefts[b], a), image(rights[a], b)):
             for k, ck in coords.items():
                 for w, brow in base[k].items():
                     row = eq.setdefault(w, {})
                     for col, v in brow.items():
                         row[col] = row.get(col, 0) - ck * v
-            rows += ({c: x for c, x in r.items() if x} for r in eq.values())  # Fractions
+            rows += ({c: x for c, x in r.items() if x} for r in eq.values())
     zero, out = Fraction(0), []
     for vec in linalg.kernel(rows, m * m):
         phi1 = tuple(tuple(vec[i * m : (i + 1) * m]) for i in range(m))

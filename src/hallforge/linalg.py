@@ -12,10 +12,15 @@ form. `rref` and `nullspace` are the dense forms, lists of rows, for
 callers outside the library; they convert their rows first. No function
 modifies the rows it is given.
 
-Entries may be int or Fraction, mixed freely. A pivot row is scaled by
-Fraction(1) / pivot, so every reduced row holds Fractions whatever the
-input types: `kernel`, `rref` and `nullspace` return lists of Fractions,
-`invert` returns sparse rows of Fractions, and no float ever appears.
+Entries may be int or Fraction, mixed freely. A pivot of 1 keeps its row
+as it is (copied), a pivot of -1 negates it, and any other pivot scales it
+by Fraction(1) / pivot. So rows of ints stay ints through the core for as
+long as every pivot they meet is a unit, which keeps the mostly unimodular
+compatible-pair equations off Fraction arithmetic, and the core never
+divides an int by an int. Types are fixed at the boundary: `kernel` and
+`invert` convert their results, and `rref` and `nullspace` convert their
+input rows, so they return lists of Fractions or sparse rows of Fractions
+whatever the input types, and no float ever appears.
 
 The core reduces each input row in turn against a basis of fully reduced,
 normalized rows keyed by pivot column. A row that is still nonzero takes its
@@ -34,14 +39,15 @@ from fractions import Fraction
 Matrix = list[list[Fraction]]
 
 
-def _eliminate(rows) -> tuple[dict[int, dict[int, Fraction]], list[int]]:
+def _eliminate(rows) -> tuple[dict[int, dict], list[int]]:
     """Reduce sparse rows ({col: int or Fraction}, no zero values) in order.
 
     Returns (basis, added): basis maps each pivot column to its normalized,
     fully reduced row, and added lists the indices of the rows that gave a
-    new pivot, in input order.
+    new pivot, in input order. Basis entries are ints where the arithmetic
+    kept them so, else Fractions.
     """
-    basis: dict[int, dict[int, Fraction]] = {}
+    basis: dict[int, dict] = {}
     added: list[int] = []
     for index, row in enumerate(rows):
         # basis rows vanish in every other pivot column, so one pass over the
@@ -55,8 +61,14 @@ def _eliminate(rows) -> tuple[dict[int, dict[int, Fraction]], list[int]]:
         if not row:
             continue
         pivot = min(row)
-        inv = Fraction(1) / row[pivot]
-        row = {c: v * inv for c, v in row.items()}
+        pv = row[pivot]
+        if pv == 1:
+            row = dict(row)  # basis rows change later: never keep the caller's dict
+        elif pv == -1:
+            row = {c: -v for c, v in row.items()}
+        else:
+            inv = Fraction(1) / pv
+            row = {c: v * inv for c, v in row.items()}
         for brow in basis.values():
             if pivot in brow:
                 _subtract(brow, brow.pop(pivot), row, pivot)
@@ -65,7 +77,7 @@ def _eliminate(rows) -> tuple[dict[int, dict[int, Fraction]], list[int]]:
     return basis, added
 
 
-def _subtract(target: dict, f: Fraction, row: dict, skip: int) -> None:
+def _subtract(target: dict, f: int | Fraction, row: dict, skip: int) -> None:
     """target -= f * row on every column but skip, dropping entries that vanish."""
     for c, v in row.items():
         if c != skip:
@@ -131,7 +143,7 @@ def kernel(rows, ncols: int) -> list[list[Fraction]]:
     for p, row in basis.items():
         for c, x in row.items():
             if c != p:
-                free[c][p] = -x
+                free[c][p] = Fraction(-x)
     return list(free.values())
 
 
@@ -145,7 +157,7 @@ def invert(rows) -> list[dict[int, Fraction]]:
     n = len(rows)
     if any(not 0 <= c < n for row in rows for c in row):
         raise ValueError("matrix is not square")
-    basis, _ = _eliminate({**row, n + i: Fraction(1)} for i, row in enumerate(rows))
+    basis, _ = _eliminate({**row, n + i: 1} for i, row in enumerate(rows))
     if any(p >= n for p in basis):
         raise ValueError("matrix is singular")
-    return [{c - n: x for c, x in basis[t].items() if c >= n} for t in range(n)]
+    return [{c - n: Fraction(x) for c, x in basis[t].items() if c >= n} for t in range(n)]

@@ -243,7 +243,8 @@ def _random_group_like(rank, nclass, ring, rng) -> TruncatedSeries:
 
 def _refuse_class_one(nclass) -> None:
     """Raise OutOfClassError below class 2: at class 1 every bracket truncates to
-    zero, so the series, poly and Lie suites have nothing to check."""
+    zero and the group is abelian, so no suite has anything to check there. Every
+    suite but ring_suite calls it first, and so does run_all."""
     if nclass < 2:
         raise OutOfClassError(f"verify serves class >= 2, got {nclass}")
 
@@ -353,6 +354,7 @@ def series_suite(rank, nclass, ring: Ring, rng: Random, samples: int | None = No
 
 
 def group_suite(rank, nclass, ring: Ring, rng: Random, samples: int | None = None) -> list:
+    _refuse_class_one(nclass)
     grp = FreeNilpotentGroup(rank, nclass, ring)
     e = grp.identity()
     mul, pow_, weight = grp.mul, grp.pow, grp.gamma_weight
@@ -422,6 +424,7 @@ def _collection_rows(grp, collector: Collector, rng: Random, n: int) -> list:
 
 
 def words_suite(rank, nclass, ring: Ring, rng: Random, samples: int | None = None) -> list:
+    _refuse_class_one(nclass)
     grp = FreeNilpotentGroup(rank, nclass, ring)
     collector = Collector(grp, derive_structure_polys(rank, nclass))
 
@@ -622,6 +625,7 @@ def extension_rows(ext: ExtensionCocycle, rng: Random, n: int) -> list:
 
 
 def deformation_suite(rank, nclass, rng: Random, samples: int | None = None) -> list:
+    _refuse_class_one(nclass)
     out = []
     base = FreeNilpotentGroup(rank, nclass, ZZ)
     n_c = base.basis.counts[-1]
@@ -872,6 +876,7 @@ def centralizer_structure_check(grp: FreeNilpotentGroup, j: int, rng: Random, sa
 
 
 def centralizer_suite(rank, nclass, ring: Ring, rng: Random, samples: int | None = None) -> list:
+    _refuse_class_one(nclass)
     grp = FreeNilpotentGroup(rank, nclass, ring)
     out = []
     for j in range(1, rank + 1):

@@ -396,3 +396,17 @@ def bilinear_maps(draw, max_domain=3):
         if targets
     }
     return B
+
+
+@st.composite
+def half_integral_bilinear_maps(draw, max_domain=3):
+    """A bilinear_maps draw with each tensor entry halved or kept, at random.
+
+    The entries lie in (1/2)Z, so both the ints and the Fractions of the
+    int view in the compatible-pair solve come up, and M^-1 is not integral.
+    """
+    B = draw(bilinear_maps(max_domain))
+    halve = st.booleans()
+    B.tensor = {pair: {t: c / 2 if draw(halve) else c for t, c in targets.items()}
+                for pair, targets in B.tensor.items()}
+    return B

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from lie_oracle import (
     CONFIGS,
     bilinear_maps,
+    half_integral_bilinear_maps,
     lie_rings,
     matrices,
     oracle_bracket,
@@ -539,19 +540,36 @@ def _flat(pairs):
     return [[v for mat in (p.phi1, p.phi0) for row in mat for v in row] for p in pairs]
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(bilinear_maps())
-def test_endomorphism_pair_span_matches_the_dense_system(bil):
-    # compatible pairs are defined for full maps only; on those the basis may
-    # differ from the dense system's, but the span may not
+def _check_pair_span(bil) -> list:
+    """The compatible pairs of bil, checked against the dense system.
+
+    They are defined for full maps only (else [] after the refusal); on those
+    the basis may differ from the dense system's, but the span may not.
+    """
     n = bil.codomain_dim
     dense_values = [[targets.get(t, 0) for t in range(n)] for targets in bil.tensor.values()]
     if linalg.rank([{t: v for t, v in enumerate(row) if v} for row in dense_values]) < n:
         with pytest.raises(ShapeMismatchError):
             endomorphism_pair_space(bil)
-        return
-    got = _flat(endomorphism_pair_space(bil))
-    assert linalg.rref(got) == linalg.rref(_flat(oracle_endomorphism_pair_space(bil)))
+        return []
+    pairs = endomorphism_pair_space(bil)
+    assert linalg.rref(_flat(pairs)) == linalg.rref(_flat(oracle_endomorphism_pair_space(bil)))
+    return pairs
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(bilinear_maps())
+def test_endomorphism_pair_span_matches_the_dense_system(bil):
+    _check_pair_span(bil)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(half_integral_bilinear_maps())
+def test_half_integral_pair_span_matches_the_dense_system(bil):
+    # the solve takes an int view of the tensor and of M^-1; a half stays a
+    # Fraction there, and every entry of phi1 and phi0 is a Fraction
+    pairs = _check_pair_span(bil)
+    assert all(type(v) is Fraction for vec in _flat(pairs) for v in vec)
 
 
 # -- shared, read-only results ------------------------------------------------------

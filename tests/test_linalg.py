@@ -233,3 +233,40 @@ def test_int_rows_give_fractions_not_floats():
     assert _all_fractions(linalg.invert([{0: 2}])[0].values())
     [vec] = linalg.kernel([{0: 2, 1: 1}], 2)
     assert vec == [Fraction(-1, 2), Fraction(1)] and _all_fractions(vec)
+
+
+def _typed_rows(rows):
+    return [[(c, type(v), v) for c, v in row.items()] for row in rows]
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # a pivot of 1 and of -1 with no earlier hits, each cleared by the next row
+        [{0: 1, 1: 1}, {1: 1}],
+        [{0: -1, 1: 2}, {1: 1}],
+        [{0: Fraction(1), 1: Fraction(1, 2)}, {1: Fraction(3)}],
+        [{0: Fraction(-1), 1: Fraction(2, 3)}, {1: Fraction(-1)}],
+        # mixed: unit pivots of both signs, a scaled pivot and a dependent row
+        [{0: 1, 2: Fraction(1, 2)}, {1: -1, 2: 3}, {2: 2}],
+        [{1: -1, 2: 1}, {0: Fraction(1), 1: 2}, {0: 1, 1: 1, 2: 1}],
+    ],
+    ids=["int+1", "int-1", "fraction+1", "fraction-1", "mixed", "mixed-dependent"],
+)
+def test_no_function_modifies_its_rows(rows):
+    # a unit-pivot row stays as it is, so the core must still copy it before
+    # a later pivot clears its column
+    before = _typed_rows(rows)
+    ncols = 1 + max(c for row in rows for c in row)
+    linalg.rank(rows)
+    linalg.independent_rows(rows)
+    ker = linalg.kernel(rows, ncols)
+    assert _typed_rows(rows) == before
+    assert _all_fractions(v for vec in ker for v in vec)
+    try:
+        inv = linalg.invert(rows)
+    except ValueError:
+        pass
+    else:
+        assert _all_fractions(v for row in inv for v in row.values())
+    assert _typed_rows(rows) == before

@@ -68,11 +68,15 @@ def test_run_all_refuses_class_one():
         lambda: series_suite(2, 1, ZZ, Random(0)),
         lambda: poly_suite(2, 1, Random(0)),
         lambda: lie_suite(2, 1),
+        lambda: group_suite(2, 1, ZZ, Random(0)),
+        lambda: words_suite(2, 1, ZZ, Random(0)),
+        lambda: deformation_suite(2, 1, Random(0)),
+        lambda: centralizer_suite(2, 1, ZZ, Random(0)),
     ],
-    ids=["series", "poly", "lie"],
+    ids=["series", "poly", "lie", "group", "words", "deformation", "centralizer"],
 )
 def test_suites_refuse_class_one(suite):
-    # at class 1 every bracket truncates to zero: nothing for these suites to check
+    # at class 1 every bracket truncates to zero: nothing for any suite to check
     with pytest.raises(OutOfClassError, match="class >= 2"):
         suite()
 
