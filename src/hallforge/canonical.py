@@ -38,7 +38,16 @@ from functools import cached_property, lru_cache
 from .basis import check_config_types, hall_basis
 from .errors import NonIntegerCoefficientError, ScaleLimitError
 from .group import FreeNilpotentGroup
-from .rings import EXPONENT_BITS, _FIELD, BinomialTable, Poly, PolyRing, Ring, _unpack
+from .rings import (
+    EXPONENT_BITS,
+    _FIELD,
+    BinomialTable,
+    Poly,
+    PolyRing,
+    Ring,
+    _unpack,
+    evaluate_tables,
+)
 from .series import TruncatedSeries, series_pow
 
 DESK_SCALE_LIMIT = 7  # largest rank + class for symbolic derivation
@@ -117,8 +126,7 @@ def _packed_binomial_basis(poly: Poly) -> dict:
 def _table_polys(tables, variables) -> tuple:
     """The polynomials of binomial tables, as Polys over the given variables."""
     ring = PolyRing(variables)
-    point = [ring.variable(v) for v in variables]
-    return tuple(t.evaluate(point, ring) for t in tables)
+    return tuple(evaluate_tables(tables, [ring.variable(v) for v in variables], ring))
 
 
 @dataclass(frozen=True)
@@ -129,7 +137,9 @@ class CanonicalPolynomials:
     flat basis order; power variables are the base coordinates then the single
     exponent variable, which is always last. Only the binomial tables are
     stored; `p` and `q` are read-only views of them as Polys, built on first
-    access.
+    access. mul_coords and pow_coords evaluate the whole table set at one
+    point (evaluate_tables), so each binomial of a coordinate is computed
+    once per product or power.
     """
 
     rank: int
@@ -148,12 +158,10 @@ class CanonicalPolynomials:
         return _table_polys(self.q_tables, self.pow_vars)
 
     def mul_coords(self, a_coords, b_coords, ring: Ring):
-        point = list(a_coords) + list(b_coords)
-        return tuple(t.evaluate(point, ring) for t in self.p_tables)
+        return tuple(evaluate_tables(self.p_tables, [*a_coords, *b_coords], ring))
 
     def pow_coords(self, a_coords, exponent, ring: Ring):
-        point = list(a_coords) + [exponent]
-        return tuple(t.evaluate(point, ring) for t in self.q_tables)
+        return tuple(evaluate_tables(self.q_tables, [*a_coords, exponent], ring))
 
 
 def coordinate_names(basis, prefix: str):
@@ -263,7 +271,9 @@ class StructurePolynomials:
     [u_B^a, u_A^b] = product over pairs t of u_t^(tail[B,A][t](a, b)), the tail
     running in index order and supported on weights >= weight(B) + weight(A).
     Only the tables are stored; `polys` is a read-only view of them as Polys
-    in (x, y), built on first access.
+    in (x, y), built on first access. tail_letters evaluates one key's tails
+    as one table set (evaluate_tables), and returns [] at once for a key
+    without tails, which is most calls of the collector.
     """
 
     rank: int
@@ -281,13 +291,11 @@ class StructurePolynomials:
         }
 
     def tail_letters(self, high_pair, low_pair, a, b, ring: Ring):
-        key = (tuple(high_pair), tuple(low_pair))
-        out = []
-        for pair, table in self.tables.get(key, ()):
-            e = table.evaluate((a, b), ring)
-            if e:
-                out.append((pair, e))
-        return out
+        tails = self.tables.get((tuple(high_pair), tuple(low_pair)))
+        if not tails:
+            return []
+        values = evaluate_tables([table for _, table in tails], (a, b), ring)
+        return [(pair, e) for (pair, _), e in zip(tails, values) if e]
 
 
 @lru_cache(maxsize=None, typed=True)

@@ -24,7 +24,7 @@ from functools import cached_property
 
 from .errors import CocycleViolationError, ShapeMismatchError, SplitFailureError
 from .group import CoordinateGroup, FreeNilpotentGroup, GroupElement
-from .rings import ZZ, BinomialTable, PolyRing, Ring
+from .rings import ZZ, BinomialTable, PolyRing, Ring, evaluate_tables
 
 
 class PolynomialCocycle:
@@ -32,6 +32,8 @@ class PolynomialCocycle:
 
     One arity-2 table per weight-c coordinate; evaluation stays inside any
     binomial ring, so one object serves Z, Q and polynomial coefficients.
+    value evaluates all components as one table set (evaluate_tables), so
+    each binom(a, i) and binom(b, j) is computed once per call.
     """
 
     def __init__(self, components):
@@ -50,7 +52,7 @@ class PolynomialCocycle:
         return len(self.components)
 
     def value(self, a, b, ring: Ring):
-        return tuple(t.evaluate((a, b), ring) for t in self.components)
+        return tuple(evaluate_tables(self.components, (a, b), ring))
 
     def __eq__(self, other):
         if not isinstance(other, PolynomialCocycle):
@@ -234,14 +236,15 @@ class DeformedGroup(CoordinateGroup):
 class Splitting:
     """psi with f(a, b) = psi(a + b) - psi(a) - psi(b), one arity-1 table per component.
 
-    Evaluates inside any binomial ring, like a polynomial cocycle; called on
-    an integer, it gives the integer values.
+    Evaluates inside any binomial ring, like a polynomial cocycle, all
+    components as one table set (evaluate_tables); called on an integer, it
+    gives the integer values.
     """
 
     components: tuple
 
     def value(self, a, ring: Ring):
-        return tuple(t.evaluate((a,), ring) for t in self.components)
+        return tuple(evaluate_tables(self.components, (a,), ring))
 
     def __call__(self, a):
         return self.value(a, ZZ)

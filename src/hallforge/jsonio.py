@@ -124,6 +124,8 @@ def table_from_dict_obj(obj, arity: int):
     for item in obj:
         degrees = tuple(_field(item, "degrees", list, "a table term"))
         coeff = _field(item, "coeff", str, "a table term")
+        if degrees in entries:
+            raise ShapeMismatchError(f"table degrees {list(degrees)} come twice")
         try:
             entries[degrees] = ZZ.parse(coeff)
         except NotInRingError:

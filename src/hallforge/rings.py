@@ -10,6 +10,10 @@ of a(a-1)...(a-k+1) = x * k!.
 Integer-valued polynomials are handled through the binomial-product basis:
 an integer coefficient table keyed by per-variable binomial degrees, which
 evaluates inside any binomial ring without leaving it (BinomialTable).
+evaluate_tables is the one evaluator of such tables: it takes a set of them
+at one point and computes each binom(point[v], r) once for the whole set.
+The number rings override binom with integer arithmetic (math.comb, one
+falling factorial); the generic loop serves polynomials and the fallbacks.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from .errors import (
     ArityMismatchError,
     MixedRingsError,
     NonBinomialError,
+    NonIntegerCoefficientError,
     NotInRingError,
     ScaleLimitError,
 )
@@ -392,6 +397,14 @@ class Ring:
 _NUMBER = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
+def _int_binom(a: int, k: int) -> int:
+    """binom(a, k) for an int a and an int k >= 0; binom(-a, k) = (-1)^k binom(a + k - 1, k)."""
+    if a >= 0:
+        return math.comb(a, k)
+    b = math.comb(k - a - 1, k)
+    return -b if k & 1 else b
+
+
 def _parse_int(s: str) -> int:
     """int(s) for a string of ASCII digits; ScaleLimitError where Python refuses that many."""
     try:
@@ -425,6 +438,12 @@ class IntegerRing(Ring):
             raise NonBinomialError(f"{x} is not divisible by {k}!")
         return q
 
+    def binom(self, a, k: int):
+        """math.comb for int arguments; the generic loop coerces and checks the rest."""
+        if type(a) is int and type(k) is int and k >= 0:
+            return _int_binom(a, k)
+        return super().binom(a, k)
+
     def random_element(self, rng, lo=-9, hi=9):
         return rng.randint(lo, hi)
 
@@ -451,6 +470,18 @@ class RationalRing(Ring):
 
     def _div_by_factorial(self, x, k):
         return x / math.factorial(k)
+
+    def binom(self, a, k: int):
+        """For a = p/q: one integer falling factorial prod_i (p - iq) over q^k k!."""
+        if type(a) in (int, Fraction) and type(k) is int and k >= 0:
+            p, q = a.numerator, a.denominator
+            if q == 1:
+                return Fraction(_int_binom(p, k))
+            num = 1
+            for i in range(k):
+                num *= p - i * q
+            return Fraction(num, q**k * math.factorial(k))
+        return super().binom(a, k)
 
     def random_element(self, rng, lo=-9, hi=9):
         return Fraction(rng.randint(lo, hi), rng.randint(1, 4))
@@ -517,22 +548,39 @@ QQ = RationalRing()
 # -- integer binomial-basis forms --------------------------------------------
 
 
-# Each distinct flat key, and each distinct tuple of keys, is stored once and
-# shared by every table, as interned strings are: derived tables repeat them
-# heavily (at (3,4) the product tables hold 481 keys, 335 of them distinct).
+# Each distinct (variable, degree) pair, each distinct tuple of them and each
+# distinct tuple of those is stored once and shared by every table, as interned
+# strings are: derived tables repeat them heavily (at (3,4) the product tables
+# hold 481 keys, 335 of them distinct).
 _KEYS: dict = {}
+
+
+def _interned(key):
+    return _KEYS.setdefault(key, key)
+
+
+def _int_coeff(c, degrees) -> int:
+    """c as an int: an int, or a Fraction of denominator 1; NonIntegerCoefficientError else."""
+    if isinstance(c, Fraction):
+        if c.denominator == 1:
+            return c.numerator
+    elif isinstance(c, int):
+        return int(c)
+    raise NonIntegerCoefficientError(f"table coefficient {c!r} at {degrees} is not an integer")
 
 
 class BinomialTable:
     """Integer coefficients over the binomial-product basis, fixed arity.
 
     Stored sparsely in two parallel tuples: keys[j] lists the nonzero degrees
-    of term j as a flat (variable, degree, variable, degree, ...) tuple, and
-    values[j] is its integer coefficient. `coeffs` is the dense view, a
-    tuple of (degree tuple, int) pairs; from_dict sorts it. The degrees are
-    checked once, on construction: each is an int from 0 to MAX_EXPONENT, the
-    bound Poly puts on its exponents. Evaluation reads the sparse keys
-    directly, computing each binom(point[v], r) once per call.
+    of term j as a tuple of interned (variable, degree) pairs, and values[j]
+    is its int coefficient. `coeffs` is the dense view, a tuple of (degree
+    tuple, int) pairs; from_dict sorts it. The terms are checked once, on
+    construction: each degree is an int from 0 to MAX_EXPONENT, the bound
+    Poly puts on its exponents; each coefficient is an integer (an int or an
+    integral Fraction, stored as int), else NonIntegerCoefficientError; and
+    no degree tuple comes twice, else ArityMismatchError. Evaluation is
+    evaluate_tables, which reads the pairs directly.
     """
 
     __slots__ = ("arity", "keys", "values")
@@ -545,11 +593,12 @@ class BinomialTable:
             )
         keys = []
         values = []
+        seen = set()
         for exps, c in coeffs:
             e = tuple(exps)
             if len(e) != arity:
                 raise ArityMismatchError(f"key {e} in table of arity {arity}")
-            flat = []
+            factors = []
             for v, r in enumerate(e):
                 if type(r) is not int or r < 0:
                     raise ArityMismatchError(
@@ -560,13 +609,14 @@ class BinomialTable:
                         f"binomial degree {r} in {e} exceeds MAX_EXPONENT = {MAX_EXPONENT}"
                     )
                 if r:
-                    flat += (v, r)
-            flat = tuple(flat)
-            keys.append(_KEYS.setdefault(flat, flat))
-            values.append(int(c))
+                    factors.append(_interned((v, r)))
+            if e in seen:
+                raise ArityMismatchError(f"degrees {e} come twice in one table")
+            seen.add(e)
+            keys.append(_interned(tuple(factors)))
+            values.append(_int_coeff(c, e))
         object.__setattr__(self, "arity", arity)
-        keys = tuple(keys)
-        object.__setattr__(self, "keys", _KEYS.setdefault(keys, keys))
+        object.__setattr__(self, "keys", _interned(tuple(keys)))
         object.__setattr__(self, "values", tuple(values))
 
     def __setattr__(self, name, value):
@@ -579,15 +629,14 @@ class BinomialTable:
 
     @classmethod
     def from_dict(cls, arity, table):
-        return cls(arity, sorted((tuple(e), int(c)) for e, c in table.items() if c))
+        return cls(arity, sorted((tuple(e), c) for e, c in table.items() if c))
 
     @property
     def coeffs(self) -> tuple:
         out = []
         for key, c in zip(self.keys, self.values):
             e = [0] * self.arity
-            it = iter(key)
-            for v, r in zip(it, it):
+            for v, r in key:
                 e[v] = r
             out.append((tuple(e), c))
         return tuple(out)
@@ -596,22 +645,8 @@ class BinomialTable:
         return dict(self.coeffs)
 
     def evaluate(self, point, ring: Ring):
-        if len(point) != self.arity:
-            raise ArityMismatchError(
-                f"point of length {len(point)} for arity {self.arity}"
-            )
-        binoms: dict = {}
-        total = ring.zero
-        for key, c in zip(self.keys, self.values):
-            term = ring.from_int(c)
-            it = iter(key)
-            for vr in zip(it, it):
-                b = binoms.get(vr)
-                if b is None:
-                    b = binoms[vr] = ring.binom(point[vr[0]], vr[1])
-                term = term * b
-            total = total + term
-        return total
+        """This table at one point: evaluate_tables of the one-table set."""
+        return evaluate_tables((self,), point, ring)[0]
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -623,3 +658,35 @@ class BinomialTable:
 
     def __repr__(self):
         return f"BinomialTable(arity={self.arity!r}, coeffs={self.coeffs!r})"
+
+
+def evaluate_tables(tables, point, ring: Ring) -> list:
+    """The value of each table at one point, in order, every value in `ring`.
+
+    Each binom(point[v], r) is computed once and shared by the whole set.
+    Each term starts from its int coefficient and is multiplied by its
+    binomials; the sum starts at ring.zero, so the values have the ring's
+    type even for an empty or a constant-only table. Raises
+    ArityMismatchError, naming the first table whose arity is not
+    len(point), before evaluating anything.
+    """
+    n = len(point)
+    for t in tables:
+        if t.arity != n:
+            raise ArityMismatchError(f"point of length {n} for arity {t.arity}")
+    binoms: dict = {}
+    get = binoms.get
+    binom = ring.binom
+    zero = ring.zero
+    out = []
+    for t in tables:
+        total = zero
+        for key, c in zip(t.keys, t.values):
+            for vr in key:
+                b = get(vr)
+                if b is None:
+                    b = binoms[vr] = binom(point[vr[0]], vr[1])
+                c = c * b
+            total = total + c
+        out.append(total)
+    return out

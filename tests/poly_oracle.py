@@ -4,7 +4,11 @@ DensePoly is the earlier Poly: one dense exponent tuple per monomial and one
 Fraction per coefficient, every result rebuilt through the checking
 constructor. eval_binomial_form is the earlier library evaluator of a
 binomial-basis table, one ring.binom per degree of every term, and the
-reference for BinomialTable.evaluate. DenseBinomialTable is the earlier
+reference for BinomialTable.evaluate. eval_tables_per_table is the later
+one, each table alone with its own binomial memo and every term started
+from ring.from_int, and the reference for rings.evaluate_tables; it takes
+its binomials from the generic Ring.binom loop, not from the number rings'
+own. DenseBinomialTable is the earlier
 BinomialTable, a sorted tuple of (degree tuple, int) pairs evaluated through
 eval_binomial_form, and dense_to_binomial_basis is the earlier
 to_binomial_basis over DensePoly. poly_from_obj reads the JSON form of a
@@ -26,7 +30,7 @@ from hypothesis import strategies as st
 
 from hallforge.errors import ArityMismatchError, MixedRingsError, NonIntegerCoefficientError
 from hallforge.jsonio import poly_to_obj, table_from_dict_obj, table_to_obj
-from hallforge.rings import Poly
+from hallforge.rings import Poly, Ring
 
 
 class DensePoly:
@@ -252,6 +256,31 @@ def eval_binomial_form(coeffs, point, ring):
                 term = term * ring.binom(x, r)
         total = total + term
     return total
+
+
+def eval_table(table, point, ring):
+    """One BinomialTable at one point, read through its dense `coeffs` view."""
+    if len(point) != table.arity:
+        raise ArityMismatchError(
+            f"point of length {len(point)} for arity {table.arity}"
+        )
+    binoms: dict = {}
+    total = ring.zero
+    for degrees, c in table.coeffs:
+        term = ring.from_int(c)
+        for v, r in enumerate(degrees):
+            if r:
+                b = binoms.get((v, r))
+                if b is None:
+                    b = binoms[(v, r)] = Ring.binom(ring, point[v], r)
+                term = term * b
+        total = total + term
+    return total
+
+
+def eval_tables_per_table(tables, point, ring) -> list:
+    """Each table of a set evaluated alone, in order."""
+    return [eval_table(t, point, ring) for t in tables]
 
 
 @dataclass(frozen=True)

@@ -115,3 +115,34 @@ def test_verify_command_is_the_quick_json_verify(rank, nclass):
     args = build_parser().parse_args(argv[3:])
     assert (args.command, args.rank, args.nclass) == ("verify", rank, nclass)
     assert (args.samples, args.seed, args.json, args.ring) == (1, 0, True, "z")
+
+
+def test_one_verify_runs_at_its_default_samples():
+    assert [run[0] for run in bench.VERIFY_RUNS] == ["2,5", "3,4", "4,3", "2,3 default samples"]
+    assert [run[1:] for run in bench.VERIFY_RUNS] == [(2, 5, 1), (3, 4, 1), (4, 3, 1), (2, 3, None)]
+
+
+def test_default_samples_verify_command_has_no_cap():
+    argv = bench.verify_command(2, 3, None)
+    assert argv[1:] == ["-m", "hallforge.cli", "verify", "--rank", "2", "--class", "3",
+                        "--seed", "0", "--json"]
+    args = build_parser().parse_args(argv[3:])
+    assert (args.command, args.rank, args.nclass) == ("verify", 2, 3)
+    assert (args.samples, args.seed, args.json, args.ring) == (None, 0, True, "z")
+
+
+def test_time_verify_runs_the_command_on_the_tree(monkeypatch, tmp_path):
+    seen = {}
+
+    class Done:
+        returncode, stdout = 0, "{}\n"
+
+    def fake_run(argv, cwd, env, capture_output, text):
+        seen.update(argv=argv, cwd=cwd, path=env["PYTHONPATH"])
+        return Done()
+
+    monkeypatch.setattr(subprocess, "run", fake_run)
+    seconds, code, stdout = bench.time_verify(tmp_path, 2, 3, None)
+    assert seconds >= 0 and (code, stdout) == (0, "{}\n")
+    assert seen == {"argv": bench.verify_command(2, 3, None), "cwd": tmp_path,
+                    "path": str(tmp_path / "src")}

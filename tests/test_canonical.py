@@ -12,6 +12,7 @@ from poly_oracle import (
     DensePoly,
     dense_to_binomial_basis,
     eval_binomial_form,
+    eval_tables_per_table,
     poly_pairs,
     table_dicts,
 )
@@ -28,7 +29,7 @@ from hallforge.canonical import (
 )
 from hallforge.errors import NonIntegerCoefficientError, ScaleLimitError
 from hallforge.group import FreeNilpotentGroup
-from hallforge.rings import QQ, ZZ, BinomialTable, PolyRing
+from hallforge.rings import QQ, ZZ, BinomialTable, IntegerRing, Poly, PolyRing, Ring
 
 
 def test_weight_one_polynomials_are_linear():
@@ -169,6 +170,62 @@ def test_structure_tails_match_engine_commutators():
                 for pair, v in st.tail_letters(high, low, a, b, ZZ):
                     coords[grp.basis.flat(pair)] = v
                 assert grp.element(coords) == com
+
+
+def _typed(values):
+    return [(type(v), v.terms if isinstance(v, Poly) else v) for v in values]
+
+
+def _oracle_tails(st, high, low, a, b, ring):
+    tails = st.tables.get((high, low), ())
+    values = eval_tables_per_table([t for _, t in tails], (a, b), ring)
+    return [(pair, e) for (pair, _), e in zip(tails, values) if e]
+
+
+@pytest.mark.parametrize("rank, nclass", [(2, 3), (3, 2), (2, 4)])
+def test_table_products_powers_and_tails_match_the_oracle(rank, nclass):
+    cp = derive_hall_polynomials(rank, nclass)
+    st = derive_structure_polys(rank, nclass)
+    n = len(cp.p_tables)
+    t = PolyRing(("t",)).variable("t")
+    rng = Random(2026)
+    draws = {
+        ZZ: lambda: rng.randint(-9, 9),
+        QQ: lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+        PolyRing(("t",)): lambda: t * rng.randint(-2, 2) + rng.randint(-2, 2),
+    }
+    for ring, draw in draws.items():
+        for _ in range(4):
+            a, b, e = [draw() for _ in range(n)], [draw() for _ in range(n)], draw()
+            got = cp.mul_coords(a, b, ring)
+            assert type(got) is tuple
+            assert _typed(got) == _typed(eval_tables_per_table(cp.p_tables, a + b, ring))
+            got = cp.pow_coords(a, e, ring)
+            assert _typed(got) == _typed(eval_tables_per_table(cp.q_tables, a + [e], ring))
+            for high, low in st.tables:
+                x, y = draw(), draw()
+                got = st.tail_letters(high, low, x, y, ring)
+                want = _oracle_tails(st, high, low, x, y, ring)
+                assert [p for p, _ in got] == [p for p, _ in want]
+                assert _typed(v for _, v in got) == _typed(v for _, v in want)
+
+
+def test_tail_letters_without_tails_evaluates_nothing(monkeypatch):
+    st = derive_structure_polys(2, 3)
+    pairs = hall_basis(2, 3).pairs
+    untailed = [(h, l) for h in pairs for l in pairs if not st.tables.get((h, l))]
+    assert untailed and len(untailed) < len(pairs) ** 2
+
+    def refuse(self, a, k):
+        raise AssertionError("binom called")
+
+    for owner in (Ring, IntegerRing):
+        monkeypatch.setattr(owner, "binom", refuse)
+    for high, low in untailed:
+        assert st.tail_letters(high, low, 3, -2, ZZ) == []
+        assert st.tail_letters(list(high), list(low), 3, -2, ZZ) == []
+    with pytest.raises(AssertionError, match="binom called"):
+        st.tail_letters(*next(iter(st.tables)), 3, -2, ZZ)
 
 
 def test_tails_start_above_the_weight_sum():

@@ -169,6 +169,8 @@ ZERO = '{"r":2,"c":2,"coords":["0","0","0"]}'
         (["deform", "check"], {"r": 2, "c": 2, "cocycles": [[[{"deg": [1, 1], "coeff": "1"}]], [[]]]}),
         (["deform", "check"], {"r": 2, "c": 2, "cocycles": [[[{"degrees": [1, 1], "coeff": "x"}]], [[]]]}),
         (["deform", "check"], {"r": 2, "c": 2, "cocycles": [[[{"degrees": [1, 1], "coeff": 5}]], [[]]]}),
+        (["deform", "check"], {"r": 2, "c": 2, "cocycles": [[[{"degrees": [1, 1], "coeff": "1"},
+                                                             {"degrees": [1, 1], "coeff": "2"}]], [[]]]}),
         (["deform", "check"], {"r": 2, "c": 2, "cocycles": [[{}], [[]]]}),
         (["deform", "check"], [1]),
         (["deform", "check"], {"r": 2.0, "c": 2, "cocycles": [[[]], [[]]]}),
@@ -179,7 +181,7 @@ ZERO = '{"r":2,"c":2,"coords":["0","0","0"]}'
     ],
     ids=[
         "letter-key", "letter-list", "short-index", "string-index", "number-exp", "bool-index",
-        "nested-coord", "element-list", "term-key", "term-coeff", "number-coeff",
+        "nested-coord", "element-list", "term-key", "term-coeff", "number-coeff", "repeated-degrees",
         "component-object", "file-list",
         "float-rank", "float-class", "bool-class", "one-cocycle", "two-components",
     ],

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deformation_oracle import IntegerSplitting, coboundary_tables, psi_tables, squaring_pow
+from poly_oracle import eval_tables_per_table
 from hallforge.deformation import (
     DeformedGroup,
     ExtensionCocycle,
@@ -26,8 +27,12 @@ from hallforge.errors import (
     SplitFailureError,
 )
 from hallforge.group import CoordinateGroup, FreeNilpotentGroup
-from hallforge.rings import MAX_EXPONENT, QQ, ZZ, PolyRing
+from hallforge.rings import MAX_EXPONENT, QQ, ZZ, Poly, PolyRing
 from hallforge.verify import extension_rows, iso_rows
+
+
+def _typed(values):
+    return [(type(v), v.terms if isinstance(v, Poly) else v) for v in values]
 
 
 def _mixed_cocycle(n_components):
@@ -182,6 +187,23 @@ def test_mixed_cocycle_splitting_value():
     psi = coboundary_split(_mixed_cocycle(1))
     for a in range(-12, 13):
         assert psi(a) == (3 * ZZ.binom(a, 2) + ZZ.binom(a, 3),)
+
+
+def test_cocycle_and_splitting_values_match_the_oracle():
+    f = _mixed_cocycle(3)
+    psi = coboundary_split(f)
+    t = PolyRing(("t",)).variable("t")
+    points = {
+        ZZ: [(a, b) for a in range(-4, 5) for b in range(-3, 4)],
+        QQ: [(Fraction(a, 3), Fraction(-b, 2)) for a in range(-4, 5) for b in range(-3, 4)],
+        PolyRing(("t",)): [(t + a, t * b - 1) for a in range(-2, 3) for b in range(-2, 3)],
+    }
+    for ring, pairs in points.items():
+        for a, b in pairs:
+            got, want = f.value(a, b, ring), eval_tables_per_table(f.components, (a, b), ring)
+            assert type(got) is tuple and _typed(got) == _typed(want)
+            got, want = psi.value(a, ring), eval_tables_per_table(psi.components, (a,), ring)
+            assert type(got) is tuple and _typed(got) == _typed(want)
 
 
 def test_splitting_satisfies_coboundary_equation():

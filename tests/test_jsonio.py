@@ -200,6 +200,15 @@ def test_malformed_objects_are_shape_errors(parse, arg):
         parse(arg)
 
 
+def test_repeated_table_degrees_are_shape_errors():
+    term = {"degrees": [1, 1], "coeff": "1"}
+    other = {"degrees": [2, 0], "coeff": "3"}
+    assert table_from_dict_obj([term, other], 2).as_dict() == {(1, 1): 1, (2, 0): 3}
+    for terms in ([term, dict(term, coeff="5")], [term, other, term]):
+        with pytest.raises(ShapeMismatchError, match="twice"):
+            table_from_dict_obj(terms, 2)
+
+
 def test_float_coordinates_rejected():
     g = FreeNilpotentGroup(2, 2)
     with pytest.raises(NotInRingError):

@@ -17,14 +17,29 @@ from poly_oracle import (
     DensePoly,
     dense_poly_to_obj,
     eval_binomial_form,
+    eval_tables_per_table,
     poly_from_obj,
     poly_pairs,
     table_dicts,
 )
 
-from hallforge.errors import ArityMismatchError, NotInRingError, ScaleLimitError
+from hallforge.errors import (
+    ArityMismatchError,
+    NonIntegerCoefficientError,
+    NotInRingError,
+    ScaleLimitError,
+)
 from hallforge.jsonio import poly_to_obj
-from hallforge.rings import MAX_EXPONENT, QQ, ZZ, BinomialTable, Poly, PolyRing
+from hallforge.rings import (
+    MAX_EXPONENT,
+    QQ,
+    ZZ,
+    BinomialTable,
+    Poly,
+    PolyRing,
+    Ring,
+    evaluate_tables,
+)
 
 
 def test_integer_binom_base_cases():
@@ -197,6 +212,35 @@ def test_binomial_table_degrees_are_nonnegative_ints(degree):
         BinomialTable(2, [((degree, 1), 1)])
 
 
+@pytest.mark.parametrize("coeff", [Fraction(1, 2), Fraction(-7, 3), 2.7, 2.0, "3"])
+def test_binomial_table_refuses_non_integer_coefficients(coeff):
+    with pytest.raises(NonIntegerCoefficientError):
+        BinomialTable(1, [((1,), coeff)])
+    with pytest.raises(NonIntegerCoefficientError):
+        BinomialTable.from_dict(1, {(1,): coeff})
+
+
+def test_binomial_table_stores_integral_fractions_as_int():
+    t = BinomialTable(2, [((1, 0), Fraction(6, 3)), ((0, 1), Fraction(-4))])
+    assert t.coeffs == (((1, 0), 2), ((0, 1), -4))
+    assert [type(c) for _, c in t.coeffs] == [int, int]
+    assert t == BinomialTable(2, [((1, 0), 2), ((0, 1), -4)])
+
+
+def test_binomial_table_refuses_repeated_degrees():
+    with pytest.raises(ArityMismatchError, match="twice"):
+        BinomialTable(2, [((1, 1), 1), ((2, 0), 5), ((1, 1), 3)])
+    with pytest.raises(ArityMismatchError, match="twice"):
+        BinomialTable(1, [([0], 1), ((0,), 1)])
+
+
+def test_binomial_table_keys_are_interned_pairs():
+    t = BinomialTable(3, [((2, 0, 1), 4), ((0, 0, 0), -1)])
+    assert t.keys == (((0, 2), (2, 1)), ())
+    u = BinomialTable.from_dict(2, {(2, 5): 1})
+    assert u.keys[0][0] is t.keys[0][0]
+
+
 def test_poly_json_round_trip():
     ring = PolyRing(("x", "y"))
     x = ring.variable("x")
@@ -356,14 +400,9 @@ def test_binomial_table_matches_reference(drawn):
     assert pickle.loads(pickle.dumps(t1)) == t1
 
 
-@DIFF
-@given(st.data())
-def test_binomial_table_evaluate_matches_eval_binomial_form(data):
-    arity = data.draw(st.integers(1, 3))
-    table = data.draw(table_dicts(arity))
-    t = BinomialTable.from_dict(arity, table)
+def _points(data, arity):
     poly_ring = PolyRing(POINT_VARS)
-    points = {
+    return {
         ZZ: data.draw(st.lists(st.integers(-6, 6), min_size=arity, max_size=arity)),
         QQ: data.draw(
             st.lists(st.fractions(-4, 4, max_denominator=4), min_size=arity, max_size=arity)
@@ -374,6 +413,121 @@ def test_binomial_table_evaluate_matches_eval_binomial_form(data):
             )
         ],
     }
-    for ring, point in points.items():
+
+
+@DIFF
+@given(st.data())
+def test_binomial_table_evaluate_matches_eval_binomial_form(data):
+    arity = data.draw(st.integers(1, 3))
+    table = data.draw(table_dicts(arity))
+    t = BinomialTable.from_dict(arity, table)
+    for ring, point in _points(data, arity).items():
         want = eval_binomial_form(DenseBinomialTable.from_dict(arity, table).as_dict(), point, ring)
         assert typed_value(t.evaluate(point, ring)) == typed_value(want)
+
+
+# -- the ring-native binomials against the generic loop ------------------------------
+
+
+RING_BINOM_POINTS = [*range(-60, 61), Fraction(1, 2), Fraction(-7, 3), Fraction(22, 7),
+                     Fraction(-1, 9), Fraction(121, 4), Fraction(-45, 8)]
+
+
+@pytest.mark.parametrize("k", range(9))
+def test_number_ring_binom_matches_the_generic_loop(k):
+    for a in RING_BINOM_POINTS:
+        want = Ring.binom(QQ, a, k)
+        got = QQ.binom(a, k)
+        assert type(got) is Fraction and got == want
+        if isinstance(a, int):
+            want = Ring.binom(ZZ, a, k)
+            got = ZZ.binom(a, k)
+            assert type(got) is int and got == want
+
+
+def test_number_ring_binom_keeps_its_refusals_and_coercions():
+    for ring in (ZZ, QQ):
+        for k in (-1, 1.5, "2", None):
+            with pytest.raises(ValueError):
+                ring.binom(3, k)
+        assert ring.binom(True, 2) == Ring.binom(ring, True, 2) == 0
+        assert ring.binom(True, 1) == ring.binom(1, 1) == 1
+        assert ring.binom(-4, True) == -4
+    assert type(ZZ.binom(True, 1)) is int and type(QQ.binom(True, 1)) is Fraction
+    with pytest.raises(NotInRingError):
+        ZZ.binom(Fraction(1, 2), 2)
+    assert ZZ.binom(Fraction(6), 2) == 15 and type(ZZ.binom(Fraction(6), 2)) is int
+    assert ZZ.binom(10**30, 3) == Ring.binom(ZZ, 10**30, 3)
+
+
+# -- evaluate_tables against the per-table oracle ------------------------------------
+
+
+def constant_tables(arity):
+    """Tables whose one term, if any, has no binomial factor."""
+    return st.integers(-4, 4).map(lambda c: {(0,) * arity: c})
+
+
+@DIFF
+@given(st.data())
+def test_evaluate_tables_matches_the_per_table_oracle(data):
+    arity = data.draw(st.integers(1, 3))
+    dicts = data.draw(
+        st.lists(st.one_of(table_dicts(arity), constant_tables(arity), st.just({})), max_size=5)
+    )
+    tables = [BinomialTable.from_dict(arity, d) for d in dicts]
+    for ring, point in _points(data, arity).items():
+        got = evaluate_tables(tables, point, ring)
+        want = eval_tables_per_table(tables, point, ring)
+        assert type(got) is list
+        assert [typed_value(v) for v in got] == [typed_value(v) for v in want]
+        assert [typed_value(t.evaluate(point, ring)) for t in tables] == [
+            typed_value(v) for v in want
+        ]
+
+
+def test_evaluate_tables_shares_factors_across_the_set():
+    # every table needs binom(a, 2) and binom(b, 1): each is computed once
+    tables = [
+        BinomialTable.from_dict(2, {(2, 1): 3, (0, 1): -1}),
+        BinomialTable.from_dict(2, {(2, 0): 1, (2, 1): 2}),
+        BinomialTable.from_dict(2, {(0, 1): 5, (0, 0): 7}),
+    ]
+    calls = []
+
+    class CountingQQ(type(QQ)):
+        def binom(self, a, k):
+            calls.append((a, k))
+            return super().binom(a, k)
+
+    ring = CountingQQ()
+    point = [Fraction(7, 2), Fraction(-3)]
+    got = evaluate_tables(tables, point, ring)
+    assert sorted(calls) == [(Fraction(-3), 1), (Fraction(7, 2), 2)]
+    assert [typed_value(v) for v in got] == [
+        typed_value(v) for v in eval_tables_per_table(tables, point, QQ)
+    ]
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, PolyRing(POINT_VARS)])
+def test_evaluate_tables_of_empty_sets_and_tables(ring):
+    assert evaluate_tables([], [1, 2], ring) == []
+    empty = BinomialTable(2, [])
+    constant = BinomialTable(2, [((0, 0), 3)])
+    got = evaluate_tables([empty, constant], [1, 2], ring)
+    want = eval_tables_per_table([empty, constant], [1, 2], ring)
+    assert [typed_value(v) for v in got] == [typed_value(v) for v in want]
+    assert type(got[0]) is type(ring.zero)
+
+
+@pytest.mark.parametrize("point", [[], [1], [1, 2, 3]])
+def test_evaluate_tables_arity_error_matches_the_oracle(point):
+    tables = [BinomialTable(len(point), []), BinomialTable.from_dict(2, {(1, 1): 1})]
+    with pytest.raises(ArityMismatchError) as want:
+        eval_tables_per_table(tables, point, ZZ)
+    with pytest.raises(ArityMismatchError) as got:
+        evaluate_tables(tables, point, ZZ)
+    assert str(got.value) == str(want.value)
+    with pytest.raises(ArityMismatchError) as one:
+        tables[1].evaluate(point, ZZ)
+    assert str(one.value) == str(want.value)

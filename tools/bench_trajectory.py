@@ -15,9 +15,11 @@ timed, which shows how fast the host itself was at that moment.
 
 Each pair then times the whole pipeline the same way: one process of
 `hallforge verify --samples 1 --seed 0 --json` per side at each of the
-fixed configurations VERIFY_CONFIGS, whose wall time includes the
-interpreter's start. Both sides must print the same bytes on stdout;
-the file records whether they did, and every exit code.
+fixed configurations VERIFY_CONFIGS, and one of `hallforge verify --seed 0
+--json` at its default samples at (2, 3), where the engine-bound suites
+(`group`, `deformation`) run every sample. Each wall
+time includes the interpreter's start. Both sides must print the same
+bytes on stdout; the file records whether they did, and every exit code.
 
 The base tree is `git archive` of the --base revision, unpacked into a
 temporary directory; the head tree is this checkout as it is on disk, or
@@ -61,6 +63,11 @@ BETTER = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"]}
 # the (rank, class) configurations at which `verify` is timed: rank + class = 7, the
 # desk-scale limit, so every suite runs, the symbolic ones included
 VERIFY_CONFIGS = ((2, 5), (3, 4), (4, 3))
+# every timed verify: (key in the file, rank, class, --samples or None for the default);
+# the default-sample run takes about 6 s
+VERIFY_RUNS = tuple((f"{r},{c}", r, c, 1) for r, c in VERIFY_CONFIGS) + (
+    ("2,3 default samples", 2, 3, None),
+)
 
 
 def calibrate(n: int = 300_000) -> float:
@@ -126,17 +133,18 @@ def run_once(tree: Path, workload: str) -> dict:
     return json.loads(out.strip().splitlines()[-1])
 
 
-def verify_command(rank: int, nclass: int) -> list:
-    """The argv of one quick `hallforge verify` process at (rank, class)."""
+def verify_command(rank: int, nclass: int, samples: int | None = 1) -> list:
+    """The argv of one `hallforge verify` process at (rank, class); samples None is the default."""
+    cap = [] if samples is None else ["--samples", str(samples)]
     return [sys.executable, "-m", "hallforge.cli", "verify", "--rank", str(rank),
-            "--class", str(nclass), "--samples", "1", "--seed", str(SEED), "--json"]
+            "--class", str(nclass), *cap, "--seed", str(SEED), "--json"]
 
 
-def time_verify(tree: Path, rank: int, nclass: int) -> tuple:
+def time_verify(tree: Path, rank: int, nclass: int, samples: int | None) -> tuple:
     """Wall seconds, exit code and stdout of one verify process on tree's src/."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     t0 = time.perf_counter()
-    done = subprocess.run(verify_command(rank, nclass), cwd=tree, env=env,
+    done = subprocess.run(verify_command(rank, nclass, samples), cwd=tree, env=env,
                           capture_output=True, text=True)
     return time.perf_counter() - t0, done.returncode, done.stdout
 
@@ -153,7 +161,7 @@ def main(argv=None) -> int:
         parser.error("--pairs must be at least 1")
 
     runs = {w: {"base": [], "head": []} for w in WORKLOADS}
-    verify = {rc: {"base": [], "head": [], "exit": [], "same_stdout": []} for rc in VERIFY_CONFIGS}
+    verify = {run: {"base": [], "head": [], "exit": [], "same_stdout": []} for run in VERIFY_RUNS}
     calib = {"base": [], "head": []}
     with tempfile.TemporaryDirectory(prefix="bench-") as tmp:
         tmp = Path(tmp)
@@ -173,16 +181,16 @@ def main(argv=None) -> int:
                     print(f"pair {k} {w} {side}: correct {res['correct']} "
                           + " ".join(f"{m} {v['value']:.4g}" for m, v in res["metrics"].items()),
                           file=sys.stderr, flush=True)
-            for rc in VERIFY_CONFIGS:
+            for run in VERIFY_RUNS:
                 stdout = {}
                 for side in order:
                     calib[side].append(calibrate())
-                    seconds, code, stdout[side] = time_verify(trees[side], *rc)
-                    verify[rc][side].append(seconds)
-                    verify[rc]["exit"].append(code)
-                    print(f"pair {k} verify {rc} {side}: {seconds:.3f} s, exit {code}",
+                    seconds, code, stdout[side] = time_verify(trees[side], *run[1:])
+                    verify[run][side].append(seconds)
+                    verify[run]["exit"].append(code)
+                    print(f"pair {k} verify {run[0]} {side}: {seconds:.3f} s, exit {code}",
                           file=sys.stderr, flush=True)
-                verify[rc]["same_stdout"].append(stdout["base"] == stdout["head"])
+                verify[run]["same_stdout"].append(stdout["base"] == stdout["head"])
 
     workloads = {}
     for w, sides in runs.items():
@@ -197,10 +205,10 @@ def main(argv=None) -> int:
         workloads[w] = entry
 
     verify_doc = {}
-    for (r, c), times in verify.items():
+    for (key, *run), times in verify.items():
         base, head = times["base"], times["head"]
-        verify_doc[f"{r},{c}"] = {
-            "argv": verify_command(r, c)[1:],
+        verify_doc[key] = {
+            "argv": verify_command(*run)[1:],
             "wall_s": {"base": summary(base), "head": summary(head)},
             "head_over_base_median": statistics.median(head) / statistics.median(base),
             "pairs_head_faster": sum(h < b for b, h in zip(base, head)),
