@@ -11,9 +11,8 @@ seeds and are reproducible.
 
 import importlib
 
-from .basis import BasicCommutator, HallBasis, hall_basis
+from .basis import DESK_WORD_LIMIT, BasicCommutator, HallBasis, hall_basis
 from .canonical import (
-    DESK_SCALE_LIMIT,
     CanonicalPolynomials,
     StructurePolynomials,
     associativity_identity_holds,
@@ -108,7 +107,7 @@ __all__ = [
     "CocycleReport",
     "CocycleViolationError",
     "Collector",
-    "DESK_SCALE_LIMIT",
+    "DESK_WORD_LIMIT",
     "DeformedGroup",
     "EndoPair",
     "FreeNilpotentGroup",

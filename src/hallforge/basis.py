@@ -12,8 +12,10 @@ two ways: as a Lie element (iterated ring commutator, homogeneous of its
 weight) and as a group embedding image (iterated group commutator of the
 series 1 + x_j, a group-like series with integer coefficients).
 
-hall_basis refuses, before building anything, a configuration with more
-than ENGINE_WORD_LIMIT words sum_{i <= class} rank^i; the engine shares it.
+Scale is one rule on the word count sum_{i <= class} rank^i, the empty word
+included, with two tiers: hall_basis and the engine refuse, before building
+anything, past ENGINE_WORD_LIMIT words; symbolic derivation, the command line
+and the symbolic verify suites stop at DESK_WORD_LIMIT.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ from .series import TruncatedSeries, group_commutator_series
 # far above every configuration the tests and the benchmark build: (3,4) has
 # 121 words and (3,5) 364; (2,10) has 2047 and is refused
 ENGINE_WORD_LIMIT = 2000
+# the desk tier: (2,6) has 127 words, (5,3) 156 and (12,2) 157; (13,2) has 183
+DESK_WORD_LIMIT = 160
 
 
 @dataclass(frozen=True)
@@ -150,25 +154,32 @@ def check_config_types(rank, nclass) -> None:
         raise OutOfClassError(f"nilpotency class {nclass!r} is not an int")
 
 
-def check_engine_scale(rank: int, nclass: int) -> None:
-    """Raise ScaleLimitError when N(rank, class) has more than ENGINE_WORD_LIMIT words.
+def within_word_limit(rank: int, nclass: int, limit: int) -> bool:
+    """Whether N(rank, class) has at most `limit` words sum_{i <= class} rank^i.
 
-    Counts the words sum_{i <= class} rank^i arithmetically and stops as soon
-    as the limit is passed, so a huge configuration is refused at once. A
-    rank or class that is not an int raises BadRankError / OutOfClassError.
+    Counts arithmetically and stops as soon as the limit is passed, so a huge
+    configuration is read at once. A rank or class that is not an int raises
+    BadRankError / OutOfClassError.
     """
     check_config_types(rank, nclass)
     if rank < 1:
-        return  # hall_basis reports the bad rank
+        return True  # hall_basis reports the bad rank
     words, layer = 0, 1
     for _ in range(nclass + 1):
         words += layer
-        if words > ENGINE_WORD_LIMIT:
-            raise ScaleLimitError(
-                f"N({rank},{nclass}) has more than {ENGINE_WORD_LIMIT} words up to "
-                f"length {nclass}, the most a Hall basis or the series engine takes"
-            )
+        if words > limit:
+            return False
         layer *= rank
+    return True
+
+
+def check_engine_scale(rank: int, nclass: int, limit: int = ENGINE_WORD_LIMIT) -> None:
+    """Raise ScaleLimitError past `limit` words; the desk tier passes DESK_WORD_LIMIT."""
+    if not within_word_limit(rank, nclass, limit):
+        raise ScaleLimitError(
+            f"N({rank},{nclass}) has more than {limit} words up to length {nclass}, "
+            "the most this computation takes"
+        )
 
 
 @lru_cache(maxsize=None, typed=True)

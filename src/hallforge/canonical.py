@@ -35,8 +35,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .basis import check_config_types, hall_basis
-from .errors import NonIntegerCoefficientError, ScaleLimitError
+from .basis import DESK_WORD_LIMIT, check_engine_scale, hall_basis
+from .errors import NonIntegerCoefficientError
 from .group import FreeNilpotentGroup
 from .rings import (
     EXPONENT_BITS,
@@ -49,18 +49,6 @@ from .rings import (
     evaluate_tables,
 )
 from .series import TruncatedSeries, series_pow
-
-DESK_SCALE_LIMIT = 7  # largest rank + class for symbolic derivation
-
-
-def _check_scale(rank, nclass):
-    check_config_types(rank, nclass)
-    if rank + nclass > DESK_SCALE_LIMIT:
-        raise ScaleLimitError(
-            f"rank + class = {rank + nclass} exceeds the desk-scale limit "
-            f"{DESK_SCALE_LIMIT} for symbolic derivation"
-        )
-
 
 @lru_cache(maxsize=None)
 def _surjection_row(n: int) -> tuple:
@@ -173,7 +161,7 @@ def coordinate_names(basis, prefix: str):
 # distinct tables serve all 152 structure tails, and deriving a configuration
 # again adds no table. A table is keyed on its arity and the set of its
 # packed (degrees, coefficient) pairs, and built only when that key is new.
-# DESK_SCALE_LIMIT bounds how many there can be.
+# DESK_WORD_LIMIT bounds how many there can be.
 _TABLES: dict = {}
 
 
@@ -217,7 +205,7 @@ def _moved(s: TruncatedSeries, variables, shift: int = 0) -> TruncatedSeries:
 @lru_cache(maxsize=None, typed=True)
 def derive_hall_polynomials(rank: int, nclass: int) -> CanonicalPolynomials:
     """p and q exactly: the engine below the class, closed forms on the central weight-c layer."""
-    _check_scale(rank, nclass)
+    check_engine_scale(rank, nclass, DESK_WORD_LIMIT)
     mul_ring, pow_ring = _hall_rings(rank, nclass)
     grp = FreeNilpotentGroup(rank, nclass, mul_ring)
     n = len(grp.basis)
@@ -300,7 +288,7 @@ class StructurePolynomials:
 
 @lru_cache(maxsize=None, typed=True)
 def derive_structure_polys(rank: int, nclass: int) -> StructurePolynomials:
-    _check_scale(rank, nclass)
+    check_engine_scale(rank, nclass, DESK_WORD_LIMIT)
     ring2 = PolyRing(("x", "y"))
     grp = FreeNilpotentGroup(rank, nclass, ring2)
     zz = FreeNilpotentGroup(rank, nclass)

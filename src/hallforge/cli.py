@@ -15,14 +15,13 @@ import json
 import sys
 from random import Random
 
-from .basis import hall_basis
-from .canonical import DESK_SCALE_LIMIT, derive_hall_polynomials, derive_structure_polys
+from .basis import DESK_WORD_LIMIT, check_engine_scale, hall_basis
+from .canonical import derive_hall_polynomials, derive_structure_polys
 from .deformation import DeformedGroup, ExtensionCocycle, check_cocycle
 from .errors import (
     BadRankError,
     HallforgeError,
     OutOfClassError,
-    ScaleLimitError,
     ShapeMismatchError,
 )
 from .group import FreeNilpotentGroup
@@ -84,10 +83,7 @@ def _config(args):
         raise BadRankError("the command line serves rank >= 2")
     if nclass < 2:
         raise OutOfClassError("the command line serves class >= 2")
-    if rank + nclass > DESK_SCALE_LIMIT:
-        raise ScaleLimitError(
-            f"rank + class is limited to {DESK_SCALE_LIMIT} at the command line"
-        )
+    check_engine_scale(rank, nclass, DESK_WORD_LIMIT)
     ring = RINGS[getattr(args, "ring", "z")]
     return rank, nclass, ring
 

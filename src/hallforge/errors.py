@@ -34,7 +34,7 @@ class BadRankError(HallforgeError):
 
 
 class ScaleLimitError(HallforgeError):
-    """Configuration exceeds the desk-scale limit for symbolic derivation."""
+    """A size past a hard limit: a word limit of basis, rings.MAX_EXPONENT, or a digit count."""
 
 
 class NonIntegerCoefficientError(HallforgeError):

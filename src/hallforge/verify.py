@@ -28,8 +28,8 @@ from itertools import accumulate, count
 from random import Random
 
 from . import linalg
+from .basis import DESK_WORD_LIMIT, hall_basis, within_word_limit
 from .canonical import (
-    DESK_SCALE_LIMIT,
     associativity_identity_holds,
     derive_hall_polynomials,
     derive_structure_polys,
@@ -298,7 +298,7 @@ def series_suite(rank, nclass, ring: Ring, rng: Random, samples: int | None = No
         },
     )
 
-    basis = FreeNilpotentGroup(rank, nclass).basis
+    basis = hall_basis(rank, nclass)
 
     def lie(f):
         return basis.lie_element(basis.entries[f])
@@ -902,7 +902,7 @@ def run_all(rank, nclass, ring: Ring = ZZ, seed: int = 0, samples: int | None = 
     out.extend(ring_suite(rng, samples))
     out.extend(series_suite(rank, nclass, ring, rng, samples))
     out.extend(group_suite(rank, nclass, ring, rng, samples))
-    if rank + nclass <= DESK_SCALE_LIMIT:
+    if within_word_limit(rank, nclass, DESK_WORD_LIMIT):
         out.extend(words_suite(rank, nclass, ring, rng, samples))
         out.extend(poly_suite(rank, nclass, rng, samples))
     if ring is ZZ:

@@ -102,7 +102,7 @@ def test_src_digest_names_the_paths(tmp_path):
 
 
 def test_verify_is_timed_at_fixed_configurations():
-    assert bench.VERIFY_CONFIGS == ((2, 5), (3, 4), (4, 3))
+    assert bench.VERIFY_CONFIGS == ((2, 5), (3, 4), (4, 3), (2, 6), (5, 3))
 
 
 @pytest.mark.parametrize("rank, nclass", [(2, 5), (3, 4), (4, 3)])
@@ -118,8 +118,10 @@ def test_verify_command_is_the_quick_json_verify(rank, nclass):
 
 
 def test_one_verify_runs_at_its_default_samples():
-    assert [run[0] for run in bench.VERIFY_RUNS] == ["2,5", "3,4", "4,3", "2,3 default samples"]
-    assert [run[1:] for run in bench.VERIFY_RUNS] == [(2, 5, 1), (3, 4, 1), (4, 3, 1), (2, 3, None)]
+    assert [run[0] for run in bench.VERIFY_RUNS] == [
+        "2,5", "3,4", "4,3", "2,6", "5,3", "2,3 default samples"]
+    assert [run[1:] for run in bench.VERIFY_RUNS] == [
+        (2, 5, 1), (3, 4, 1), (4, 3, 1), (2, 6, 1), (5, 3, 1), (2, 3, None)]
 
 
 def test_default_samples_verify_command_has_no_cap():

@@ -18,9 +18,8 @@ from poly_oracle import (
 )
 
 from hallforge import series
-from hallforge.basis import hall_basis
+from hallforge.basis import DESK_WORD_LIMIT, hall_basis
 from hallforge.canonical import (
-    DESK_SCALE_LIMIT,
     associativity_identity_holds,
     coordinate_names,
     derive_hall_polynomials,
@@ -453,11 +452,32 @@ def test_conversion_matches_reference_on_derived_polynomials(rank, nclass):
 
 
 def test_scale_limit_enforced():
-    assert DESK_SCALE_LIMIT == 7
+    assert DESK_WORD_LIMIT == 160
     with pytest.raises(ScaleLimitError):
         derive_hall_polynomials(4, 4)
     with pytest.raises(ScaleLimitError):
         derive_structure_polys(3, 5)
+
+
+# words sum_{i <= class} rank^i, the empty word included: (7,2) 57, (2,6) 127,
+# (13,2) 183, (2,7) 255, (6,3) 259
+@pytest.mark.parametrize("rank, nclass", [(2, 6), (7, 2)])
+def test_derivation_serves_configurations_within_the_word_limit(rank, nclass):
+    grp = FreeNilpotentGroup(rank, nclass)
+    rng = Random(0)
+    a, b = ([rng.randint(-3, 3) for _ in grp.basis.entries] for _ in "ab")
+    assert derive_hall_polynomials(rank, nclass).mul_coords(a, b, ZZ) == grp.mul_coords(a, b)
+    # x2^2 x1^3 = x1^3 x2^2 [x2,x1]^6 ..., the weight-2 tail first
+    tails = derive_structure_polys(rank, nclass).tail_letters((1, 2), (1, 1), 2, 3, ZZ)
+    assert tails[0] == ((2, 1), 6)
+
+
+@pytest.mark.parametrize("rank, nclass", [(13, 2), (2, 7), (6, 3)])
+def test_derivation_refuses_past_the_word_limit(rank, nclass):
+    with pytest.raises(ScaleLimitError, match=f"more than {DESK_WORD_LIMIT} words"):
+        derive_hall_polynomials(rank, nclass)
+    with pytest.raises(ScaleLimitError, match=f"more than {DESK_WORD_LIMIT} words"):
+        derive_structure_polys(rank, nclass)
 
 
 def _conversion(convert, poly):

@@ -145,6 +145,20 @@ def test_config_violations_exit_two(capsys):
     assert code == 2
 
 
+# the command line admits by word count sum_{i <= class} rank^i: (7,2) has 57
+# words and is served, (13,2) has 183 and (2,7) 255, past DESK_WORD_LIMIT = 160
+@pytest.mark.parametrize("rank, nclass", [(13, 2), (2, 7)])
+def test_configurations_past_the_word_limit_exit_two(capsys, rank, nclass):
+    code, out, err = run_cli(capsys, "basis", "--rank", str(rank), "--class", str(nclass))
+    assert code == 2 and out == ""
+    assert "more than 160 words" in err
+
+
+def test_verify_serves_rank_seven_class_two(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--rank", "7", "--class", "2", "--samples", "1")
+    assert code == 0
+
+
 def test_malformed_json_exits_two(capsys):
     code, _, err = run_cli(
         capsys, "mul", "--rank", "2", "--class", "2", "{not json", "{}"
@@ -210,6 +224,8 @@ def test_hallpoly_output_parses(capsys):
         (3, 4, "60458d4cf12b2a48be8d78e74f1cbf73068b0675455a52e1d1b616e22f3253a2"),
         (4, 3, "0d058ad7015b97ef8cb34816b77ade4aa42e1dade9d4e855a87ab108744443f5"),
         (2, 5, "3d6878aff3237f39bc53ab5c36458fe3fa41facd958198864aecf6455ac4763e"),
+        (2, 6, "e8338108e845790f109f1cf7086df6b1c7171a4c69a78d0caab162f75fe0871f"),
+        (5, 3, "81d9b8c9663f1453de1b45905675023ea4e23d94fa3c781865ef1573e853ff95"),
     ],
 )
 def test_hallpoly_json_digest_pinned(capsys, rank, nclass, pinned):

@@ -12,7 +12,8 @@ import pytest
 from lie_oracle import sign_flipped
 
 import hallforge
-from hallforge import verify
+from hallforge import group, verify
+from hallforge.basis import HallBasis, hall_basis
 from hallforge.canonical import to_binomial_basis
 from hallforge.cli import main
 from hallforge.deformation import (
@@ -116,6 +117,42 @@ def test_centralizer_rows_fail_when_is_central_lies(monkeypatch, rank, nclass):
     assert not any(row.ok for row in rows)
     shown = r"first counterexample: x=\(.*\), a=-?\d+, z=\(.*\)"
     assert all(re.fullmatch(shown, row.detail) for row in rows)
+
+
+@pytest.fixture
+def fresh_bases():
+    """Clear the basis and engine caches before and after, so a patched basis neither
+    reads an earlier engine nor leaves its entries to later tests."""
+    def clear():
+        hall_basis.cache_clear()
+        group._engine_tables.cache_clear()
+
+    clear()
+    yield
+    clear()
+
+
+def test_independence_row_fails_on_a_dependent_lie_element(monkeypatch, fresh_bases):
+    # the row builds its own basis, not the engine, whose set-up would refuse
+    # the dependent Lie elements before the row could report them
+    lie_element = HallBasis.lie_element
+
+    def dependent(self, entry):
+        if entry.pair == (3, 2):
+            entry = self.entries[self.flat((3, 1))]
+        return lie_element(self, entry)
+
+    monkeypatch.setattr(HallBasis, "lie_element", dependent)
+    rows = series_suite(2, 3, ZZ, Random(0), samples=3)
+    row = next(r for r in rows if r.name == "series: Hall Lie elements independent per weight")
+    assert not row.ok
+
+
+def test_run_all_runs_the_symbolic_suites_within_the_word_limit():
+    # (7,2) has 57 words; rank + class = 9 once kept words and poly out
+    names = [row.name for row in run_all(7, 2, samples=1)]
+    assert any(name.startswith("words:") for name in names)
+    assert any(name.startswith("poly:") for name in names)
 
 
 def test_samples_caps_every_sampled_count(monkeypatch):

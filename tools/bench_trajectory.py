@@ -60,9 +60,10 @@ SECONDS = BENCHMARK["run_seconds"]
 SEED = 0  # the seed whose output digests the workloads store
 # direction of each end-to-end metric
 BETTER = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"]}
-# the (rank, class) configurations at which `verify` is timed: rank + class = 7, the
-# desk-scale limit, so every suite runs, the symbolic ones included
-VERIFY_CONFIGS = ((2, 5), (3, 4), (4, 3))
+# the (rank, class) configurations at which `verify` is timed: each within
+# basis.DESK_WORD_LIMIT words, so every suite runs, the symbolic ones included;
+# (2,6) and (5,3), at 127 and 156 words, are the largest admitted by that rule
+VERIFY_CONFIGS = ((2, 5), (3, 4), (4, 3), (2, 6), (5, 3))
 # every timed verify: (key in the file, rank, class, --samples or None for the default);
 # the default-sample run takes about 6 s
 VERIFY_RUNS = tuple((f"{r},{c}", r, c, 1) for r, c in VERIFY_CONFIGS) + (
